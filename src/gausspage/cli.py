@@ -5,6 +5,10 @@ Emits CSV (default) or JSON.  The first CSV line is the versioned header
 values round-trip exactly.  The default seed is a fixed constant
 (overridable via ``--seed`` or the GAUSSIAN_PAGE_SEED environment
 variable): this is a reproducibility-first tool, never time-seeded.
+
+Exit codes: 0 success; 2 invalid arguments or option combinations; 3 a
+resource limit (Haar-pure sampling above 14 modes); 4 a failed numerical
+check (singular-value pairing or [0,1] range, or a quadrature accuracy).
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from gausspage import ensembles, formulas, rmt, stats
+from gausspage.gstates import ConsistencyError
 from gausspage.linalg import InvalidArgument
 
 HEADER = "# gaussian-page v1"
@@ -27,6 +32,7 @@ DEFAULT_SEED = 20210701
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
+EXIT_NUMERICAL = 4
 
 ENSEMBLES = ("gaussian", "haar-pure", "hamiltonian", "number-conserving")
 MODES = ("exact", "quadrature", "mc", "limit")
@@ -46,7 +52,6 @@ class RunConfig:
     out: str | None = None
     points: int = 101
     bins: int = 50
-    extra: dict = field(default_factory=dict)
 
 
 class InvalidCombination(ValueError):
@@ -83,11 +88,7 @@ def _mc_sampler(config: RunConfig, n_a: int):
     N = config.N
     if name == "gaussian":
         return lambda gen, count: ensembles.gaussian_entropies(N, n_a, count, gen)
-    if name == "haar-pure":
-        if N > ensembles.HAAR_PURE_MAX_MODES:
-            raise ensembles.ResourceLimit(
-                f"haar-pure requires N <= {ensembles.HAAR_PURE_MAX_MODES}, got {N}"
-            )
+    if name == "haar-pure":  # the sampler refuses N > HAAR_PURE_MAX_MODES
         return lambda gen, count: ensembles.haar_pure_entropies(N, n_a, count, gen)
     if name == "hamiltonian":
         return lambda gen, count: ensembles.hamiltonian_eigenstate_entropies(N, n_a, count, gen)
@@ -148,8 +149,6 @@ def _curve_row(config: RunConfig, n_a: int) -> list:
 
 
 def run_page_curve(config: RunConfig) -> None:
-    if config.mode in ("exact",) and config.ensemble == "haar-pure":
-        pass  # page formula needs N_A <= N/2, which the sweep respects
     sweep = range(0, config.N // 2 + 1) if config.N_A is None else [config.N_A]
     columns = ["N", "N_A", "f", "value", "std", "std_error", "samples", "mode", "ensemble"]
     rows = [_curve_row(config, n_a) for n_a in sweep]
@@ -222,6 +221,10 @@ _COMMANDS = {
 
 def run(config: RunConfig) -> int:
     try:
+        if config.N < 1:
+            raise InvalidArgument(f"need N >= 1, got {config.N}")
+        if config.samples < 0 or config.points < 1:
+            raise InvalidArgument("need --samples >= 0 and --points >= 1")
         _COMMANDS[config.command](config)
     except (InvalidCombination, InvalidArgument) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -229,6 +232,9 @@ def run(config: RunConfig) -> int:
     except ensembles.ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except (ConsistencyError, rmt.AccuracyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

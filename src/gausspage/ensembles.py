@@ -6,7 +6,9 @@
 * Haar pure states of the full 2^N Hilbert space (small-N oracle).
 
 All samplers are pure functions of an :class:`RngStream`; batched variants
-take a live generator and are used by the Monte Carlo harness.
+take a live generator and are used by the Monte Carlo harness.  They are
+restriction-only: they draw or keep only the rows that lie in A and build the
+block [J]_A (or C_A) directly, never a full 2N x 2N structure.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from gausspage.linalg import (
     antisym_canonical,
     haar_orthogonal,
     haar_orthogonal_batch,
+    haar_unitary_batch,
 )
 from gausspage.gstates import (
     SystemSplit,
     conjugate,
-    entropy_from_spectrum,
     mode_entropy,
     reference_structure,
-    restrict,
+    restrict_blocks,
     subsystem_indices,
 )
 
@@ -186,8 +188,7 @@ def sample_number_conserving_eigenstate(N: int, N_A: int, rng: RngStream) -> flo
     """Entropy of one random eigenstate of a number-conserving Hamiltonian."""
     if N < 2:
         raise InvalidArgument(f"need N >= 2, got {N}")
-    gen = rng.generator()
-    return float(number_conserving_entropies(N, N_A, 1, gen)[0])
+    return float(number_conserving_entropies(N, N_A, 1, rng.generator())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -195,118 +196,99 @@ def sample_number_conserving_eigenstate(N: int, N_A: int, rng: RngStream) -> flo
 # ---------------------------------------------------------------------------
 
 _BATCH = 2048
+# Cap on the 8-byte words in the largest array of one batch (32 MB).
+_BATCH_ELEMENTS = 1 << 22
 
 
-def _entropies_from_structures(j: np.ndarray, split: SystemSplit) -> np.ndarray:
-    """Subsystem entropies for a stack of complex structures, shape (B,)."""
-    idx = subsystem_indices(split)
-    block = j[:, idx][:, :, idx]
-    ev = np.linalg.eigvalsh(np.swapaxes(block, -2, -1) @ block)[:, ::-1]
-    x = np.sqrt(np.clip(ev, 0.0, 1.0))
-    x = 0.5 * (x[:, 0::2] + x[:, 1::2])
-    return mode_entropy(x).sum(axis=1)
-
-
-def gaussian_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    """Entropies of `count` Haar Gaussian states at the given bipartition."""
-    split = SystemSplit(N, N_A)
-    j0 = reference_structure(N)
+def _in_batches(count: int, per_sample: int, draw) -> np.ndarray:
+    """Concatenate ``draw(b)`` (b entropies each) over batches covering ``count``."""
+    batch = max(1, min(_BATCH, _BATCH_ELEMENTS // per_sample))
     out = np.empty(count)
-    done = 0
-    while done < count:
-        b = min(_BATCH, count - done)
-        m = haar_orthogonal_batch(2 * N, b, gen)
-        j = m @ j0 @ np.swapaxes(m, -2, -1)
-        out[done : done + b] = _entropies_from_structures(j, split)
-        done += b
+    for start in range(0, count, batch):
+        b = min(batch, count - start)
+        out[start : start + b] = draw(b)
     return out
 
 
-def _diagonalizer_batch(h: np.ndarray) -> np.ndarray:
-    """Orthogonal diagonalizers for a stack of antisymmetric matrices.
+def frame_block(rows: np.ndarray) -> np.ndarray:
+    """[J]_A of J = O J0 O^T from the A rows R = [P S] of O: R J0 R^T = P S^T - S P^T."""
+    n = rows.shape[-1] // 2
+    y = rows[..., :n] @ np.swapaxes(rows[..., n:], -2, -1)
+    return y - np.swapaxes(y, -2, -1)
 
-    Built from the Hermitian eigendecomposition of i*h: if v = p + i*q is a
-    unit eigenvector with eigenvalue w > 0 then (sqrt(2) q, sqrt(2) p) are
-    the two canonical rows of that mode.  Valid for non-degenerate spectra,
-    which holds almost surely for Gaussian h.
+
+def eigenstate_block(v: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """[M^T D M]_A = 2 (q_A S p_A^T - p_A S q_A^T) of eigenstates, S = diag(1 - 2*occ).
+
+    v = p + i*q are the A rows of the positive-half eigenvectors of i*h; the
+    diagonalizer M of :func:`eigenstate_structure` has the rows sqrt(2) q^T, sqrt(2) p^T.
     """
-    b, dim, _ = h.shape
-    n = dim // 2
-    _, v = np.linalg.eigh(1j * h)
-    vpos = v[:, :, n:]  # eigenvalues ascending: positive half
-    m = np.empty((b, dim, dim))
-    m[:, 0::2, :] = np.sqrt(2.0) * np.swapaxes(vpos.imag, -2, -1)
-    m[:, 1::2, :] = np.sqrt(2.0) * np.swapaxes(vpos.real, -2, -1)
-    return m
+    y = 2.0 * (v.imag * signs[..., None, :]) @ np.swapaxes(v.real, -2, -1)
+    return y - np.swapaxes(y, -2, -1)
+
+
+def correlation_block(v: np.ndarray, occ: np.ndarray) -> np.ndarray:
+    """C_A = V^+ diag(n) V for V = U_A^+, the A rows of the unitary U as a frame."""
+    return (np.swapaxes(v.conj(), -2, -1) * occ[..., None, :]) @ v
+
+
+def gaussian_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    """Entropies of `count` Haar Gaussian states; the A rows of O are a Haar frame."""
+    SystemSplit(N, N_A)
+
+    def draw(b):
+        rows = np.swapaxes(haar_orthogonal_batch(2 * N, b, gen, cols=2 * N_A), -2, -1)
+        return mode_entropy(restrict_blocks(frame_block(rows))).sum(axis=1)
+
+    return _in_batches(count, 4 * N * max(N_A, 1), draw)
 
 
 def hamiltonian_eigenstate_entropies(
     N: int, N_A: int, count: int, gen: np.random.Generator
 ) -> np.ndarray:
     """Entropies of random-Hamiltonian eigenstates with uniform occupations."""
-    split = SystemSplit(N, N_A)
-    out = np.empty(count)
-    done = 0
-    while done < count:
-        b = min(_BATCH, count - done)
+    idx = subsystem_indices(SystemSplit(N, N_A))
+
+    def draw(b):
         g = gen.standard_normal((b, 2 * N, 2 * N))
         h = 0.5 * (g - np.swapaxes(g, -2, -1))
-        m = _diagonalizer_batch(h)
-        occ = gen.integers(0, 2, size=(b, N))
-        signs = 1.0 - 2.0 * occ
-        d = np.zeros((b, 2 * N, 2 * N))
-        idx = 2 * np.arange(N)
-        d[:, idx, idx + 1] = signs
-        d[:, idx + 1, idx] = -signs
-        j = np.swapaxes(m, -2, -1) @ d @ m
-        out[done : done + b] = _entropies_from_structures(j, split)
-        done += b
-    return out
+        v = np.linalg.eigh(1j * h)[1][:, idx, N:]  # eigenvalues ascending: positive half
+        signs = 1.0 - 2.0 * gen.integers(0, 2, size=(b, N))
+        return mode_entropy(restrict_blocks(eigenstate_block(v, signs))).sum(axis=1)
+
+    return _in_batches(count, 8 * N * N, draw)
 
 
 def haar_pure_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """Entropies of Haar pure states on the full 2^N Hilbert space."""
     if N > HAAR_PURE_MAX_MODES:
         raise ResourceLimit(f"haar pure states limited to N <= {HAAR_PURE_MAX_MODES}")
+    SystemSplit(N, N_A)
     da, db = 2**N_A, 2 ** (N - N_A)
-    out = np.empty(count)
-    done = 0
-    batch = max(1, min(_BATCH, (1 << 24) // (da * db)))
-    while done < count:
-        b = min(batch, count - done)
+
+    def draw(b):
         psi = gen.standard_normal((b, da, db)) + 1j * gen.standard_normal((b, da, db))
         psi /= np.linalg.norm(psi.reshape(b, -1), axis=1)[:, None, None]
-        rho = psi @ np.swapaxes(psi.conj(), -2, -1)
-        lam = np.linalg.eigvalsh(rho)
-        lam = np.clip(lam, 0.0, 1.0)
-        out[done : done + b] = -np.sum(np.where(lam > 0, lam * np.log(np.where(lam > 0, lam, 1.0)), 0.0), axis=1)
-        done += b
-    return out
+        lam = np.clip(np.linalg.eigvalsh(psi @ np.swapaxes(psi.conj(), -2, -1)), 0.0, 1.0)
+        return -np.sum(lam * np.log(np.where(lam > 0, lam, 1.0)), axis=1)
+
+    return _in_batches(count, 2 * da * db, draw)
 
 
 def number_conserving_entropies(
     N: int, N_A: int, count: int, gen: np.random.Generator
 ) -> np.ndarray:
-    """Entropies of random number-conserving eigenstates.
+    """Entropies of random number-conserving eigenstates, sum_i s(2 lambda_i - 1).
 
-    Draw a Haar unitary U (QR of a complex Ginibre matrix with the phase
-    correction) and uniform occupation bits n; the subsystem correlation
-    matrix is the leading N_A x N_A block of U diag(n) U+ and the entropy is
-    the sum of binary-entropy terms over its eigenvalues.
+    lambda are the eigenvalues of C_A = U_A diag(n) U_A^+ for uniform occupations
+    n; the A rows of the Haar unitary U are drawn as a complex Haar frame V = U_A^+.
     """
-    out = np.empty(count)
-    for i in range(count):
-        g = gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))
-        q, r = np.linalg.qr(g)
-        d = np.diag(r)
-        u = q * (d / np.abs(d))
-        n = gen.integers(0, 2, size=N)
-        ua = u[:N_A, :]
-        ca = (ua * n) @ ua.conj().T
-        lam = np.clip(np.linalg.eigvalsh(ca).real, 0.0, 1.0)
-        ent = 0.0
-        for p in (lam, 1.0 - lam):
-            mask = p > 0.0
-            ent -= float(np.sum(p[mask] * np.log(p[mask])))
-        out[i] = ent
-    return out
+    SystemSplit(N, N_A)
+
+    def draw(b):
+        v = haar_unitary_batch(N, b, gen, N_A)
+        occ = gen.integers(0, 2, size=(b, N))
+        lam = np.clip(np.linalg.eigvalsh(correlation_block(v, occ)), 0.0, 1.0)  # rounding may leave [0, 1]
+        return mode_entropy(2.0 * lam - 1.0).sum(axis=1)
+
+    return _in_batches(count, 2 * N * max(N_A, 1), draw)

@@ -65,8 +65,8 @@ def gaussian_average_exact(N: int, N_A: int) -> float:
     """
     if not (0 <= N_A <= N):
         raise InvalidArgument(f"need 0 <= N_A <= N, got N_A={N_A}, N={N}")
-    if N_A == 0 or N_A == N:
-        # empty or full subsystem of a pure state
+    N_A = min(N_A, N - N_A)  # S_A = S_B for pure states; the form holds for N_A <= N/2
+    if N_A == 0:
         return 0.0
     return (
         (N - 0.5) * digamma(2.0 * N)

@@ -23,7 +23,7 @@ from gausspage.linalg import InvalidArgument
 
 
 class ConsistencyError(RuntimeError):
-    """Internal numerical structure (e.g. singular-value pairing) violated."""
+    """A numerically verified identity (pairing, [0,1] range, orthonormality) failed."""
 
 
 PAIR_TOL = 1e-8
@@ -110,18 +110,22 @@ def subsystem_indices(split: SystemSplit) -> np.ndarray:
     return np.concatenate([np.arange(split.N_A), split.N + np.arange(split.N_A)])
 
 
-def paired_singular_values(block: np.ndarray, pair_tol: float = PAIR_TOL) -> np.ndarray:
-    """Paired singular values of an antisymmetric even-dimensional block.
+def restrict_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Paired singular values of a stack of antisymmetric 2n x 2n blocks [J]_A.
 
-    Uses the symmetric eigendecomposition of B^T B, whose spectrum is
-    {x_i^2} with multiplicity two; each adjacent pair is averaged after the
-    pairing is verified.
+    Returns shape (..., n), descending, in [0, 1].  The spectrum of B^T B is
+    {x_i^2} with multiplicity two.  The pairing is checked on those
+    eigenvalues, whose absolute error is about eps for any x; the square
+    root of a pair near 0 would magnify its split to about sqrt(eps).
     """
-    ev = np.linalg.eigvalsh(block.T @ block)[::-1]
-    x = np.sqrt(np.clip(ev, 0.0, None))
-    if np.max(np.abs(x[0::2] - x[1::2])) > pair_tol:
+    ev = np.linalg.eigvalsh(np.swapaxes(blocks, -2, -1) @ blocks)[..., ::-1]
+    hi, lo = ev[..., 0::2], ev[..., 1::2]
+    if hi.size and np.max(np.abs(hi - lo)) > PAIR_TOL:
         raise ConsistencyError("singular values of the antisymmetric block do not pair up")
-    return 0.5 * (x[0::2] + x[1::2])
+    x = np.sqrt(np.maximum(0.5 * (hi + lo), 0.0))
+    if x.size and np.max(x) > 1.0 + CLAMP_TOL:
+        raise ConsistencyError(f"restricted spectrum escapes [0,1]: max {np.max(x)}")
+    return np.minimum(x, 1.0)
 
 
 def restrict(j: np.ndarray, split: SystemSplit) -> np.ndarray:
@@ -129,10 +133,7 @@ def restrict(j: np.ndarray, split: SystemSplit) -> np.ndarray:
     if split.N_A < 1:
         raise InvalidArgument("restriction requires N_A >= 1")
     idx = subsystem_indices(split)
-    x = paired_singular_values(j[np.ix_(idx, idx)])
-    if np.any(x > 1.0 + CLAMP_TOL):
-        raise ConsistencyError(f"restricted spectrum escapes [0,1]: max {x.max()}")
-    return np.clip(x, 0.0, 1.0)
+    return restrict_blocks(j[np.ix_(idx, idx)][None])[0]
 
 
 def entropy_from_spectrum(x: np.ndarray) -> float:

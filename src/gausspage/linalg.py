@@ -29,29 +29,44 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence((self.seed, self.stream))))
 
 
-def haar_orthogonal(dim: int, rng: RngStream | np.random.Generator) -> np.ndarray:
-    """Sample from the Haar measure on the full orthogonal group O(dim).
+def _haar_q(g: np.ndarray) -> np.ndarray:
+    """Q factor of a stack of (real or complex, square or tall) Ginibre matrices.
 
     QR of a Ginibre matrix alone is *not* Haar distributed; the decomposition
     is made unique (and the law exactly Haar) by forcing the diagonal of R to
-    be positive.
+    be positive.  For tall input the reduced Q is a Haar frame: the leading
+    columns of a Haar matrix.
     """
-    if dim < 2 or dim % 2 != 0:
-        raise InvalidArgument(f"dim must be even and >= 2, got {dim}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    g = gen.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def haar_orthogonal_batch(dim: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    """Stacked Haar O(dim) samples, shape (count, dim, dim)."""
-    if dim < 2 or dim % 2 != 0:
-        raise InvalidArgument(f"dim must be even and >= 2, got {dim}")
-    g = gen.standard_normal((count, dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    return q * d[:, None, :]
+def haar_orthogonal(dim: int, rng: RngStream | np.random.Generator) -> np.ndarray:
+    """Sample from the Haar measure on the full orthogonal group O(dim)."""
+    return haar_orthogonal_batch(dim, 1, rng.generator() if isinstance(rng, RngStream) else rng)[0]
+
+
+def haar_orthogonal_batch(
+    dim: int, count: int, gen: np.random.Generator, cols: int | None = None
+) -> np.ndarray:
+    """Stacked Haar O(dim) samples, or only their leading ``cols`` columns.
+
+    Shape (count, dim, cols), ``cols`` defaulting to ``dim``; fewer columns
+    draw and factor only a dim x cols Ginibre stack.
+    """
+    cols = dim if cols is None else cols
+    if dim < 2 or dim % 2 != 0 or not 0 <= cols <= dim:
+        raise InvalidArgument(f"need even dim >= 2 and 0 <= cols <= dim, got dim={dim}, cols={cols}")
+    return _haar_q(gen.standard_normal((count, dim, cols)))
+
+
+def haar_unitary_batch(dim: int, count: int, gen: np.random.Generator, cols: int) -> np.ndarray:
+    """Leading ``cols`` columns of stacked Haar U(dim) samples, shape (count, dim, cols)."""
+    if not 0 <= cols <= dim:
+        raise InvalidArgument(f"need 0 <= cols <= dim, got dim={dim}, cols={cols}")
+    shape = (count, dim, cols)
+    return _haar_q(gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
 
 
 def sym_eigen(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

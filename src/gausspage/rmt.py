@@ -21,17 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from gausspage.linalg import InvalidArgument
-from gausspage.gstates import mode_entropy
+from gausspage.gstates import ConsistencyError, mode_entropy
 from gausspage.special import QuadratureRule, jacobi_all, unit_interval_rule
 from gausspage.formulas import log_gamma, s2_closed_form
 
 
 class AccuracyError(RuntimeError):
     """Quadrature or series truncation failed to reach the target accuracy."""
-
-
-class ConsistencyError(RuntimeError):
-    """Numerically verified identity (e.g. orthonormality) failed."""
 
 
 ORTHONORMALITY_TOL = 1e-10

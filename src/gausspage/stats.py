@@ -43,40 +43,40 @@ class MCEstimate:
 
 @dataclass
 class _Moments:
+    """Count, mean and central sums M_k = sum (x - mean)^k for k = 2, 3, 4."""
+
     n: int = 0
     mean: float = 0.0
     m2: float = 0.0
+    m3: float = 0.0
     m4: float = 0.0
 
     def add_chunk(self, x: np.ndarray) -> None:
-        other = _Moments(
-            n=x.size,
-            mean=float(np.mean(x)),
-            m2=float(np.sum((x - np.mean(x)) ** 2)),
-            m4=float(np.sum((x - np.mean(x)) ** 4)),
-        )
-        self.merge(other)
+        mean = float(np.mean(x))
+        d = x - mean
+        self.merge(_Moments(x.size, mean, *(float(np.sum(d**k)) for k in (2, 3, 4))))
 
     def merge(self, o: "_Moments") -> None:
+        """Exact pairwise update of all central sums (Pebay 2008, eqs. 2.1-2.3)."""
         if o.n == 0:
             return
         if self.n == 0:
-            self.n, self.mean, self.m2, self.m4 = o.n, o.mean, o.m2, o.m4
+            self.n, self.mean, self.m2, self.m3, self.m4 = o.n, o.mean, o.m2, o.m3, o.m4
             return
-        n, m = self.n, o.n
-        tot = n + m
+        na, nb = self.n, o.n
+        n = na + nb
         d = o.mean - self.mean
-        # parallel (Chan et al.) combination; m4 keeps only the dominant
-        # cross terms, adequate at the chunk sizes used here
-        m2 = self.m2 + o.m2 + d * d * n * m / tot
+        m2 = self.m2 + o.m2 + d * d * na * nb / n
+        m3 = self.m3 + o.m3 + d**3 * na * nb * (na - nb) / n**2 + 3.0 * d * (na * o.m2 - nb * self.m2) / n
         m4 = (
             self.m4
             + o.m4
-            + d**4 * n * m * (n * n - n * m + m * m) / tot**3
-            + 6.0 * d * d * (n * n * o.m2 + m * m * self.m2) / tot**2
+            + d**4 * na * nb * (na * na - na * nb + nb * nb) / n**3
+            + 6.0 * d * d * (na * na * o.m2 + nb * nb * self.m2) / n**2
+            + 4.0 * d * (na * o.m3 - nb * self.m3) / n
         )
-        self.mean += d * m / tot
-        self.n, self.m2, self.m4 = tot, m2, m4
+        self.mean += d * nb / n
+        self.n, self.m2, self.m3, self.m4 = n, m2, m3, m4
 
 
 def mc_estimate(sampler: Sampler, n: int, seed: int, workers: int = 1) -> MCEstimate:

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from gausspage.cli import DEFAULT_SEED, main
+from gausspage import ensembles, rmt
+from gausspage.cli import DEFAULT_SEED, EXIT_INVALID, EXIT_NUMERICAL, main
+from gausspage.gstates import ConsistencyError
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -102,6 +104,16 @@ class TestSampleAndDist:
         _, rows = read_rows(path)
         assert sum(int(r[2]) for r in rows) == 400
 
+    def test_dist_counts_entropies_of_pure_modes(self, tmp_path):
+        # eigenvalues of C_A within eps of 1 must not give entropies below 0,
+        # which the histogram would drop
+        args = ["dist", "--ensemble", "number-conserving", "--N", "12", "--NA", "2",
+                "--samples", "2048", "--bins", "40", "--seed", "189609175"]
+        code, path = run_cli(args, tmp_path)
+        assert code == 0
+        _, rows = read_rows(path)
+        assert sum(int(r[2]) for r in rows) == 2048
+
 
 class TestErrorPaths:
     def test_invalid_combination(self, capsys):
@@ -113,6 +125,44 @@ class TestErrorPaths:
         code = main(["page-curve", "--N", "20", "--ensemble", "haar-pure", "--mode", "mc", "--samples", "10"])
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_a", ["6", "-1"])
+    def test_number_conserving_rejects_bad_subsystem(self, n_a, capsys):
+        code = main(["page-curve", "--mode", "mc", "--ensemble", "number-conserving",
+                     "--N", "4", "--NA", n_a, "--samples", "10"])
+        assert code == EXIT_INVALID
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["exact", "quadrature", "mc", "limit"])
+    def test_rejects_empty_system(self, mode, capsys):
+        assert main(["page-curve", "--N", "0", "--mode", mode, "--samples", "10"]) == EXIT_INVALID
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["sample", "--N", "4", "--NA", "2", "--samples", "-3"], ["density", "--N", "8", "--NA", "2", "--points", "-1"]],
+    )
+    def test_rejects_negative_counts(self, args, capsys):
+        assert main(args) == EXIT_INVALID
+        assert "error" in capsys.readouterr().err
+
+    def test_consistency_failure_exit_code(self, monkeypatch, capsys):
+        def broken(N, N_A, count, gen):
+            raise ConsistencyError("singular values of the antisymmetric block do not pair up")
+
+        monkeypatch.setattr(ensembles, "gaussian_entropies", broken)
+        code = main(["page-curve", "--N", "4", "--NA", "2", "--mode", "mc", "--samples", "10"])
+        assert code == EXIT_NUMERICAL == 4
+        assert "do not pair up" in capsys.readouterr().err
+
+    def test_accuracy_failure_exit_code(self, monkeypatch, capsys):
+        def broken(ctx):
+            raise rmt.AccuracyError("entropy quadrature did not converge")
+
+        monkeypatch.setattr(rmt, "average_entropy_quadrature", broken)
+        code = main(["page-curve", "--N", "4", "--NA", "2", "--mode", "quadrature"])
+        assert code == EXIT_NUMERICAL
+        assert "did not converge" in capsys.readouterr().err
 
 
 class TestSeedHandling:

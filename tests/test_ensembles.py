@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
 
-from gausspage.linalg import RngStream
-from gausspage.gstates import SystemSplit, entropy_from_spectrum, restrict
+from gausspage.linalg import InvalidArgument, RngStream, haar_orthogonal, haar_unitary_batch
+from gausspage.gstates import (
+    SystemSplit,
+    conjugate,
+    entropy_from_spectrum,
+    reference_structure,
+    restrict,
+    subsystem_indices,
+)
 from gausspage.ensembles import (
     HAAR_PURE_MAX_MODES,
     ResourceLimit,
+    correlation_block,
+    eigenstate_block,
+    frame_block,
     eigenstate_structure,
     entanglement_entropy_pure,
     from_particle_basis,
@@ -55,6 +65,49 @@ class TestGaussianSampler:
         a = sample_gaussian_state(3, RngStream(5, 1))
         b = sample_gaussian_state(3, RngStream(5, 1))
         assert np.array_equal(a, b)
+
+
+class TestRestrictionOnlyBlocks:
+    """Each sampler's subsystem block equals the one cut from the full construction."""
+
+    @pytest.mark.parametrize("N, N_A", [(2, 1), (5, 2), (8, 8), (12, 5)])
+    def test_gaussian_frame_rows(self, N, N_A):
+        o = haar_orthogonal(2 * N, RngStream(31, N))
+        idx = subsystem_indices(SystemSplit(N, N_A))
+        full = conjugate(reference_structure(N), o)[np.ix_(idx, idx)]
+        assert np.max(np.abs(frame_block(o[idx]) - full)) <= 1e-12
+
+    @pytest.mark.parametrize("N, N_A", [(2, 1), (5, 2), (8, 8), (12, 5)])
+    def test_hamiltonian_a_rows(self, N, N_A):
+        # M from the Schur route (modes by descending omega), eigenvectors of
+        # i*h from eigh (positive half ascending): same modes, reversed order
+        ham = sample_random_hamiltonian(N, RngStream(32, N))
+        occ = RngStream(33, N).generator().integers(0, 2, size=N)
+        idx = subsystem_indices(SystemSplit(N, N_A))
+        full = eigenstate_structure(ham, occ)[np.ix_(idx, idx)]
+        v = np.linalg.eigh(1j * ham.h)[1][idx, N:]
+        signs = (1.0 - 2.0 * occ)[::-1]
+        assert np.max(np.abs(eigenstate_block(v, signs) - full)) <= 1e-12
+
+    @pytest.mark.parametrize("N, N_A", [(2, 1), (6, 3), (9, 9), (16, 5)])
+    def test_number_conserving_frame(self, N, N_A):
+        gen = RngStream(34, N).generator()
+        u = haar_unitary_batch(N, 1, gen, N)[0]
+        occ = gen.integers(0, 2, size=N)
+        ua = u[:N_A, :]
+        per_sample = (ua * occ) @ ua.conj().T
+        assert np.max(np.abs(correlation_block(ua.conj().T, occ) - per_sample)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "sampler", [gaussian_entropies, hamiltonian_eigenstate_entropies, number_conserving_entropies]
+    )
+    def test_trivial_bipartitions(self, sampler):
+        gen = RngStream(35).generator()
+        assert np.array_equal(sampler(4, 0, 3, gen), np.zeros(3))
+        assert np.all(np.abs(sampler(4, 4, 3, gen)) <= 1e-12)
+        for n_a in (-1, 5):
+            with pytest.raises(InvalidArgument):
+                sampler(4, n_a, 3, gen)
 
 
 class TestRandomHamiltonian:

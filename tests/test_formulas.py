@@ -68,6 +68,12 @@ class TestGaussianAverage:
         with pytest.raises(InvalidArgument):
             F.gaussian_average_exact(4, 5)
 
+    def test_complement_symmetry(self):
+        # S_A = S_B for pure states; the digamma form alone holds for N_A <= N/2
+        for N in (3, 4, 9, 40):
+            for n_a in range(N + 1):
+                assert F.gaussian_average_exact(N, n_a) == F.gaussian_average_exact(N, N - n_a)
+
     def test_bounded_by_max_entropy(self):
         for N in (2, 8, 32, 128):
             for n_a in range(1, N // 2 + 1):

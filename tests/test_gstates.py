@@ -7,14 +7,22 @@ from hypothesis import given, settings, strategies as st
 from gausspage.linalg import InvalidArgument, RngStream, haar_orthogonal
 from gausspage.gstates import (
     SystemSplit,
+    ConsistencyError,
     bogoliubov_to_orthogonal,
     conjugate,
     entropy_from_spectrum,
     mode_entropy,
     reference_structure,
     restrict,
+    restrict_blocks,
+    subsystem_indices,
 )
-from gausspage.ensembles import gaussian_entropies, sample_gaussian_state
+from gausspage.ensembles import (
+    eigenstate_structure,
+    gaussian_entropies,
+    sample_gaussian_state,
+    sample_random_hamiltonian,
+)
 from gausspage.stats import ks_one_sample_critical, ks_statistic_one_sample
 
 S_HALF = 0.5623351446188084  # s(1/2), frozen from high-precision evaluation
@@ -163,3 +171,30 @@ def test_restricted_singular_values_pair():
         assert np.max(np.abs(sv[0::2] - sv[1::2])) <= 1e-8
         # and the pooled pairs agree with restrict()
         assert np.allclose(restrict(j, split), 0.5 * (sv[0::2] + sv[1::2]), atol=1e-9)
+
+
+def test_restrict_pairs_singular_values_near_zero():
+    # A valid eigenstate whose block has a pair of singular values near 0:
+    # square roots of the eigenvalues of B^T B would split it by ~1.2e-8.
+    ham = sample_random_hamiltonian(40, RngStream(514904109))
+    occ = np.array([int(c) for c in "0000010011110011100010101011111101100001"])
+    j = eigenstate_structure(ham, occ)
+    split = SystemSplit(40, 24)
+    x = restrict(j, split)
+    idx = subsystem_indices(split)
+    sv = np.linalg.svd(j[np.ix_(idx, idx)], compute_uv=False)
+    assert np.max(np.abs(sv[0::2] - sv[1::2])) <= 1e-14
+    ref = 0.5 * (sv[0::2] + sv[1::2])
+    assert np.allclose(x, ref, atol=1e-7)
+    assert abs(entropy_from_spectrum(x) - entropy_from_spectrum(np.clip(ref, 0.0, 1.0))) <= 1e-12
+
+
+def test_restrict_blocks_checks_pairing_and_range():
+    j = sample_gaussian_state(4, RngStream(21))
+    idx = subsystem_indices(SystemSplit(4, 2))
+    block = j[np.ix_(idx, idx)]
+    assert np.array_equal(restrict_blocks(block[None])[0], restrict(j, SystemSplit(4, 2)))
+    with pytest.raises(ConsistencyError):
+        restrict_blocks(np.diag([1.0, 0.5, 0.2, 0.1])[None])  # not antisymmetric: no pairs
+    with pytest.raises(ConsistencyError):
+        restrict_blocks(1.01 * reference_structure(2)[None])  # escapes [0, 1]

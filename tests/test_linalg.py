@@ -8,9 +8,15 @@ from gausspage.linalg import (
     antisym_canonical,
     haar_orthogonal,
     haar_orthogonal_batch,
+    haar_unitary_batch,
     sym_eigen,
 )
-from gausspage.stats import ks_statistic, ks_two_sample_critical
+from gausspage.stats import (
+    ks_one_sample_critical,
+    ks_statistic,
+    ks_statistic_one_sample,
+    ks_two_sample_critical,
+)
 
 
 def random_antisymmetric(dim, gen):
@@ -53,6 +59,28 @@ class TestHaarOrthogonal:
         a = haar_orthogonal(8, RngStream(11, 2))
         b = haar_orthogonal(8, RngStream(11, 2))
         assert np.array_equal(a, b)
+
+    def test_frames_have_the_law_of_leading_columns(self):
+        # a dim x cols frame is orthonormal and its entries follow the law of
+        # the same entries of a full Haar matrix
+        gen = RngStream(12).generator()
+        frames = haar_orthogonal_batch(6, 10_000, gen, cols=2)
+        assert frames.shape == (10_000, 6, 2)
+        assert np.max(np.abs(np.swapaxes(frames, 1, 2) @ frames - np.eye(2))) <= 1e-12
+        full = haar_orthogonal_batch(6, 10_000, gen)
+        for i, j in ((0, 0), (5, 1)):
+            assert ks_statistic(frames[:, i, j], full[:, i, j]) < ks_two_sample_critical(10_000, 10_000)
+        with pytest.raises(InvalidArgument):
+            haar_orthogonal_batch(6, 1, gen, cols=7)
+
+    def test_unitary_frames(self):
+        # |U_00|^2 of a Haar U(dim) is Beta(1, dim - 1): P(|U_00|^2 <= t) = 1 - (1 - t)^(dim - 1)
+        gen = RngStream(13).generator()
+        frames = haar_unitary_batch(5, 10_000, gen, 2)
+        assert np.max(np.abs(np.swapaxes(frames.conj(), 1, 2) @ frames - np.eye(2))) <= 1e-12
+        t = np.sort(np.abs(frames[:, 0, 0]) ** 2)
+        cdf = 1.0 - (1.0 - t) ** 4
+        assert ks_statistic_one_sample(t, cdf) < ks_one_sample_critical(t.size)
 
 
 class TestSymEigen:

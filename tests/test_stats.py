@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from gausspage.linalg import InvalidArgument
 from gausspage.stats import (
+    _Moments,
     histogram,
     ks_statistic,
     ks_two_sample_critical,
@@ -117,3 +118,31 @@ class TestHistogram:
 def test_histogram_conservation_property(values, bins):
     h = histogram(np.array(values), bins, (-5.0, 5.0))
     assert h.counts.sum() + h.underflow + h.overflow == len(values)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=400),
+            st.floats(min_value=-1e3, max_value=1e3),
+            st.floats(min_value=1e-3, max_value=1e2),
+        ),
+        min_size=2,
+        max_size=8,
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_moment_merge_matches_two_pass(chunks, seed):
+    # uneven, mean-shifted chunks merged pairwise vs central sums of the whole
+    gen = np.random.default_rng(seed)
+    parts = [shift + scale * gen.standard_normal(size) for size, shift, scale in chunks]
+    moments = _Moments()
+    for part in parts:
+        moments.add_chunk(part)
+    data = np.concatenate(parts)
+    d = data - data.mean()
+    assert moments.n == data.size
+    assert moments.m2 == pytest.approx(np.sum(d**2), rel=1e-9)
+    assert abs(moments.m3 - np.sum(d**3)) <= 1e-9 * np.sum(np.abs(d) ** 3)
+    assert moments.m4 == pytest.approx(np.sum(d**4), rel=1e-9)

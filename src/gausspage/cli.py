@@ -14,6 +14,7 @@ check (singular-value pairing or [0,1] range, or a quadrature accuracy).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -97,6 +98,14 @@ def _mc_sampler(config: RunConfig, n_a: int):
     raise InvalidCombination(f"unknown ensemble {name!r}")
 
 
+def _kernel_ctx(N: int, n_a: int) -> rmt.JacobiKernelCtx:
+    """Kernel context of the smaller side: S_A = S_B for a pure state."""
+    if not 0 < n_a < N:
+        raise InvalidArgument(f"need 0 < N_A < N, got N_A={n_a}, N={N}")
+    k = min(n_a, N - n_a)
+    return rmt.build_kernel_ctx(k, N - 2 * k)
+
+
 def _curve_row(config: RunConfig, n_a: int) -> list:
     N = config.N
     f = n_a / N
@@ -107,11 +116,7 @@ def _curve_row(config: RunConfig, n_a: int) -> list:
     if mode == "exact":
         if ens == "gaussian":
             value = formulas.gaussian_average_exact(N, n_a)
-            if 1 <= n_a:
-                ctx = rmt.build_kernel_ctx(n_a, N - 2 * n_a)
-                std = math.sqrt(rmt.variance_finite_N(ctx))
-            else:
-                std = 0.0
+            std = math.sqrt(rmt.variance_finite_N(_kernel_ctx(N, n_a))) if 0 < n_a < N else 0.0
         elif ens == "haar-pure":
             value = formulas.page_average_exact(N, n_a)
         else:
@@ -119,11 +124,7 @@ def _curve_row(config: RunConfig, n_a: int) -> list:
     elif mode == "quadrature":
         if ens != "gaussian":
             raise InvalidCombination("mode 'quadrature' requires the gaussian ensemble")
-        if n_a == 0:
-            value = 0.0
-        else:
-            ctx = rmt.build_kernel_ctx(n_a, N - 2 * n_a)
-            value = rmt.average_entropy_quadrature(ctx)
+        value = rmt.average_entropy_quadrature(_kernel_ctx(N, n_a)) if n_a not in (0, N) else 0.0
     elif mode == "mc":
         if n_a == 0:
             value, std, std_error, samples = 0.0, 0.0, 0.0, 0
@@ -203,6 +204,9 @@ def run_dist(config: RunConfig) -> None:
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 0))))
     values = _mc_sampler(config, config.N_A)(gen, config.samples)
     hist = stats.histogram(values, config.bins, (0.0, config.N_A * math.log(2.0)))
+    if hist.underflow or hist.overflow:
+        msg = f"{hist.underflow} samples below and {hist.overflow} above [0, N_A log 2] are not counted"
+        print(f"warning: {msg}", file=sys.stderr)
     rows = [
         [float(lo), float(hi), int(c)]
         for lo, hi, c in zip(hist.edges[:-1], hist.edges[1:], hist.counts)
@@ -238,6 +242,7 @@ def run(config: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gausspage",

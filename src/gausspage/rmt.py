@@ -11,6 +11,13 @@ polynomials with symmetric weight exponent Delta = N_B - N_A:
 The psi_j are orthonormal on [0, 1] directly (verified at context build; no
 interval rescaling is needed).  Averages of sum_i s(x_i) reduce to
 one-dimensional integrals against the level density rho = K(x,x)/N_A.
+
+psi_i psi_j (i, j < j_max) is a polynomial of degree 4(j_max-1) + 2 Delta,
+exact under n Gauss-Legendre nodes once 2n - 1 reaches it.  Integrals of
+s(x) psi_i psi_j use 2 j_max + Delta + 16 nodes per graded panel (rounded up
+to a multiple of 32 so cached rules are shared) and check n against 2n.
+``ctx.quadrature`` is one panel on [0, 1] at that order: it only meets
+polynomial integrands (Gram matrix, K(x, x), K(z, x) K(z, y)), exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from gausspage.linalg import InvalidArgument
 from gausspage.gstates import ConsistencyError, mode_entropy
-from gausspage.special import QuadratureRule, jacobi_all, unit_interval_rule
+from gausspage.special import QuadratureRule, gauss_legendre, jacobi_all, panel_rule, unit_interval_rule
 from gausspage.formulas import log_gamma, s2_closed_form
 
 
@@ -32,6 +39,7 @@ class AccuracyError(RuntimeError):
 
 ORTHONORMALITY_TOL = 1e-10
 _MAX_DOUBLINGS = 6
+_CHUNK_ELEMENTS = 1 << 22  # largest array of one density_cdf chunk, in words
 
 
 def _log_c(j: int, delta: int) -> float:
@@ -64,22 +72,25 @@ def wavefunctions(ctx: JacobiKernelCtx, x: np.ndarray, jmax: int | None = None) 
         jmax = ctx.n_a
     x = np.asarray(x, dtype=float)
     poly = jacobi_all(2 * (jmax - 1), ctx.delta, ctx.delta, x)[0 :: 2]
-    log_c = np.array([_log_c(j, ctx.delta) for j in range(jmax)])
+    log_c = ctx.log_c[:jmax] if jmax <= ctx.n_a else np.array([_log_c(j, ctx.delta) for j in range(jmax)])
     weight = (1.0 - x * x) ** (0.5 * ctx.delta)
     return poly * weight[None, :] / np.exp(0.5 * log_c)[:, None]
 
 
-def build_kernel_ctx(n_a: int, delta: int, order: int | None = None) -> JacobiKernelCtx:
+def _panel_order(jmax: int, delta: int) -> int:
+    """Nodes per panel for s(x) psi_i psi_j, i, j < jmax (see the module docstring)."""
+    return 32 * math.ceil((2 * jmax + delta + 16) / 32)
+
+
+def build_kernel_ctx(n_a: int, delta: int) -> JacobiKernelCtx:
     """Precompute normalizations and quadrature; verifies orthonormality."""
     if n_a < 1 or delta < 0:
         raise InvalidArgument(f"need N_A >= 1 and Delta >= 0, got ({n_a}, {delta})")
-    if order is None:
-        order = 4 * n_a + 64
     ctx = JacobiKernelCtx(
         n_a=n_a,
         delta=delta,
         log_c=np.array([_log_c(j, delta) for j in range(n_a)]),
-        quadrature=unit_interval_rule(order),
+        quadrature=panel_rule(_panel_order(n_a, delta), [(0.0, 1.0)]),
     )
     psi = wavefunctions(ctx, ctx.quadrature.nodes)
     gram = (psi * ctx.quadrature.weights) @ psi.T
@@ -110,22 +121,21 @@ def level_density(ctx: JacobiKernelCtx, x) -> float | np.ndarray:
 def density_cdf(ctx: JacobiKernelCtx, grid: np.ndarray) -> np.ndarray:
     """CDF of the level density at the given sorted grid points.
 
-    Per-interval Gauss-Legendre accumulation; accurate to quadrature level
-    for use in one-sample KS tests.
+    A 24-node Gauss-Legendre rule per interval from 0 through the grid, in
+    chunks whose largest array stays below 2^22 words, summed cumulatively;
+    accurate to quadrature level for use in one-sample KS tests.
     """
-    from gausspage.special import gauss_legendre
-
     base = gauss_legendre(24)
-    edges = np.concatenate([[0.0], grid])
-    cdf = np.zeros(grid.size)
-    acc = 0.0
-    for i in range(grid.size):
-        a, b = edges[i], edges[i + 1]
-        half = 0.5 * (b - a)
-        xs = half * base.nodes + 0.5 * (a + b)
-        acc += half * float(np.dot(base.weights, level_density(ctx, xs)))
-        cdf[i] = acc
-    return cdf
+    edges = np.concatenate([[0.0], np.asarray(grid, dtype=float)])
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    pieces = np.empty(half.size)
+    chunk = max(1, _CHUNK_ELEMENTS // (base.nodes.size * (2 * ctx.n_a - 1)))
+    for start in range(0, half.size, chunk):
+        h, m = half[start : start + chunk, None], mid[start : start + chunk, None]
+        rho = level_density(ctx, (h * base.nodes + m).ravel())
+        pieces[start : start + chunk] = h[:, 0] * (rho.reshape(-1, base.nodes.size) @ base.weights)
+    return np.cumsum(pieces)
 
 
 def correlation_k(ctx: JacobiKernelCtx, points) -> float:
@@ -147,17 +157,22 @@ def _entropy_integral(ctx: JacobiKernelCtx, order: int) -> float:
     return rule.integrate(mode_entropy(rule.nodes) * density_times_na)
 
 
-def average_entropy_quadrature(ctx: JacobiKernelCtx, tol: float = 1e-10) -> float:
-    """Ensemble-average entropy N_A * integral of s(x) rho(x) dx."""
-    order = 4 * ctx.n_a + 64
-    value = _entropy_integral(ctx, order)
+def _converged(integral, order: int, tol: float, what: str) -> float:
+    """integral(2n) once it is within tol of integral(n), doubling n from order."""
+    value = integral(order)
     for _ in range(_MAX_DOUBLINGS):
         order *= 2
-        refined = _entropy_integral(ctx, order)
+        refined = integral(order)
         if abs(refined - value) < tol:
             return refined
         value = refined
-    raise AccuracyError("entropy quadrature did not converge")
+    raise AccuracyError(f"{what} quadrature did not converge")
+
+
+def average_entropy_quadrature(ctx: JacobiKernelCtx, tol: float = 1e-10) -> float:
+    """Ensemble-average entropy N_A * integral of s(x) rho(x) dx."""
+    order = _panel_order(ctx.n_a, ctx.delta)
+    return _converged(lambda n: _entropy_integral(ctx, n), order, tol, "entropy")
 
 
 def s_ij_quadrature(ctx: JacobiKernelCtx, i: int, j: int, tol: float = 1e-10) -> float:
@@ -175,15 +190,7 @@ def s_ij_quadrature(ctx: JacobiKernelCtx, i: int, j: int, tol: float = 1e-10) ->
         psi = wavefunctions(ctx, rule.nodes, jmax=jmax)
         return rule.integrate(mode_entropy(rule.nodes) * psi[i] * psi[j])
 
-    order = 4 * jmax + 64
-    value = integral(order)
-    for _ in range(_MAX_DOUBLINGS):
-        order *= 2
-        refined = integral(order)
-        if abs(refined - value) < tol:
-            return refined
-        value = refined
-    raise AccuracyError("matrix-element quadrature did not converge")
+    return _converged(integral, _panel_order(jmax, ctx.delta), tol, "matrix-element")
 
 
 def variance_finite_N(ctx: JacobiKernelCtx, tail_tol: float = 1e-10) -> float:

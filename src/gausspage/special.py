@@ -10,6 +10,7 @@ only; closed forms with factorial ratios are unstable at the degrees we need
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,42 +88,49 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
+    def __post_init__(self):  # rules are cached and shared between callers
+        self.nodes.flags.writeable = self.weights.flags.writeable = False
+
     def integrate(self, values: np.ndarray) -> float:
         """Weighted sum of integrand values taken at ``self.nodes``."""
         return float(np.dot(self.weights, values))
 
 
 def gauss_legendre(n: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 2n-1."""
+    """Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 2n-1 (cached)."""
     if n < 1:
         raise InvalidArgument(f"node count must be >= 1, got {n}")
-    nodes, weights = leggauss(n)
-    return QuadratureRule(nodes=nodes, weights=weights)
+    return _gauss_legendre(n)
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(n: int) -> QuadratureRule:
+    return QuadratureRule(*leggauss(n))
 
 
 def panel_rule(n: int, panels: list[tuple[float, float]]) -> QuadratureRule:
     """Composite Gauss-Legendre rule with n nodes on each given panel."""
     base = gauss_legendre(n)
-    nodes = []
-    weights = []
-    for a, b in panels:
-        half = 0.5 * (b - a)
-        nodes.append(half * base.nodes + 0.5 * (a + b))
-        weights.append(half * base.weights)
-    return QuadratureRule(nodes=np.concatenate(nodes), weights=np.concatenate(weights))
+    a, b = np.asarray(panels, dtype=float).T[:, :, None]
+    half = 0.5 * (b - a)
+    return QuadratureRule((half * base.nodes + 0.5 * (a + b)).ravel(), (half * base.weights).ravel())
 
 
-def unit_interval_rule(n: int, refine_from: int = 1, refine_to: int = 48) -> QuadratureRule:
+def unit_interval_rule(n: int) -> QuadratureRule:
     """Composite rule on [0, 1] with dyadic panels graded toward x = 1.
 
     The integrands of interest carry a logarithmic derivative singularity at
     x = 1; dyadic grading [1 - 2^-k, 1 - 2^-(k+1)] resolves it to near
     machine precision with moderate per-panel order.  The rule stops at
-    1 - 2^-refine_to: pushing panels closer to 1 would round nodes onto the
+    1 - 2^-48: pushing panels closer to 1 would round nodes onto the
     endpoint itself, and the omitted mass is below double rounding error for
     any integrand with at worst a logarithmic singularity there.
+    A polynomial factor of degree d needs n of about d/2 per panel (``rmt``
+    uses 2 j_max + Delta + 16, rounded up to 32).  Cached and read-only.
     """
-    panels = [(0.0, 1.0 - 2.0 ** (-refine_from))]
-    for k in range(refine_from, refine_to):
-        panels.append((1.0 - 2.0 ** (-k), 1.0 - 2.0 ** (-(k + 1))))
-    return panel_rule(n, panels)
+    return _unit_interval_rule(n)
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_interval_rule(n: int) -> QuadratureRule:
+    return panel_rule(n, [(0.0, 0.5)] + [(1.0 - 2.0 ** (-k), 1.0 - 2.0 ** (-(k + 1))) for k in range(1, 48)])

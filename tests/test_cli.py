@@ -1,10 +1,24 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gausspage import ensembles, rmt
-from gausspage.cli import DEFAULT_SEED, EXIT_INVALID, EXIT_NUMERICAL, main
+from gausspage.cli import (
+    _COMMANDS,
+    DEFAULT_SEED,
+    ENSEMBLES,
+    EXIT_INVALID,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    MODES,
+    main,
+)
 from gausspage.gstates import ConsistencyError
 
 
@@ -56,6 +70,19 @@ class TestPageCurve:
         _, a = run_cli(args, tmp_path, "a.csv")
         _, b = run_cli(args, tmp_path, "b.csv")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["exact", "quadrature"])
+    def test_complement_equals_smaller_side(self, mode, tmp_path):
+        # S_A = S_B for a pure state: N_A = 3 of N = 4 is the N_A = 1 row
+        rows = {}
+        for n_a in ("1", "3"):
+            code, path = run_cli(["page-curve", "--N", "4", "--NA", n_a, "--mode", mode], tmp_path, f"{n_a}.csv")
+            assert code == 0
+            header, (row,) = read_rows(path)
+            rows[n_a] = row
+        for column in ("value", "std"):
+            i = header.index(column)
+            assert rows["3"][i] == rows["1"][i]
 
     def test_json_format(self, tmp_path):
         code, path = run_cli(
@@ -113,6 +140,24 @@ class TestSampleAndDist:
         assert code == 0
         _, rows = read_rows(path)
         assert sum(int(r[2]) for r in rows) == 2048
+
+    def test_dist_reports_dropped_samples(self, tmp_path, monkeypatch, capsys):
+        def out_of_range(N, N_A, count, gen):
+            return np.concatenate([[-0.5, -0.1, 10.0], np.full(count - 3, 0.5)])
+
+        monkeypatch.setattr(ensembles, "gaussian_entropies", out_of_range)
+        args = ["dist", "--N", "4", "--NA", "2", "--samples", "20", "--bins", "4"]
+        code, path = run_cli(args, tmp_path)
+        assert code == 0
+        _, rows = read_rows(path)
+        assert sum(int(r[2]) for r in rows) == 17
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "2 samples below and 1 above" in err
+
+    def test_dist_in_range_is_silent(self, tmp_path, capsys):
+        run_cli(["dist", "--N", "4", "--NA", "2", "--samples", "50", "--seed", "1"], tmp_path)
+        assert capsys.readouterr().err == ""
 
 
 class TestErrorPaths:
@@ -182,3 +227,23 @@ class TestSeedHandling:
         _, a = run_cli(["variance", "--N", "4", "--NA", "2", "--samples", "100"], tmp_path, "a.csv")
         header, rows = read_rows(a)
         assert int(rows[0][header.index("seed")]) == DEFAULT_SEED
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_COMMANDS)),
+    mode=st.sampled_from(MODES),
+    ensemble=st.sampled_from(ENSEMBLES),
+    N=st.integers(-2, 20),
+    data=st.data(),
+)
+def test_arguments_reach_documented_exit_codes(command, mode, ensemble, N, data):
+    n_a = data.draw(st.integers(-2, max(N, 0) + 2), label="NA")
+    samples = data.draw(st.integers(-1, 32), label="samples")
+    workers = data.draw(st.integers(1, 2), label="workers")
+    argv = [command, "--mode", mode, "--ensemble", ensemble, "--N", str(N), "--NA", str(n_a),
+            "--samples", str(samples), "--workers", str(workers), "--points", "11"]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_RESOURCE, EXIT_NUMERICAL)
+    assert (code == EXIT_OK) == ("error" not in err.getvalue())

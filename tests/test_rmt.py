@@ -5,8 +5,9 @@ import pytest
 
 from gausspage.linalg import InvalidArgument, RngStream, haar_orthogonal_batch
 from gausspage.gstates import reference_structure
-from gausspage import formulas
+from gausspage import formulas, rmt
 from gausspage.rmt import (
+    AccuracyError,
     build_kernel_ctx,
     correlation_k,
     density_cdf,
@@ -100,6 +101,22 @@ class TestLevelDensity:
         stat = ks_statistic_one_sample(xs, cdf)
         assert stat < ks_one_sample_critical(xs.size, alpha=0.01)
 
+    def test_matches_per_interval_loop(self, monkeypatch):
+        # a grid longer than one chunk, against one 24-node rule per interval
+        monkeypatch.setattr(rmt, "_CHUNK_ELEMENTS", 24 * 5 * 40)
+        ctx = build_kernel_ctx(3, 2)
+        grid = np.sort(np.random.default_rng(5).random(250))
+        base = gauss_legendre(24)
+        edges = np.concatenate([[0.0], grid])
+        expected, acc = [], 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (b - a)
+            acc += half * float(np.dot(base.weights, level_density(ctx, half * base.nodes + 0.5 * (a + b))))
+            expected.append(acc)
+        assert np.max(np.abs(density_cdf(ctx, grid) - np.array(expected))) <= 1e-13
+        assert abs(density_cdf(ctx, np.array([1.0]))[0] - 1.0) <= 1e-12
+        assert density_cdf(ctx, np.array([])).size == 0
+
 
 class TestCorrelations:
     def test_one_point_is_density(self):
@@ -144,6 +161,30 @@ class TestAverageEntropy:
     def test_entropy_bound_guard(self):
         ctx = build_kernel_ctx(1, 40)
         assert average_entropy_quadrature(ctx) < math.log(2.0)
+
+    def test_matches_closed_form_everywhere(self):
+        sizes = [(n, n_a) for n in range(2, 41) for n_a in range(1, n // 2 + 1)]
+        for n, n_a in sizes + [(192, 96), (256, 1), (400, 100)]:
+            quad = average_entropy_quadrature(build_kernel_ctx(n_a, n - 2 * n_a))
+            assert abs(quad - formulas.gaussian_average_exact(n, n_a)) <= 1e-10, (n, n_a)
+
+    def test_unsettled_quadrature_raises(self, monkeypatch):
+        orders = []
+
+        def never_settles(ctx, order):
+            orders.append(order)
+            return float(len(orders))
+
+        monkeypatch.setattr(rmt, "_entropy_integral", never_settles)
+        with pytest.raises(AccuracyError):
+            average_entropy_quadrature(build_kernel_ctx(2, 0))
+        assert len(orders) > 2 and all(b == 2 * a for a, b in zip(orders, orders[1:]))
+
+    def test_order_covers_the_polynomial_degree(self):
+        # n nodes are exact to degree 2n - 1; psi_i psi_j has degree 4(jmax-1) + 2 Delta
+        for jmax in range(1, 120, 7):
+            for delta in range(0, 300, 13):
+                assert 2 * rmt._panel_order(jmax, delta) - 1 >= 4 * (jmax - 1) + 2 * delta
 
 
 class TestMatrixElements:

@@ -124,3 +124,18 @@ class TestUnitIntervalRule:
         # integral of -log(1-x) over [0,1] is exactly 1
         rule = unit_interval_rule(24)
         assert abs(rule.integrate(-np.log1p(-rule.nodes)) - 1.0) <= 1e-12
+
+
+class TestCachedRules:
+    def test_repeat_calls_share_one_rule(self):
+        assert gauss_legendre(40) is gauss_legendre(40)
+        assert unit_interval_rule(32) is unit_interval_rule(32)
+
+    @pytest.mark.parametrize("make", [lambda: gauss_legendre(7), lambda: unit_interval_rule(32)])
+    def test_rules_are_read_only(self, make):
+        rule = make()
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.5
+        with pytest.raises(ValueError):
+            rule.weights *= 2.0
+        assert abs(np.sum(make().weights) - (2.0 if rule.nodes[0] < 0 else 1.0)) <= 1e-13

@@ -55,10 +55,6 @@ class RunConfig:
     bins: int = 50
 
 
-class InvalidCombination(ValueError):
-    pass
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
@@ -95,36 +91,35 @@ def _mc_sampler(config: RunConfig, n_a: int):
         return lambda gen, count: ensembles.hamiltonian_eigenstate_entropies(N, n_a, count, gen)
     if name == "number-conserving":
         return lambda gen, count: ensembles.number_conserving_entropies(N, n_a, count, gen)
-    raise InvalidCombination(f"unknown ensemble {name!r}")
+    raise InvalidArgument(f"unknown ensemble {name!r}")
 
 
-def _kernel_ctx(N: int, n_a: int) -> rmt.JacobiKernelCtx:
-    """Kernel context of the smaller side: S_A = S_B for a pure state."""
-    if not 0 < n_a < N:
-        raise InvalidArgument(f"need 0 < N_A < N, got N_A={n_a}, N={N}")
-    k = min(n_a, N - n_a)
-    return rmt.build_kernel_ctx(k, N - 2 * k)
+def _smaller_side(N: int, n_a: int) -> int:
+    """min(N_A, N - N_A): S_A = S_B for a pure state, and the analytics take N_A <= N/2."""
+    if not 0 <= n_a <= N:
+        raise InvalidArgument(f"need 0 <= N_A <= N, got N_A={n_a}, N={N}")
+    return min(n_a, N - n_a)
 
 
 def _curve_row(config: RunConfig, n_a: int) -> list:
     N = config.N
-    f = n_a / N
+    k = _smaller_side(N, n_a)
     mode, ens = config.mode, config.ensemble
     std = math.nan
     std_error = math.nan
     samples = 0
     if mode == "exact":
         if ens == "gaussian":
-            value = formulas.gaussian_average_exact(N, n_a)
-            std = math.sqrt(rmt.variance_finite_N(_kernel_ctx(N, n_a))) if 0 < n_a < N else 0.0
+            value = formulas.gaussian_average_exact(N, k)
+            std = math.sqrt(rmt.variance_finite_N(rmt.build_kernel_ctx(k, N - 2 * k))) if k else 0.0
         elif ens == "haar-pure":
-            value = formulas.page_average_exact(N, n_a)
+            value = formulas.page_average_exact(N, k)
         else:
-            raise InvalidCombination(f"mode 'exact' is not available for ensemble {ens!r}")
+            raise InvalidArgument(f"mode 'exact' is not available for ensemble {ens!r}")
     elif mode == "quadrature":
         if ens != "gaussian":
-            raise InvalidCombination("mode 'quadrature' requires the gaussian ensemble")
-        value = rmt.average_entropy_quadrature(_kernel_ctx(N, n_a)) if n_a not in (0, N) else 0.0
+            raise InvalidArgument("mode 'quadrature' requires the gaussian ensemble")
+        value = rmt.average_entropy_quadrature(rmt.build_kernel_ctx(k, N - 2 * k)) if k else 0.0
     elif mode == "mc":
         if n_a == 0:
             value, std, std_error, samples = 0.0, 0.0, 0.0, 0
@@ -132,21 +127,21 @@ def _curve_row(config: RunConfig, n_a: int) -> list:
             est = stats.mc_estimate(_mc_sampler(config, n_a), config.samples, config.seed, config.workers)
             value, std, std_error, samples = est.mean, math.sqrt(est.variance), est.std_error, est.n
     elif mode == "limit":
-        if n_a == 0:
+        if k == 0:
             value = 0.0
         elif ens == "gaussian":
-            value = formulas.gaussian_thermo(N, f)
-            std = formulas.gaussian_std_limit(f) if f <= 0.5 else math.nan
+            value = formulas.gaussian_thermo(N, k / N)
+            std = formulas.gaussian_std_limit(k / N)
         elif ens == "haar-pure":
-            value = formulas.page_thermo(N, f)
-            std = formulas.page_std_thermo(N, f)
+            value = formulas.page_thermo(N, k / N)
+            std = formulas.page_std_thermo(N, k / N)
         elif ens == "number-conserving":
-            value = N * formulas.lrv_density(f)
+            value = N * formulas.lrv_density(k / N)
         else:
-            raise InvalidCombination(f"mode 'limit' is not available for ensemble {ens!r}")
+            raise InvalidArgument(f"mode 'limit' is not available for ensemble {ens!r}")
     else:
-        raise InvalidCombination(f"unknown mode {mode!r}")
-    return [N, n_a, f, value, std, std_error, samples, mode, ens]
+        raise InvalidArgument(f"unknown mode {mode!r}")
+    return [N, n_a, n_a / N, value, std, std_error, samples, mode, ens]
 
 
 def run_page_curve(config: RunConfig) -> None:
@@ -158,11 +153,11 @@ def run_page_curve(config: RunConfig) -> None:
 
 def run_density(config: RunConfig) -> None:
     if config.N_A is None:
-        raise InvalidCombination("density requires --NA")
+        raise InvalidArgument("density requires --NA")
     n_a = config.N_A
     delta = config.N - 2 * n_a
     if n_a < 1 or delta < 0:
-        raise InvalidCombination("density requires 1 <= N_A <= N/2")
+        raise InvalidArgument("density requires 1 <= N_A <= N/2")
     ctx = rmt.build_kernel_ctx(n_a, delta)
     grid = np.linspace(0.0, 1.0, config.points)
     rho = np.atleast_1d(rmt.level_density(ctx, grid))
@@ -172,12 +167,9 @@ def run_density(config: RunConfig) -> None:
 def run_variance(config: RunConfig) -> None:
     N = config.N
     n_a = config.N_A if config.N_A is not None else N // 2
-    if n_a < 1 or N - 2 * n_a < 0:
-        raise InvalidCombination("variance requires 1 <= N_A <= N/2")
-    f = n_a / N
-    ctx = rmt.build_kernel_ctx(n_a, N - 2 * n_a)
-    var_exact = rmt.variance_finite_N(ctx)
-    var_limit = formulas.gaussian_std_limit(f) ** 2 if f <= 0.5 else math.nan
+    k = _smaller_side(N, n_a)
+    var_exact = rmt.variance_finite_N(rmt.build_kernel_ctx(k, N - 2 * k)) if k else 0.0
+    var_limit = formulas.gaussian_std_limit(k / N) ** 2 if k else 0.0
     if config.samples > 0:
         est = stats.mc_estimate(_mc_sampler(config, n_a), config.samples, config.seed, config.workers)
         var_mc, n = est.variance, est.n
@@ -186,13 +178,13 @@ def run_variance(config: RunConfig) -> None:
     _emit(
         config,
         ["N", "N_A", "f", "variance_finite", "variance_mc", "variance_limit", "samples", "seed"],
-        [[N, n_a, f, var_exact, var_mc, var_limit, n, config.seed]],
+        [[N, n_a, n_a / N, var_exact, var_mc, var_limit, n, config.seed]],
     )
 
 
 def run_sample(config: RunConfig) -> None:
     if config.N_A is None:
-        raise InvalidCombination("sample requires --NA")
+        raise InvalidArgument("sample requires --NA")
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 0))))
     values = _mc_sampler(config, config.N_A)(gen, config.samples)
     _emit(config, ["index", "entropy"], [[i, float(v)] for i, v in enumerate(values)])
@@ -200,7 +192,7 @@ def run_sample(config: RunConfig) -> None:
 
 def run_dist(config: RunConfig) -> None:
     if config.N_A is None:
-        raise InvalidCombination("dist requires --NA")
+        raise InvalidArgument("dist requires --NA")
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 0))))
     values = _mc_sampler(config, config.N_A)(gen, config.samples)
     hist = stats.histogram(values, config.bins, (0.0, config.N_A * math.log(2.0)))
@@ -230,7 +222,7 @@ def run(config: RunConfig) -> int:
         if config.samples < 0 or config.points < 1:
             raise InvalidArgument("need --samples >= 0 and --points >= 1")
         _COMMANDS[config.command](config)
-    except (InvalidCombination, InvalidArgument) as exc:
+    except InvalidArgument as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ensembles.ResourceLimit as exc:
@@ -257,7 +249,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=MODES, default="exact")
         p.add_argument("--samples", type=int, default=10_000)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument(
+            "--workers", type=int, default=1, help="split samples into this many sequential RNG streams; the result depends on it"
+        )
         p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
         p.add_argument("--out", default=None)
         p.add_argument("--points", type=int, default=101)

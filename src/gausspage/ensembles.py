@@ -20,6 +20,7 @@ import numpy as np
 from gausspage.linalg import (
     InvalidArgument,
     RngStream,
+    _positive_modes,
     antisym_canonical,
     haar_orthogonal,
     haar_orthogonal_batch,
@@ -252,7 +253,7 @@ def hamiltonian_eigenstate_entropies(
     def draw(b):
         g = gen.standard_normal((b, 2 * N, 2 * N))
         h = 0.5 * (g - np.swapaxes(g, -2, -1))
-        v = np.linalg.eigh(1j * h)[1][:, idx, N:]  # eigenvalues ascending: positive half
+        v = _positive_modes(h)[1][:, idx]
         signs = 1.0 - 2.0 * gen.integers(0, 2, size=(b, N))
         return mode_entropy(restrict_blocks(eigenstate_block(v, signs))).sum(axis=1)
 
@@ -269,6 +270,8 @@ def haar_pure_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) 
     def draw(b):
         psi = gen.standard_normal((b, da, db)) + 1j * gen.standard_normal((b, da, db))
         psi /= np.linalg.norm(psi.reshape(b, -1), axis=1)[:, None, None]
+        if da > db:  # psi^+ psi has the nonzero spectrum of psi psi^+ (S_A = S_B) on the smaller side
+            psi = np.swapaxes(psi, -2, -1)
         lam = np.clip(np.linalg.eigvalsh(psi @ np.swapaxes(psi.conj(), -2, -1)), 0.0, 1.0)
         return -np.sum(lam * np.log(np.where(lam > 0, lam, 1.0)), axis=1)
 

@@ -1,8 +1,9 @@
 """Dense real linear algebra on small matrices.
 
 Haar-orthogonal sampling, symmetric eigendecomposition and the canonical
-(block-diagonal) form of real antisymmetric matrices.  Everything here is a
-pure function of its inputs; random draws are pure functions of an
+(block-diagonal) form of real antisymmetric matrices, always through the
+Hermitian eigendecomposition of i*h (:func:`_positive_modes`).  Everything
+here is a pure function of its inputs; random draws are pure functions of an
 :class:`RngStream`.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class InvalidArgument(ValueError):
@@ -83,6 +83,18 @@ def sym_eigen(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[::-1].copy(), v[:, ::-1].copy()
 
 
+def _positive_modes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive half (omega, v) of ``eigh(1j * h)`` for a stack of real antisymmetric h.
+
+    omega (..., n/2) is ascending; the columns v = p + i*q (..., n, n/2) obey
+    h p = omega q and h q = -omega p, and for omega > 0 the vectors sqrt(2) q,
+    sqrt(2) p of all modes are orthonormal.
+    """
+    w, v = np.linalg.eigh(1j * h)
+    n = h.shape[-1] // 2
+    return w[..., n:], v[..., n:]
+
+
 def antisym_canonical(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical form of a real antisymmetric matrix of even dimension.
 
@@ -91,31 +103,19 @@ def antisym_canonical(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
         M @ h @ M.T = direct_sum_i [[0, omega_i], [-omega_i, 0]].
 
-    Implemented via the real Schur decomposition, whose 2x2 blocks for a
-    normal antisymmetric matrix are exactly the canonical rotations; blocks
-    are then sign-fixed and sorted.
+    Row pair i of M is sqrt(2) q_i^T, sqrt(2) p_i^T for the eigenvector
+    p_i + i*q_i of i*h (:func:`_positive_modes`).  One QR of M^T, diag R >= 0,
+    makes M orthogonal to rounding, also when h has zero modes (last in M):
+    eigh splits the kernel into vectors whose p and q need not be orthonormal.
     """
     h = np.asarray(h, dtype=float)
-    n = h.shape[0]
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or n % 2 != 0 or n == 0:
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2 != 0 or h.shape[0] == 0:
         raise InvalidArgument("input must be square with even dimension")
+    n = h.shape[0]
     scale = max(np.max(np.abs(h)), 1.0)
     if np.max(np.abs(h + h.T)) > 1e-10 * scale:
         raise InvalidArgument("matrix is not antisymmetric within tolerance")
-    # h = Z T Z^T with T block upper-triangular; antisymmetry makes T
-    # block-diagonal up to roundoff.
-    t, z = scipy.linalg.schur(h, output="real")
-    m = z.T.copy()
-    omega = np.empty(n // 2)
-    for k in range(n // 2):
-        w = t[2 * k, 2 * k + 1]
-        if w < 0:
-            w = -w
-            m[[2 * k, 2 * k + 1]] = m[[2 * k + 1, 2 * k]]
-        omega[k] = w
-    order = np.argsort(-omega, kind="stable")
-    omega = omega[order]
-    rows = np.empty(n, dtype=int)
-    rows[0::2] = 2 * order
-    rows[1::2] = 2 * order + 1
-    return m[rows], omega
+    omega, v = _positive_modes(h)
+    m_t = np.stack([v.imag, v.real], axis=-1)[:, ::-1].reshape(n, n)  # columns q, p per mode, omega descending
+    q, r = np.linalg.qr(np.sqrt(2.0) * m_t)
+    return (q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)).T, np.maximum(omega[::-1], 0.0)

@@ -1,12 +1,16 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gausspage
 from gausspage import ensembles, rmt
 from gausspage.cli import (
     _COMMANDS,
@@ -71,12 +75,24 @@ class TestPageCurve:
         _, b = run_cli(args, tmp_path, "b.csv")
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("mode", ["exact", "quadrature"])
-    def test_complement_equals_smaller_side(self, mode, tmp_path):
+    @pytest.mark.parametrize(
+        "mode, ensemble",
+        [
+            ("exact", "gaussian"),
+            ("quadrature", "gaussian"),
+            ("limit", "gaussian"),
+            ("limit", "haar-pure"),
+            ("limit", "number-conserving"),
+            ("exact", "haar-pure"),
+        ],
+        ids=["exact", "quadrature", "limit", "limit-haar-pure", "limit-number-conserving", "exact-haar-pure"],
+    )
+    def test_complement_equals_smaller_side(self, mode, ensemble, tmp_path):
         # S_A = S_B for a pure state: N_A = 3 of N = 4 is the N_A = 1 row
         rows = {}
         for n_a in ("1", "3"):
-            code, path = run_cli(["page-curve", "--N", "4", "--NA", n_a, "--mode", mode], tmp_path, f"{n_a}.csv")
+            args = ["page-curve", "--N", "4", "--NA", n_a, "--mode", mode, "--ensemble", ensemble]
+            code, path = run_cli(args, tmp_path, f"{n_a}.csv")
             assert code == 0
             header, (row,) = read_rows(path)
             rows[n_a] = row
@@ -112,6 +128,27 @@ class TestVariance:
         limit = float(rows[0][header.index("variance_limit")])
         assert abs(limit - (0.75 - math.log(2.0)) / 2.0) <= 1e-12
         assert 0.02 < finite < 0.04
+
+    def test_complement_equals_smaller_side(self, tmp_path):
+        # Var S_A = Var S_B for a pure state: N_A = 3 of N = 4 is the N_A = 1 row
+        rows = {}
+        for n_a in ("1", "3"):
+            code, path = run_cli(["variance", "--N", "4", "--NA", n_a, "--samples", "0"], tmp_path, f"{n_a}.csv")
+            assert code == 0
+            header, (row,) = read_rows(path)
+            rows[n_a] = row
+        for column in ("variance_finite", "variance_limit"):
+            i = header.index(column)
+            assert rows["3"][i] == rows["1"][i]
+        assert rows["3"][header.index("N_A")] == "3"
+        assert float(rows["3"][header.index("f")]) == 0.75
+
+    def test_whole_system_is_zero(self, tmp_path):
+        code, path = run_cli(["variance", "--N", "4", "--NA", "4", "--samples", "0"], tmp_path)
+        assert code == 0
+        header, (row,) = read_rows(path)
+        assert float(row[header.index("variance_finite")]) == 0.0
+        assert float(row[header.index("variance_limit")]) == 0.0
 
 
 class TestSampleAndDist:
@@ -247,3 +284,12 @@ def test_arguments_reach_documented_exit_codes(command, mode, ensemble, N, data)
         code = main(argv)
     assert code in (EXIT_OK, EXIT_INVALID, EXIT_RESOURCE, EXIT_NUMERICAL)
     assert (code == EXIT_OK) == ("error" not in err.getvalue())
+
+
+def test_import_loads_no_scipy():
+    # the runtime needs numpy only; scipy is a test reference
+    src = os.path.dirname(os.path.dirname(gausspage.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, gausspage.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

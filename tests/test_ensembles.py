@@ -79,7 +79,7 @@ class TestRestrictionOnlyBlocks:
 
     @pytest.mark.parametrize("N, N_A", [(2, 1), (5, 2), (8, 8), (12, 5)])
     def test_hamiltonian_a_rows(self, N, N_A):
-        # M from the Schur route (modes by descending omega), eigenvectors of
+        # M from antisym_canonical (modes by descending omega), eigenvectors of
         # i*h from eigh (positive half ascending): same modes, reversed order
         ham = sample_random_hamiltonian(N, RngStream(32, N))
         occ = RngStream(33, N).generator().integers(0, 2, size=N)
@@ -244,6 +244,19 @@ class TestParticleBasis:
         spec = many_body_spectrum(ham)
         assert np.max(np.abs((exact - exact.mean()) - (spec - spec.mean()))) <= 1e-8
 
+    def test_singular_hopping_gives_valid_structures(self):
+        # rank-one A and B = 0: h has zero modes, which M must still span
+        u = np.array([1.0, 0.5j, -0.3])
+        ham = from_particle_basis(np.outer(u, u.conj()), np.zeros((3, 3)))
+        assert np.max(np.abs(ham.M @ ham.M.T - np.eye(6))) <= 1e-12
+        for bits in range(8):
+            occ = np.array([(bits >> k) & 1 for k in range(3)])
+            j = eigenstate_structure(ham, occ)
+            assert np.max(np.abs(j @ j.T - np.eye(6))) <= 1e-10
+            assert np.max(np.abs(j + j.T)) <= 1e-10
+            energy = 0.5 * np.trace(ham.h @ j)
+            assert abs(energy - np.sum(2.0 * ham.omega * (occ - 0.5))) <= 1e-9
+
     def test_rejects_bad_symmetry(self):
         with pytest.raises(Exception):
             from_particle_basis(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
@@ -263,6 +276,17 @@ class TestHaarPure:
         s = haar_pure_entropies(2, 1, 100_000, gen)
         se = s.std(ddof=1) / np.sqrt(s.size)
         assert abs(s.mean() - 1.0 / 3.0) <= 3 * se
+
+    def test_larger_side_uses_the_smaller_reduced_matrix(self):
+        # N_A = N is a 2^N x 1 state: its entropy needs no 2^N x 2^N matrix
+        s = haar_pure_entropies(HAAR_PURE_MAX_MODES, HAAR_PURE_MAX_MODES, 3, RngStream(50).generator())
+        assert np.all(np.abs(s) <= 1e-12)
+        # the same draws as the A-side reduced matrix of entanglement_entropy_pure
+        a = haar_pure_entropies(6, 4, 5, RngStream(51).generator())
+        gen = RngStream(51).generator()
+        psi = gen.standard_normal((5, 16, 4)) + 1j * gen.standard_normal((5, 16, 4))
+        ref = [entanglement_entropy_pure(p.ravel() / np.linalg.norm(p), 4) for p in psi]
+        assert np.max(np.abs(a - ref)) <= 1e-12
 
     def test_product_state_entropy(self):
         psi = np.zeros(8, dtype=complex)

@@ -149,11 +149,39 @@ class TestAntisymCanonical:
             assert np.max(np.abs(m @ m.T - np.eye(dim))) <= 1e-12
             assert np.all(omega >= 0)
 
+    @pytest.mark.parametrize(
+        "omega",
+        [[0.0] * 5, [1.7, 0.6, 0.0, 0.0, 0.0], [2.0, 1.0, 0.5, 1e-13, 1e-13], [1.0] * 5],
+        ids=["zero-matrix", "kernel", "tiny-omega", "degenerate"],
+    )
+    def test_orthogonal_with_zero_tiny_and_repeated_modes(self, omega):
+        # eigh of i*h splits a kernel (or a near-kernel) into vectors whose real
+        # and imaginary parts need not be orthonormal; M must stay orthogonal
+        dim = 2 * len(omega)
+        blocks = np.zeros((dim, dim))
+        for k, w in enumerate(np.random.default_rng(42).permutation(omega)):
+            blocks[2 * k, 2 * k + 1] = w
+            blocks[2 * k + 1, 2 * k] = -w
+        o = haar_orthogonal(dim, RngStream(43))
+        h = o @ blocks @ o.T
+        h = 0.5 * (h - h.T)
+        m, got = antisym_canonical(h)
+        assert np.max(np.abs(m @ m.T - np.eye(dim))) <= 1e-12
+        assert np.allclose(got, sorted(omega, reverse=True), rtol=0.0, atol=1e-12)
+        canonical = np.zeros((dim, dim))
+        for k, w in enumerate(got):
+            canonical[2 * k, 2 * k + 1] = w
+            canonical[2 * k + 1, 2 * k] = -w
+        scale = max(np.max(np.abs(h)), 1.0)
+        assert np.max(np.abs(m @ h @ m.T - canonical)) <= 1e-9 * scale
+
     def test_rejects_odd_dim_and_nonantisym(self):
         with pytest.raises(InvalidArgument):
             antisym_canonical(np.zeros((3, 3)))
         with pytest.raises(InvalidArgument):
             antisym_canonical(np.eye(4))
+        with pytest.raises(InvalidArgument):
+            antisym_canonical(1.0)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))

@@ -19,13 +19,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from gausspage import ensembles, formulas, rmt, stats
 from gausspage.gstates import ConsistencyError
-from gausspage.linalg import InvalidArgument
+from gausspage.linalg import InvalidArgument, RngStream
 
 HEADER = "# gaussian-page v1"
 DEFAULT_SEED = 20210701
@@ -35,24 +34,18 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
 
-ENSEMBLES = ("gaussian", "haar-pure", "hamiltonian", "number-conserving")
+# Batched sampler of each ensemble, by its name in ``ensembles``.  The name is
+# looked up at call time, so a patched module attribute is the one called.
+_SAMPLERS = {
+    "gaussian": "gaussian_entropies",
+    "haar-pure": "haar_pure_entropies",  # refuses N > HAAR_PURE_MAX_MODES
+    "hamiltonian": "hamiltonian_eigenstate_entropies",
+    "number-conserving": "number_conserving_entropies",
+}
+ENSEMBLES = tuple(_SAMPLERS)
+# Ensembles whose entropy follows the Haar Gaussian law: the analytic variance columns apply.
+_GAUSSIAN_LAW = ("gaussian", "hamiltonian")
 MODES = ("exact", "quadrature", "mc", "limit")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    N: int
-    N_A: int | None = None  # None means sweep 0..N/2 where applicable
-    ensemble: str = "gaussian"
-    mode: str = "exact"
-    samples: int = 10_000
-    seed: int = DEFAULT_SEED
-    workers: int = 1
-    fmt: str = "csv"
-    out: str | None = None
-    points: int = 101
-    bins: int = 50
 
 
 def _fmt(x) -> str:
@@ -61,7 +54,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(config: RunConfig, columns: list[str], rows: list[list]) -> None:
+def _emit(config: argparse.Namespace, columns: list[str], rows: list[list]) -> None:
     if config.fmt == "json":
         payload = {
             "version": HEADER.lstrip("# "),
@@ -80,18 +73,16 @@ def _emit(config: RunConfig, columns: list[str], rows: list[list]) -> None:
         sys.stdout.write(text)
 
 
-def _mc_sampler(config: RunConfig, n_a: int):
-    name = config.ensemble
-    N = config.N
-    if name == "gaussian":
-        return lambda gen, count: ensembles.gaussian_entropies(N, n_a, count, gen)
-    if name == "haar-pure":  # the sampler refuses N > HAAR_PURE_MAX_MODES
-        return lambda gen, count: ensembles.haar_pure_entropies(N, n_a, count, gen)
-    if name == "hamiltonian":
-        return lambda gen, count: ensembles.hamiltonian_eigenstate_entropies(N, n_a, count, gen)
-    if name == "number-conserving":
-        return lambda gen, count: ensembles.number_conserving_entropies(N, n_a, count, gen)
-    raise InvalidArgument(f"unknown ensemble {name!r}")
+def _mc_sampler(config: argparse.Namespace, n_a: int):
+    sampler = getattr(ensembles, _SAMPLERS[config.ensemble])
+    return lambda gen, count: sampler(config.N, n_a, count, gen)
+
+
+def _stream0_samples(config: argparse.Namespace) -> np.ndarray:
+    """``--samples`` entropies at ``--NA`` from RNG stream 0 (``sample`` and ``dist``)."""
+    if config.N_A is None:
+        raise InvalidArgument(f"{config.command} requires --NA")
+    return _mc_sampler(config, config.N_A)(RngStream(config.seed, 0).generator(), config.samples)
 
 
 def _smaller_side(N: int, n_a: int) -> int:
@@ -101,7 +92,7 @@ def _smaller_side(N: int, n_a: int) -> int:
     return min(n_a, N - n_a)
 
 
-def _curve_row(config: RunConfig, n_a: int) -> list:
+def _curve_row(config: argparse.Namespace, n_a: int) -> list:
     N = config.N
     k = _smaller_side(N, n_a)
     mode, ens = config.mode, config.ensemble
@@ -144,14 +135,14 @@ def _curve_row(config: RunConfig, n_a: int) -> list:
     return [N, n_a, n_a / N, value, std, std_error, samples, mode, ens]
 
 
-def run_page_curve(config: RunConfig) -> None:
+def run_page_curve(config: argparse.Namespace) -> None:
     sweep = range(0, config.N // 2 + 1) if config.N_A is None else [config.N_A]
     columns = ["N", "N_A", "f", "value", "std", "std_error", "samples", "mode", "ensemble"]
     rows = [_curve_row(config, n_a) for n_a in sweep]
     _emit(config, columns, rows)
 
 
-def run_density(config: RunConfig) -> None:
+def run_density(config: argparse.Namespace) -> None:
     if config.N_A is None:
         raise InvalidArgument("density requires --NA")
     n_a = config.N_A
@@ -164,12 +155,14 @@ def run_density(config: RunConfig) -> None:
     _emit(config, ["x", "rho"], [[float(x), float(r)] for x, r in zip(grid, rho)])
 
 
-def run_variance(config: RunConfig) -> None:
+def run_variance(config: argparse.Namespace) -> None:
     N = config.N
     n_a = config.N_A if config.N_A is not None else N // 2
     k = _smaller_side(N, n_a)
-    var_exact = rmt.variance_finite_N(rmt.build_kernel_ctx(k, N - 2 * k)) if k else 0.0
-    var_limit = formulas.gaussian_std_limit(k / N) ** 2 if k else 0.0
+    var_exact = var_limit = 0.0 if config.ensemble in _GAUSSIAN_LAW else math.nan
+    if k and config.ensemble in _GAUSSIAN_LAW:
+        var_exact = rmt.variance_finite_N(rmt.build_kernel_ctx(k, N - 2 * k))
+        var_limit = formulas.gaussian_std_limit(k / N) ** 2
     if config.samples > 0:
         est = stats.mc_estimate(_mc_sampler(config, n_a), config.samples, config.seed, config.workers)
         var_mc, n = est.variance, est.n
@@ -182,19 +175,13 @@ def run_variance(config: RunConfig) -> None:
     )
 
 
-def run_sample(config: RunConfig) -> None:
-    if config.N_A is None:
-        raise InvalidArgument("sample requires --NA")
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 0))))
-    values = _mc_sampler(config, config.N_A)(gen, config.samples)
+def run_sample(config: argparse.Namespace) -> None:
+    values = _stream0_samples(config)
     _emit(config, ["index", "entropy"], [[i, float(v)] for i, v in enumerate(values)])
 
 
-def run_dist(config: RunConfig) -> None:
-    if config.N_A is None:
-        raise InvalidArgument("dist requires --NA")
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 0))))
-    values = _mc_sampler(config, config.N_A)(gen, config.samples)
+def run_dist(config: argparse.Namespace) -> None:
+    values = _stream0_samples(config)
     hist = stats.histogram(values, config.bins, (0.0, config.N_A * math.log(2.0)))
     if hist.underflow or hist.overflow:
         msg = f"{hist.underflow} samples below and {hist.overflow} above [0, N_A log 2] are not counted"
@@ -215,7 +202,7 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     try:
         if config.N < 1:
             raise InvalidArgument(f"need N >= 1, got {config.N}")
@@ -244,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--N", type=int, required=True)
-        p.add_argument("--NA", default=None, help="subsystem size, or 'sweep' (page-curve default)")
+        p.add_argument("--NA", dest="N_A", metavar="NA", default=None, help="subsystem size, or 'sweep' (page-curve default)")
         p.add_argument("--ensemble", choices=ENSEMBLES, default="gaussian")
         p.add_argument("--mode", choices=MODES, default="exact")
         p.add_argument("--samples", type=int, default=10_000)
@@ -260,28 +247,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = int(os.environ.get("GAUSSIAN_PAGE_SEED", DEFAULT_SEED))
-    n_a = None
-    if args.NA is not None and args.NA != "sweep":
-        n_a = int(args.NA)
-    config = RunConfig(
-        command=args.command,
-        N=args.N,
-        N_A=n_a,
-        ensemble=args.ensemble,
-        mode=args.mode,
-        samples=args.samples,
-        seed=seed,
-        workers=args.workers,
-        fmt=args.fmt,
-        out=args.out,
-        points=args.points,
-        bins=args.bins,
-    )
+    config = _build_parser().parse_args(argv)
+    if config.seed is None:
+        config.seed = int(os.environ.get("GAUSSIAN_PAGE_SEED", DEFAULT_SEED))
+    config.N_A = None if config.N_A in (None, "sweep") else int(config.N_A)  # None: sweep 0..N/2
     return run(config)
 
 

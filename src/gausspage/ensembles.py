@@ -5,10 +5,14 @@
 * eigenstates of number-conserving random Hamiltonians (entropies only),
 * Haar pure states of the full 2^N Hilbert space (small-N oracle).
 
-All samplers are pure functions of an :class:`RngStream`; batched variants
-take a live generator and are used by the Monte Carlo harness.  They are
-restriction-only: they draw or keep only the rows that lie in A and build the
-block [J]_A (or C_A) directly, never a full 2N x 2N structure.
+Every complex structure comes from one builder, :func:`pair_block`: a Haar
+state O J0 O^T and an eigenstate M^T D M are both an orthogonal frame applied
+to a block-diagonal reference, with the occupation signs of D absorbed into
+the frame.  The batched samplers take a live generator and are used by the
+Monte Carlo harness.  They are restriction-only: they draw or keep only the
+rows that lie in A and build the block [J]_A (or C_A) directly, never a full
+2N x 2N structure.  The single-draw functions are pure functions of an
+:class:`RngStream` and draw a batch of one through the same helpers.
 """
 
 from __future__ import annotations
@@ -26,14 +30,7 @@ from gausspage.linalg import (
     haar_orthogonal_batch,
     haar_unitary_batch,
 )
-from gausspage.gstates import (
-    SystemSplit,
-    conjugate,
-    mode_entropy,
-    reference_structure,
-    restrict_blocks,
-    subsystem_indices,
-)
+from gausspage.gstates import SystemSplit, mode_entropy, restrict_blocks, subsystem_indices
 
 HAAR_PURE_MAX_MODES = 14
 
@@ -58,58 +55,50 @@ class QuadraticHamiltonian:
     omega: np.ndarray
 
 
-def split_to_interleaved(N: int) -> np.ndarray:
-    """Index permutation from split Majorana ordering to interleaved pairs.
+def pair_block(a: np.ndarray, b: np.ndarray, signs: np.ndarray | None = None) -> np.ndarray:
+    """sum_k s_k (a_k b_k^T - b_k a_k^T) over the columns a_k, b_k of stacked a and b.
 
-    ``interleaved[i] = split[perm[i]]`` with perm = (0, N, 1, N+1, ...).
+    J = O J0 O^T is ``pair_block(O[:, :N], O[:, N:])``, and M^T D M with
+    blocks s_k [[0, 1], [-1, 0]] in D is ``pair_block(M[0::2].T, M[1::2].T, s)``.
+    Passing only the rows of a and b that lie in A gives [J]_A.
     """
-    perm = np.empty(2 * N, dtype=int)
-    perm[0::2] = np.arange(N)
-    perm[1::2] = N + np.arange(N)
-    return perm
+    if signs is not None:
+        a = a * signs[..., None, :]
+    y = a @ np.swapaxes(b, -2, -1)
+    return y - np.swapaxes(y, -2, -1)
 
 
-def _interleaved_structure(signs: np.ndarray) -> np.ndarray:
-    """Block-diagonal complex structure with per-mode blocks sign*[[0,1],[-1,0]]."""
-    n = signs.size
-    d = np.zeros((2 * n, 2 * n))
-    idx = 2 * np.arange(n)
-    d[idx, idx + 1] = signs
-    d[idx + 1, idx] = -signs
-    return d
+def _random_antisym(N: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    """Stack of ``count`` O(2N)-invariant Gaussian antisymmetric 2N x 2N matrices."""
+    g = gen.standard_normal((count, 2 * N, 2 * N))
+    return 0.5 * (g - np.swapaxes(g, -2, -1))
 
 
 def sample_gaussian_state(N: int, rng: RngStream) -> np.ndarray:
     """Complex structure of a Haar-random pure fermionic Gaussian state."""
-    if N < 1:
-        raise InvalidArgument(f"need N >= 1, got {N}")
-    return conjugate(reference_structure(N), haar_orthogonal(2 * N, rng))
+    o = haar_orthogonal(2 * N, rng)
+    return pair_block(o[:, :N], o[:, N:])
 
 
 def sample_random_hamiltonian(N: int, rng: RngStream) -> QuadraticHamiltonian:
     """Random quadratic Hamiltonian with O(2N)-invariant Gaussian coefficients."""
     if N < 1:
         raise InvalidArgument(f"need N >= 1, got {N}")
-    gen = rng.generator()
-    g = gen.standard_normal((2 * N, 2 * N))
-    h = 0.5 * (g - g.T)
+    h = _random_antisym(N, 1, rng.generator())[0]
     m, omega = antisym_canonical(h)
     return QuadraticHamiltonian(N=N, h=h, M=m, omega=omega)
 
 
 def eigenstate_structure(ham: QuadraticHamiltonian, occ: np.ndarray) -> np.ndarray:
-    """Complex structure of the energy eigenstate with given mode occupations.
+    """Complex structure M^T D M of the energy eigenstate with given mode occupations.
 
-    In the diagonalizer's interleaved basis the eigenstate's complex
-    structure is block diagonal: the vacuum block [[0,1],[-1,0]] for empty
-    modes, sign-flipped for occupied ones.  Conjugating back with M gives
-    the structure in the original Majorana basis.
+    D is block diagonal in the diagonalizer's interleaved basis: the vacuum
+    block [[0,1],[-1,0]] for empty modes, sign-flipped for occupied ones.
     """
     occ = np.asarray(occ, dtype=int)
     if occ.shape != (ham.N,):
         raise InvalidArgument(f"occupation pattern must have length {ham.N}")
-    d = _interleaved_structure(1.0 - 2.0 * occ)
-    return ham.M.T @ d @ ham.M
+    return pair_block(ham.M[0::2].T, ham.M[1::2].T, 1.0 - 2.0 * occ)
 
 
 def from_particle_basis(A: np.ndarray, B: np.ndarray) -> QuadraticHamiltonian:
@@ -128,27 +117,13 @@ def from_particle_basis(A: np.ndarray, B: np.ndarray) -> QuadraticHamiltonian:
         raise InvalidArgument("A must be Hermitian")
     if np.max(np.abs(B + B.T)) > 1e-10 * max(1.0, np.max(np.abs(B))):
         raise InvalidArgument("B must be antisymmetric")
-    top, bot = slice(0, n), slice(n, 2 * n)
-    c = np.zeros((2 * n, 2 * n), dtype=complex)
-    # a+_i a_j = (xi_i xi_j + i xi_i xi_{N+j} - i xi_{N+i} xi_j + xi_{N+i} xi_{N+j}) / 2
-    c[top, top] += 0.5 * A
-    c[top, bot] += 0.5j * A
-    c[bot, top] += -0.5j * A
-    c[bot, bot] += 0.5 * A
-    # a+_i a+_j = (xi_i xi_j - i xi_i xi_{N+j} - i xi_{N+i} xi_j - xi_{N+i} xi_{N+j}) / 2
-    c[top, top] += 0.5 * B
-    c[top, bot] += -0.5j * B
-    c[bot, top] += -0.5j * B
-    c[bot, bot] += -0.5 * B
-    # h.c. term: sum conj(B)_ij a_j a_i
-    bh = B.conj().T
-    c[top, top] += 0.5 * bh
-    c[top, bot] += 0.5j * bh
-    c[bot, top] += 0.5j * bh
-    c[bot, bot] += -0.5 * bh
+    # a = w xi with w = [I, iI]/sqrt(2) = kron(u, I)/sqrt(2), u = (1, i), so H = xi^T c xi
+    # with c = w^+ A w + w^+ B conj(w) + w^T B^+ w: one Kronecker product per term
+    u = np.array([1.0, 1j])
+    c = np.kron(np.outer(u.conj(), u), A) + np.kron(np.outer(u.conj(), u.conj()), B)
+    c = 0.5 * (c + np.kron(np.outer(u, u), B.conj().T))
     # symmetric part only shifts the constant; i*h is the antisymmetric part
-    k = 0.5 * (c - c.T)
-    h = -1j * k
+    h = -0.5j * (c - c.T)
     if np.max(np.abs(h.imag)) > 1e-10 * max(1.0, np.max(np.abs(h))):
         raise InvalidArgument("inconsistent (A, B): Majorana coefficients not real")
     h = h.real
@@ -164,25 +139,40 @@ def many_body_spectrum(ham: QuadraticHamiltonian) -> np.ndarray:
     return np.sort(energies)
 
 
-def sample_haar_pure_state(N: int, rng: RngStream) -> np.ndarray:
-    """Haar-random unit vector in the full 2^N-dimensional Hilbert space."""
+def _haar_pure_states(N: int, N_A: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    """``count`` Haar pure states of N modes, each as a 2^N_A x 2^(N - N_A) matrix."""
     if N > HAAR_PURE_MAX_MODES:
         raise ResourceLimit(f"haar pure states limited to N <= {HAAR_PURE_MAX_MODES}")
-    gen = rng.generator()
-    v = gen.standard_normal(2**N) + 1j * gen.standard_normal(2**N)
-    return v / np.linalg.norm(v)
+    SystemSplit(N, N_A)
+    shape = (count, 2**N_A, 2 ** (N - N_A))
+    psi = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    psi /= np.linalg.norm(psi.reshape(count, 2**N), axis=1)[:, None, None]
+    return psi
+
+
+def _pure_entropies(psi: np.ndarray) -> np.ndarray:
+    """Entropies -sum lambda log lambda of a stack of pure states psi (..., d_A, d_B).
+
+    lambda is the spectrum of the Gram matrix on the smaller side: psi^+ psi
+    has the nonzero spectrum of psi psi^+ (S_A = S_B).  Rounding may leave
+    [0, 1], so lambda is clipped to it.
+    """
+    if psi.shape[-2] > psi.shape[-1]:
+        psi = np.swapaxes(psi, -2, -1)
+    lam = np.clip(np.linalg.eigvalsh(psi @ np.swapaxes(psi.conj(), -2, -1)), 0.0, 1.0)
+    return -np.sum(lam * np.log(np.where(lam > 0, lam, 1.0)), axis=-1)
+
+
+def sample_haar_pure_state(N: int, rng: RngStream) -> np.ndarray:
+    """Haar-random unit vector in the full 2^N-dimensional Hilbert space."""
+    return _haar_pure_states(N, N, 1, rng.generator()).reshape(-1)
 
 
 def entanglement_entropy_pure(psi: np.ndarray, N_A: int) -> float:
     """Von Neumann entropy (nats) of the first N_A qubit-modes of psi."""
-    dim = psi.size
-    N = int(round(np.log2(dim)))
-    if N_A > N:
-        raise InvalidArgument(f"N_A={N_A} exceeds N={N}")
-    mat = psi.reshape(2**N_A, 2 ** (N - N_A))
-    lam = np.linalg.eigvalsh(mat @ mat.conj().T)
-    lam = lam[lam > 0.0]
-    return float(-np.sum(lam * np.log(lam)))
+    N = int(round(np.log2(psi.size)))
+    SystemSplit(N, N_A)
+    return float(_pure_entropies(psi.reshape(1, 2**N_A, 2 ** (N - N_A)))[0])
 
 
 def sample_number_conserving_eigenstate(N: int, N_A: int, rng: RngStream) -> float:
@@ -211,23 +201,6 @@ def _in_batches(count: int, per_sample: int, draw) -> np.ndarray:
     return out
 
 
-def frame_block(rows: np.ndarray) -> np.ndarray:
-    """[J]_A of J = O J0 O^T from the A rows R = [P S] of O: R J0 R^T = P S^T - S P^T."""
-    n = rows.shape[-1] // 2
-    y = rows[..., :n] @ np.swapaxes(rows[..., n:], -2, -1)
-    return y - np.swapaxes(y, -2, -1)
-
-
-def eigenstate_block(v: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """[M^T D M]_A = 2 (q_A S p_A^T - p_A S q_A^T) of eigenstates, S = diag(1 - 2*occ).
-
-    v = p + i*q are the A rows of the positive-half eigenvectors of i*h; the
-    diagonalizer M of :func:`eigenstate_structure` has the rows sqrt(2) q^T, sqrt(2) p^T.
-    """
-    y = 2.0 * (v.imag * signs[..., None, :]) @ np.swapaxes(v.real, -2, -1)
-    return y - np.swapaxes(y, -2, -1)
-
-
 def correlation_block(v: np.ndarray, occ: np.ndarray) -> np.ndarray:
     """C_A = V^+ diag(n) V for V = U_A^+, the A rows of the unitary U as a frame."""
     return (np.swapaxes(v.conj(), -2, -1) * occ[..., None, :]) @ v
@@ -239,7 +212,7 @@ def gaussian_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -
 
     def draw(b):
         rows = np.swapaxes(haar_orthogonal_batch(2 * N, b, gen, cols=2 * N_A), -2, -1)
-        return mode_entropy(restrict_blocks(frame_block(rows))).sum(axis=1)
+        return mode_entropy(restrict_blocks(pair_block(rows[..., :N], rows[..., N:]))).sum(axis=1)
 
     return _in_batches(count, 4 * N * max(N_A, 1), draw)
 
@@ -247,35 +220,26 @@ def gaussian_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -
 def hamiltonian_eigenstate_entropies(
     N: int, N_A: int, count: int, gen: np.random.Generator
 ) -> np.ndarray:
-    """Entropies of random-Hamiltonian eigenstates with uniform occupations."""
+    """Entropies of random-Hamiltonian eigenstates with uniform occupations.
+
+    v = p + i*q are the A rows of the positive-half eigenvectors of i*h; the
+    diagonalizer M of :func:`eigenstate_structure` has the rows sqrt(2) q^T,
+    sqrt(2) p^T, so [M^T D M]_A = 2 pair_block(q_A, p_A, 1 - 2*occ).
+    """
     idx = subsystem_indices(SystemSplit(N, N_A))
 
     def draw(b):
-        g = gen.standard_normal((b, 2 * N, 2 * N))
-        h = 0.5 * (g - np.swapaxes(g, -2, -1))
-        v = _positive_modes(h)[1][:, idx]
+        v = _positive_modes(_random_antisym(N, b, gen))[1][:, idx]
         signs = 1.0 - 2.0 * gen.integers(0, 2, size=(b, N))
-        return mode_entropy(restrict_blocks(eigenstate_block(v, signs))).sum(axis=1)
+        return mode_entropy(restrict_blocks(2.0 * pair_block(v.imag, v.real, signs))).sum(axis=1)
 
     return _in_batches(count, 8 * N * N, draw)
 
 
 def haar_pure_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """Entropies of Haar pure states on the full 2^N Hilbert space."""
-    if N > HAAR_PURE_MAX_MODES:
-        raise ResourceLimit(f"haar pure states limited to N <= {HAAR_PURE_MAX_MODES}")
-    SystemSplit(N, N_A)
-    da, db = 2**N_A, 2 ** (N - N_A)
-
-    def draw(b):
-        psi = gen.standard_normal((b, da, db)) + 1j * gen.standard_normal((b, da, db))
-        psi /= np.linalg.norm(psi.reshape(b, -1), axis=1)[:, None, None]
-        if da > db:  # psi^+ psi has the nonzero spectrum of psi psi^+ (S_A = S_B) on the smaller side
-            psi = np.swapaxes(psi, -2, -1)
-        lam = np.clip(np.linalg.eigvalsh(psi @ np.swapaxes(psi.conj(), -2, -1)), 0.0, 1.0)
-        return -np.sum(lam * np.log(np.where(lam > 0, lam, 1.0)), axis=1)
-
-    return _in_batches(count, 2 * da * db, draw)
+    _haar_pure_states(N, N_A, 0, gen)  # the size guards, also for count = 0; draws nothing
+    return _in_batches(count, 2 ** (N + 1), lambda b: _pure_entropies(_haar_pure_states(N, N_A, b, gen)))
 
 
 def number_conserving_entropies(

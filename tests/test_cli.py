@@ -143,6 +143,22 @@ class TestVariance:
         assert rows["3"][header.index("N_A")] == "3"
         assert float(rows["3"][header.index("f")]) == 0.75
 
+    @pytest.mark.parametrize("ensemble", ENSEMBLES)
+    def test_analytic_columns_only_for_the_gaussian_law(self, ensemble, tmp_path):
+        # gaussian and hamiltonian share the Gaussian entropy law; the others have no such columns
+        args = ["variance", "--N", "6", "--NA", "3", "--samples", "200", "--ensemble", ensemble]
+        code, path = run_cli(args, tmp_path)
+        assert code == 0
+        header, (row,) = read_rows(path)
+        finite = float(row[header.index("variance_finite")])
+        limit = float(row[header.index("variance_limit")])
+        assert 0.0 < float(row[header.index("variance_mc")]) < (3 * math.log(2.0)) ** 2
+        if ensemble in ("gaussian", "hamiltonian"):
+            assert finite == rmt.variance_finite_N(rmt.build_kernel_ctx(3, 0))
+            assert abs(limit - (0.75 - math.log(2.0)) / 2.0) <= 1e-12
+        else:
+            assert math.isnan(finite) and math.isnan(limit)
+
     def test_whole_system_is_zero(self, tmp_path):
         code, path = run_cli(["variance", "--N", "4", "--NA", "4", "--samples", "0"], tmp_path)
         assert code == 0

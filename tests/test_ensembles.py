@@ -14,8 +14,6 @@ from gausspage.ensembles import (
     HAAR_PURE_MAX_MODES,
     ResourceLimit,
     correlation_block,
-    eigenstate_block,
-    frame_block,
     eigenstate_structure,
     entanglement_entropy_pure,
     from_particle_basis,
@@ -24,11 +22,11 @@ from gausspage.ensembles import (
     haar_pure_entropies,
     many_body_spectrum,
     number_conserving_entropies,
+    pair_block,
     sample_gaussian_state,
     sample_haar_pure_state,
     sample_number_conserving_eigenstate,
     sample_random_hamiltonian,
-    split_to_interleaved,
 )
 from gausspage import formulas
 from gausspage.stats import ks_statistic, ks_two_sample_critical
@@ -75,7 +73,11 @@ class TestRestrictionOnlyBlocks:
         o = haar_orthogonal(2 * N, RngStream(31, N))
         idx = subsystem_indices(SystemSplit(N, N_A))
         full = conjugate(reference_structure(N), o)[np.ix_(idx, idx)]
-        assert np.max(np.abs(frame_block(o[idx]) - full)) <= 1e-12
+        rows = o[idx]
+        assert np.max(np.abs(pair_block(rows[:, :N], rows[:, N:]) - full)) <= 1e-12
+        # the single draw is the same builder on all rows of the same O
+        j = sample_gaussian_state(N, RngStream(31, N))
+        assert np.max(np.abs(j[np.ix_(idx, idx)] - full)) <= 1e-12
 
     @pytest.mark.parametrize("N, N_A", [(2, 1), (5, 2), (8, 8), (12, 5)])
     def test_hamiltonian_a_rows(self, N, N_A):
@@ -83,11 +85,17 @@ class TestRestrictionOnlyBlocks:
         # i*h from eigh (positive half ascending): same modes, reversed order
         ham = sample_random_hamiltonian(N, RngStream(32, N))
         occ = RngStream(33, N).generator().integers(0, 2, size=N)
+        # reference M^T D M, D with blocks (1 - 2*occ_k) [[0, 1], [-1, 0]] on the diagonal
+        k = 2 * np.arange(N)
+        d = np.zeros((2 * N, 2 * N))
+        d[k, k + 1] = 1.0 - 2.0 * occ
+        d[k + 1, k] = -d[k, k + 1]
         idx = subsystem_indices(SystemSplit(N, N_A))
-        full = eigenstate_structure(ham, occ)[np.ix_(idx, idx)]
+        full = (ham.M.T @ d @ ham.M)[np.ix_(idx, idx)]
+        assert np.max(np.abs(eigenstate_structure(ham, occ)[np.ix_(idx, idx)] - full)) <= 1e-12
         v = np.linalg.eigh(1j * ham.h)[1][idx, N:]
         signs = (1.0 - 2.0 * occ)[::-1]
-        assert np.max(np.abs(eigenstate_block(v, signs) - full)) <= 1e-12
+        assert np.max(np.abs(2.0 * pair_block(v.imag, v.real, signs) - full)) <= 1e-12
 
     @pytest.mark.parametrize("N, N_A", [(2, 1), (6, 3), (9, 9), (16, 5)])
     def test_number_conserving_frame(self, N, N_A):
@@ -138,12 +146,6 @@ class TestRandomHamiltonian:
 
 
 class TestEigenstateStructure:
-    def test_permutation_round_trip(self):
-        perm = split_to_interleaved(5)
-        inv = np.argsort(perm)
-        assert np.array_equal(perm[inv], np.arange(10))
-        assert np.array_equal(np.sort(perm), np.arange(10))
-
     def test_valid_structures_all_occupations(self):
         ham = sample_random_hamiltonian(3, RngStream(4))
         for bits in range(8):
@@ -257,6 +259,30 @@ class TestParticleBasis:
             energy = 0.5 * np.trace(ham.h @ j)
             assert abs(energy - np.sum(2.0 * ham.omega * (occ - 0.5))) <= 1e-9
 
+    def test_majorana_elements_against_fock_operators(self):
+        # i sum h_uv xi_u xi_v is the Fock H up to a constant, element by element:
+        # the spectrum alone would also accept any O h O^T
+        gen = np.random.default_rng(19)
+        N = 3
+        a_mat = gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))
+        a_mat = 0.5 * (a_mat + a_mat.conj().T)
+        b_mat = gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))
+        b_mat = 0.5 * (b_mat - b_mat.T)
+        h = from_particle_basis(a_mat, b_mat).h
+        ops = fock_annihilation_operators(N)
+        h_fock = sum(
+            a_mat[i, j] * ops[i].conj().T @ ops[j]
+            + b_mat[i, j] * ops[i].conj().T @ ops[j].conj().T
+            + np.conj(b_mat[i, j]) * ops[j] @ ops[i]
+            for i in range(N)
+            for j in range(N)
+        )
+        xi = [(a + a.conj().T) / np.sqrt(2.0) for a in ops] + [-1j * (a - a.conj().T) / np.sqrt(2.0) for a in ops]
+        h_maj = 1j * sum(h[u, v] * xi[u] @ xi[v] for u in range(2 * N) for v in range(2 * N))
+        diff = h_maj - h_fock
+        shift = np.trace(diff) / 2**N
+        assert np.max(np.abs(diff - shift * np.eye(2**N))) <= 1e-12
+
     def test_rejects_bad_symmetry(self):
         with pytest.raises(Exception):
             from_particle_basis(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
@@ -287,6 +313,21 @@ class TestHaarPure:
         psi = gen.standard_normal((5, 16, 4)) + 1j * gen.standard_normal((5, 16, 4))
         ref = [entanglement_entropy_pure(p.ravel() / np.linalg.norm(p), 4) for p in psi]
         assert np.max(np.abs(a - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("N, N_A", [(2, 1), (5, 2), (6, 4), (7, 7), (9, 0), (10, 8)])
+    def test_single_draw_is_a_batch_of_one(self, N, N_A):
+        seed = 60 + N + N_A
+        single = entanglement_entropy_pure(sample_haar_pure_state(N, RngStream(seed)), N_A)
+        assert single == haar_pure_entropies(N, N_A, 1, RngStream(seed).generator())[0]
+
+    def test_whole_system_at_the_size_limit(self):
+        # the reduced matrix of N_A = N is 1 x 1, not 2^N x 2^N
+        psi = sample_haar_pure_state(HAAR_PURE_MAX_MODES, RngStream(52))
+        assert abs(entanglement_entropy_pure(psi, HAAR_PURE_MAX_MODES)) <= 1e-12
+
+    def test_rejects_a_vector_of_no_qubit_dimension(self):
+        with pytest.raises(ValueError):
+            entanglement_entropy_pure(np.full(6, 1.0 / np.sqrt(6.0)), 1)
 
     def test_product_state_entropy(self):
         psi = np.zeros(8, dtype=complex)

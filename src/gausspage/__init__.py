@@ -6,7 +6,7 @@ Hamiltonian eigenstates, number-conserving eigenstates, and full-Hilbert
 Haar pure states), plus a CLI that emits curve/density/variance tables.
 """
 
-from gausspage.linalg import RngStream, haar_orthogonal, sym_eigen, antisym_canonical
+from gausspage.linalg import RngStream, haar_orthogonal, antisym_canonical
 from gausspage.gstates import (
     SystemSplit,
     mode_entropy,
@@ -21,7 +21,6 @@ from gausspage import formulas, ensembles, stats
 __all__ = [
     "RngStream",
     "haar_orthogonal",
-    "sym_eigen",
     "antisym_canonical",
     "SystemSplit",
     "mode_entropy",

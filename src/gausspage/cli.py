@@ -46,6 +46,8 @@ ENSEMBLES = tuple(_SAMPLERS)
 # Ensembles whose entropy follows the Haar Gaussian law: the analytic variance columns apply.
 _GAUSSIAN_LAW = ("gaussian", "hamiltonian")
 MODES = ("exact", "quadrature", "mc", "limit")
+_WORKERS_HELP = ("split samples into this many RNG streams, which fix the result; each batch's linear algebra"
+                 " runs on the available cores, and the output does not depend on their number")
 
 
 def _fmt(x) -> str:
@@ -221,6 +223,14 @@ def run(config: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _subsystem_size(text: str) -> int | None:
+    """``--NA``: an integer, or ``sweep`` (None: every N_A from 0 to N/2)."""
+    try:
+        return None if text == "sweep" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'sweep', got {text!r}") from None
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -231,14 +241,14 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--N", type=int, required=True)
-        p.add_argument("--NA", dest="N_A", metavar="NA", default=None, help="subsystem size, or 'sweep' (page-curve default)")
+        p.add_argument(
+            "--NA", dest="N_A", metavar="NA", type=_subsystem_size, help="subsystem size, or 'sweep' (page-curve default)"
+        )
         p.add_argument("--ensemble", choices=ENSEMBLES, default="gaussian")
         p.add_argument("--mode", choices=MODES, default="exact")
         p.add_argument("--samples", type=int, default=10_000)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument(
-            "--workers", type=int, default=1, help="split samples into this many sequential RNG streams; the result depends on it"
-        )
+        p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
         p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
         p.add_argument("--out", default=None)
         p.add_argument("--points", type=int, default=101)
@@ -250,7 +260,6 @@ def main(argv: list[str] | None = None) -> int:
     config = _build_parser().parse_args(argv)
     if config.seed is None:
         config.seed = int(os.environ.get("GAUSSIAN_PAGE_SEED", DEFAULT_SEED))
-    config.N_A = None if config.N_A in (None, "sweep") else int(config.N_A)  # None: sweep 0..N/2
     return run(config)
 
 

@@ -11,12 +11,17 @@ to a block-diagonal reference, with the occupation signs of D absorbed into
 the frame.  The batched samplers take a live generator and are used by the
 Monte Carlo harness.  They are restriction-only: they draw or keep only the
 rows that lie in A and build the block [J]_A (or C_A) directly, never a full
-2N x 2N structure.  The single-draw functions are pure functions of an
-:class:`RngStream` and draw a batch of one through the same helpers.
+2N x 2N structure.  Each batch is drawn serially, and its linear algebra then
+runs on the available cores in row pieces; a sample's entropy does not depend
+on its piece, so the output is the same for any core count.  The single-draw
+functions are pure functions of an :class:`RngStream` and draw a batch of one
+through the same helpers.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +29,12 @@ import numpy as np
 from gausspage.linalg import (
     InvalidArgument,
     RngStream,
+    _complex_ginibre,
+    _haar_q,
     _positive_modes,
+    _real_ginibre,
     antisym_canonical,
     haar_orthogonal,
-    haar_orthogonal_batch,
-    haar_unitary_batch,
 )
 from gausspage.gstates import SystemSplit, mode_entropy, restrict_blocks, subsystem_indices
 
@@ -175,13 +181,6 @@ def entanglement_entropy_pure(psi: np.ndarray, N_A: int) -> float:
     return float(_pure_entropies(psi.reshape(1, 2**N_A, 2 ** (N - N_A)))[0])
 
 
-def sample_number_conserving_eigenstate(N: int, N_A: int, rng: RngStream) -> float:
-    """Entropy of one random eigenstate of a number-conserving Hamiltonian."""
-    if N < 2:
-        raise InvalidArgument(f"need N >= 2, got {N}")
-    return float(number_conserving_entropies(N, N_A, 1, rng.generator())[0])
-
-
 # ---------------------------------------------------------------------------
 # Batched entropy samplers (Monte Carlo workhorses)
 # ---------------------------------------------------------------------------
@@ -189,15 +188,52 @@ def sample_number_conserving_eigenstate(N: int, N_A: int, rng: RngStream) -> flo
 _BATCH = 2048
 # Cap on the 8-byte words in the largest array of one batch (32 MB).
 _BATCH_ELEMENTS = 1 << 22
+# A batch is reduced in at most _MAX_PIECES row pieces of at least 1 MB of its largest
+# array: smaller pieces slow the cheap samplers and strand temporaries in per-thread arenas.
+_PIECE_ELEMENTS = 1 << 17
+_MAX_PIECES = 16
 
 
-def _in_batches(count: int, per_sample: int, draw) -> np.ndarray:
-    """Concatenate ``draw(b)`` (b entropies each) over batches covering ``count``."""
+@functools.cache
+def _pool():
+    """One reduction thread per core this process may run on, at most _MAX_PIECES; None on one core."""
+    from concurrent.futures import ThreadPoolExecutor  # here, not at import, which it would slow by ~8 ms
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return ThreadPoolExecutor(min(cores, _MAX_PIECES), thread_name_prefix="gausspage") if cores > 1 else None
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's pool threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _in_batches(count: int, per_sample: int, draw, reduce) -> np.ndarray:
+    """Entropies ``reduce(*draw(b))`` over batches covering ``count``.
+
+    ``draw(b)`` makes all RNG calls of a batch and returns arrays of b rows;
+    ``reduce`` maps each row to its entropy alone, so row pieces of a batch are
+    reduced on the pool.  A piece's error is raised once every piece is done.
+    """
     batch = max(1, min(_BATCH, _BATCH_ELEMENTS // per_sample))
+    piece = -(-_PIECE_ELEMENTS // per_sample)  # fewest rows in a piece
     out = np.empty(count)
     for start in range(0, count, batch):
         b = min(batch, count - start)
-        out[start : start + b] = draw(b)
+        inputs = draw(b)
+        pieces = min(_MAX_PIECES, b // piece)
+        pool = _pool() if pieces > 1 else None
+        if pool is None:
+            out[start : start + b] = reduce(*inputs)
+            continue
+        cuts = [b * i // pieces for i in range(pieces + 1)]
+
+        def reduce_piece(lo: int, hi: int) -> None:
+            out[start + lo : start + hi] = reduce(*(x[lo:hi] for x in inputs))
+
+        futures = [pool.submit(reduce_piece, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        errors = [future.exception() for future in futures]  # waits for every piece
+        for error in filter(None, errors):
+            raise error
     return out
 
 
@@ -210,11 +246,11 @@ def gaussian_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -
     """Entropies of `count` Haar Gaussian states; the A rows of O are a Haar frame."""
     SystemSplit(N, N_A)
 
-    def draw(b):
-        rows = np.swapaxes(haar_orthogonal_batch(2 * N, b, gen, cols=2 * N_A), -2, -1)
+    def reduce(g):
+        rows = np.swapaxes(_haar_q(g), -2, -1)
         return mode_entropy(restrict_blocks(pair_block(rows[..., :N], rows[..., N:]))).sum(axis=1)
 
-    return _in_batches(count, 4 * N * max(N_A, 1), draw)
+    return _in_batches(count, 4 * N * max(N_A, 1), lambda b: (_real_ginibre(2 * N, b, gen, 2 * N_A),), reduce)
 
 
 def hamiltonian_eigenstate_entropies(
@@ -229,17 +265,19 @@ def hamiltonian_eigenstate_entropies(
     idx = subsystem_indices(SystemSplit(N, N_A))
 
     def draw(b):
-        v = _positive_modes(_random_antisym(N, b, gen))[1][:, idx]
-        signs = 1.0 - 2.0 * gen.integers(0, 2, size=(b, N))
-        return mode_entropy(restrict_blocks(2.0 * pair_block(v.imag, v.real, signs))).sum(axis=1)
+        return _random_antisym(N, b, gen), gen.integers(0, 2, size=(b, N))
 
-    return _in_batches(count, 8 * N * N, draw)
+    def reduce(h, occ):
+        v = _positive_modes(h)[1][:, idx]
+        return mode_entropy(restrict_blocks(2.0 * pair_block(v.imag, v.real, 1.0 - 2.0 * occ))).sum(axis=1)
+
+    return _in_batches(count, 8 * N * N, draw, reduce)
 
 
 def haar_pure_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """Entropies of Haar pure states on the full 2^N Hilbert space."""
     _haar_pure_states(N, N_A, 0, gen)  # the size guards, also for count = 0; draws nothing
-    return _in_batches(count, 2 ** (N + 1), lambda b: _pure_entropies(_haar_pure_states(N, N_A, b, gen)))
+    return _in_batches(count, 2 ** (N + 1), lambda b: (_haar_pure_states(N, N_A, b, gen),), _pure_entropies)
 
 
 def number_conserving_entropies(
@@ -253,9 +291,10 @@ def number_conserving_entropies(
     SystemSplit(N, N_A)
 
     def draw(b):
-        v = haar_unitary_batch(N, b, gen, N_A)
-        occ = gen.integers(0, 2, size=(b, N))
-        lam = np.clip(np.linalg.eigvalsh(correlation_block(v, occ)), 0.0, 1.0)  # rounding may leave [0, 1]
+        return _complex_ginibre(N, b, gen, N_A), gen.integers(0, 2, size=(b, N))
+
+    def reduce(g, occ):
+        lam = np.clip(np.linalg.eigvalsh(correlation_block(_haar_q(g), occ)), 0.0, 1.0)  # rounding may leave [0, 1]
         return mode_entropy(2.0 * lam - 1.0).sum(axis=1)
 
-    return _in_batches(count, 2 * N * max(N_A, 1), draw)
+    return _in_batches(count, 2 * N * max(N_A, 1), draw, reduce)

@@ -82,29 +82,6 @@ def conjugate(j0: np.ndarray, m: np.ndarray) -> np.ndarray:
     return m @ j0 @ m.T
 
 
-def bogoliubov_to_orthogonal(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Real 2N x 2N matrix of the Bogoliubov pair (alpha, beta).
-
-        M = [[Re(alpha+beta), Im(beta-alpha)],
-             [Im(alpha+beta), Re(alpha-beta)]]
-
-    The pair is canonical iff M is orthogonal, which is checked post hoc.
-    """
-    alpha = np.asarray(alpha, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
-    if alpha.shape != beta.shape or alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1]:
-        raise InvalidArgument("alpha and beta must be square matrices of equal shape")
-    m = np.block(
-        [
-            [(alpha + beta).real, (beta - alpha).imag],
-            [(alpha + beta).imag, (alpha - beta).real],
-        ]
-    )
-    if np.max(np.abs(m @ m.T - np.eye(m.shape[0]))) > 1e-8:
-        raise InvalidArgument("(alpha, beta) do not preserve the anticommutation relations")
-    return m
-
-
 def subsystem_indices(split: SystemSplit) -> np.ndarray:
     """Majorana indices of subsystem A in the split ordering."""
     return np.concatenate([np.arange(split.N_A), split.N + np.arange(split.N_A)])

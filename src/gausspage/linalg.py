@@ -1,6 +1,6 @@
-"""Dense real linear algebra on small matrices.
+"""Dense linear algebra on small matrices.
 
-Haar-orthogonal sampling, symmetric eigendecomposition and the canonical
+Haar-orthogonal and Haar-unitary sampling, and the canonical
 (block-diagonal) form of real antisymmetric matrices, always through the
 Hermitian eigendecomposition of i*h (:func:`_positive_modes`).  Everything
 here is a pure function of its inputs; random draws are pure functions of an
@@ -55,32 +55,28 @@ def haar_orthogonal_batch(
     Shape (count, dim, cols), ``cols`` defaulting to ``dim``; fewer columns
     draw and factor only a dim x cols Ginibre stack.
     """
+    return _haar_q(_real_ginibre(dim, count, gen, cols))
+
+
+def _real_ginibre(dim: int, count: int, gen: np.random.Generator, cols: int | None = None) -> np.ndarray:
+    """The Ginibre stack whose :func:`_haar_q` is :func:`haar_orthogonal_batch`."""
     cols = dim if cols is None else cols
     if dim < 2 or dim % 2 != 0 or not 0 <= cols <= dim:
         raise InvalidArgument(f"need even dim >= 2 and 0 <= cols <= dim, got dim={dim}, cols={cols}")
-    return _haar_q(gen.standard_normal((count, dim, cols)))
+    return gen.standard_normal((count, dim, cols))
 
 
 def haar_unitary_batch(dim: int, count: int, gen: np.random.Generator, cols: int) -> np.ndarray:
     """Leading ``cols`` columns of stacked Haar U(dim) samples, shape (count, dim, cols)."""
+    return _haar_q(_complex_ginibre(dim, count, gen, cols))
+
+
+def _complex_ginibre(dim: int, count: int, gen: np.random.Generator, cols: int) -> np.ndarray:
+    """The Ginibre stack whose :func:`_haar_q` is :func:`haar_unitary_batch`."""
     if not 0 <= cols <= dim:
         raise InvalidArgument(f"need 0 <= cols <= dim, got dim={dim}, cols={cols}")
     shape = (count, dim, cols)
-    return _haar_q(gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
-
-
-def sym_eigen(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    Returns (eigenvalues, eigenvectors) with eigenvectors as columns,
-    satisfying ``S @ V = V @ diag(lam)`` to 1e-10 relative.
-    """
-    s = np.asarray(s, dtype=float)
-    scale = max(np.max(np.abs(s)), 1.0)
-    if np.max(np.abs(s - s.T)) > 1e-10 * scale:
-        raise InvalidArgument("matrix is not symmetric within tolerance")
-    lam, v = np.linalg.eigh(s)
-    return lam[::-1].copy(), v[:, ::-1].copy()
+    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
 
 
 def _positive_modes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

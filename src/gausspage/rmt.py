@@ -138,18 +138,6 @@ def density_cdf(ctx: JacobiKernelCtx, grid: np.ndarray) -> np.ndarray:
     return np.cumsum(pieces)
 
 
-def correlation_k(ctx: JacobiKernelCtx, points) -> float:
-    """k-point correlation R_k = ((N_A-k)!/N_A!) det K(x_a, x_b)."""
-    pts = np.asarray(points, dtype=float)
-    k = pts.size
-    if not (1 <= k <= ctx.n_a):
-        raise InvalidArgument(f"need 1 <= k <= N_A={ctx.n_a}, got {k}")
-    mat = kernel(ctx, pts, pts)
-    mat = np.atleast_2d(mat)
-    log_prefactor = log_gamma(ctx.n_a - k + 1.0) - log_gamma(ctx.n_a + 1.0)
-    return math.exp(log_prefactor) * float(np.linalg.det(mat))
-
-
 def _entropy_integral(ctx: JacobiKernelCtx, order: int) -> float:
     rule = unit_interval_rule(order)
     psi = wavefunctions(ctx, rule.nodes)

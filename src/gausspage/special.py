@@ -19,8 +19,6 @@ from numpy.polynomial.legendre import leggauss
 
 from gausspage.linalg import InvalidArgument
 
-EULER_GAMMA = 0.5772156649015328606
-
 # -B_{2n}/(2n) for 2n = 2..14
 _DIGAMMA_ASYMPT = (
     -1.0 / 12.0,
@@ -55,13 +53,6 @@ def log_gamma(z: float) -> float:
     if not z > 0:
         raise InvalidArgument(f"log_gamma requires z > 0, got {z}")
     return math.lgamma(z)
-
-
-def jacobi_poly(n: int, a: float, b: float, x: float) -> float:
-    """Jacobi polynomial P_n^{(a,b)}(x) via the three-term recurrence."""
-    if n < 0:
-        raise InvalidArgument(f"degree must be non-negative, got {n}")
-    return float(jacobi_all(n, a, b, np.asarray([x], dtype=float))[n, 0])
 
 
 def jacobi_all(nmax: int, a: float, b: float, x: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Monte Carlo harness: streaming moments, KS statistics, histograms.
 
-``mc_estimate`` partitions the sample budget across per-worker RNG streams
-derived from (seed, stream id) and merges moments in fixed stream order, so
-a run is bit-reproducible for a given (seed, workers) regardless of how the
-work would be scheduled.
+``mc_estimate`` partitions the sample budget across RNG streams derived
+from (seed, stream id), draws them one after another and merges moments in
+fixed stream order, so a run is bit-reproducible for a given (seed, workers).
+The streams fix the result; the samplers run each batch's linear algebra on
+the available cores, and the output does not depend on their number.
 """
 
 from __future__ import annotations

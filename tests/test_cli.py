@@ -244,6 +244,13 @@ class TestErrorPaths:
         assert main(args) == EXIT_INVALID
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_a", ["abc", "1.5", ""])
+    def test_rejects_a_non_integer_subsystem(self, n_a, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["page-curve", "--N", "4", "--NA", n_a])
+        assert exc.value.code == EXIT_INVALID
+        assert "expected an integer or 'sweep'" in capsys.readouterr().err
+
     def test_consistency_failure_exit_code(self, monkeypatch, capsys):
         def broken(N, N_A, count, gen):
             raise ConsistencyError("singular values of the antisymmetric block do not pair up")
@@ -291,21 +298,34 @@ class TestSeedHandling:
     data=st.data(),
 )
 def test_arguments_reach_documented_exit_codes(command, mode, ensemble, N, data):
-    n_a = data.draw(st.integers(-2, max(N, 0) + 2), label="NA")
+    n_a = data.draw(st.one_of(st.integers(-2, max(N, 0) + 2), st.just("sweep"), st.text(max_size=4)), label="NA")
     samples = data.draw(st.integers(-1, 32), label="samples")
     workers = data.draw(st.integers(1, 2), label="workers")
     argv = [command, "--mode", mode, "--ensemble", ensemble, "--N", str(N), "--NA", str(n_a),
             "--samples", str(samples), "--workers", str(workers), "--points", "11"]
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
     assert code in (EXIT_OK, EXIT_INVALID, EXIT_RESOURCE, EXIT_NUMERICAL)
     assert (code == EXIT_OK) == ("error" not in err.getvalue())
 
 
-def test_import_loads_no_scipy():
-    # the runtime needs numpy only; scipy is a test reference
+def run_fresh(code):
+    """Stdout of ``code`` run in a new interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(gausspage.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_import_loads_no_scipy():
+    # the runtime needs numpy only; scipy is a test reference
     code = "import sys, gausspage.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
+
+
+def test_import_starts_no_thread():
+    # the samplers' thread pool is made on first use, not at import
+    code = "import threading, gausspage.cli; print(threading.active_count())"
+    assert run_fresh(code).strip() == "1"

@@ -1,8 +1,15 @@
+import itertools
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from gausspage.linalg import InvalidArgument, RngStream, haar_orthogonal, haar_unitary_batch
 from gausspage.gstates import (
+    ConsistencyError,
     SystemSplit,
     conjugate,
     entropy_from_spectrum,
@@ -25,10 +32,9 @@ from gausspage.ensembles import (
     pair_block,
     sample_gaussian_state,
     sample_haar_pure_state,
-    sample_number_conserving_eigenstate,
     sample_random_hamiltonian,
 )
-from gausspage import formulas
+from gausspage import cli, ensembles, formulas
 from gausspage.stats import ks_statistic, ks_two_sample_critical
 
 
@@ -360,10 +366,132 @@ class TestNumberConserving:
         assert np.all(vals <= 3 * np.log(2.0) + 1e-9)
 
     def test_scalar_sampler(self):
-        v = sample_number_conserving_eigenstate(10, 5, RngStream(17))
+        v = number_conserving_entropies(10, 5, 1, RngStream(17).generator())[0]
         assert 0.0 <= v <= 5 * np.log(2.0) + 1e-9
 
     def test_thermodynamic_density(self):
         gen = RngStream(18).generator()
         vals = number_conserving_entropies(400, 200, 200, gen) / 400.0
         assert abs(vals.mean() - 0.19315) <= 0.005
+
+
+BATCHED = [gaussian_entropies, hamiltonian_eigenstate_entropies, number_conserving_entropies, haar_pure_entropies]
+
+
+class CountingPool:
+    """A two-thread pool that counts the pieces submitted to it."""
+
+    def __init__(self):
+        self.pool = ThreadPoolExecutor(2)
+        self.pieces = 0
+
+    def submit(self, fn, *args):
+        self.pieces += 1
+        return self.pool.submit(fn, *args)
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    pool = CountingPool()
+    monkeypatch.setattr(ensembles, "_pool", lambda: pool)
+    yield pool
+    pool.pool.shutdown()
+
+
+class TestParallelReduction:
+    """Each batch is drawn serially and reduced in row pieces on a thread pool."""
+
+    @staticmethod
+    def one_thread(monkeypatch, sampler, N, N_A, count, seed):
+        with monkeypatch.context() as m:
+            m.setattr(ensembles, "_pool", lambda: None)  # as on one core
+            return sampler(N, N_A, count, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("pieces", [2, 7, 16])
+    @pytest.mark.parametrize("N, N_A, count", [(6, 0, 303), (6, 6, 303), (7, 5, 303), (5, 2, 2049)])
+    @pytest.mark.parametrize("sampler", BATCHED)
+    def test_pieces_match_one_thread(self, sampler, N, N_A, count, pieces, counting_pool, monkeypatch):
+        # N_A = 0, N_A = N, N_A > N/2, one batch plus one sample; 303 is no multiple of the piece count
+        monkeypatch.setattr(ensembles, "_PIECE_ELEMENTS", 1)
+        monkeypatch.setattr(ensembles, "_MAX_PIECES", pieces)
+        pooled = sampler(N, N_A, count, np.random.default_rng(N + count))
+        assert counting_pool.pieces == pieces  # a last batch of one sample is not split
+        assert np.array_equal(pooled, self.one_thread(monkeypatch, sampler, N, N_A, count, N + count))
+
+    @pytest.mark.parametrize(
+        "sampler, N, N_A, count, pieces",
+        [
+            (gaussian_entropies, 32, 10, 700, 6),  # 1280 words a sample: pieces of 103 rows or more
+            (hamiltonian_eigenstate_entropies, 16, 5, 1030, 16),  # at most 16 pieces
+            (number_conserving_entropies, 32, 10, 1500, 7),
+            (haar_pure_entropies, 12, 5, 300, 16),
+            (gaussian_entropies, 8, 4, 1000, 1),  # 128 words a sample: too small to split
+        ],
+    )
+    def test_default_pieces(self, sampler, N, N_A, count, pieces, counting_pool, monkeypatch):
+        pooled = sampler(N, N_A, count, np.random.default_rng(count))
+        assert counting_pool.pieces == (pieces if pieces > 1 else 0)
+        assert np.array_equal(pooled, self.one_thread(monkeypatch, sampler, N, N_A, count, count))
+
+    def test_more_threads_than_cores(self, monkeypatch):
+        # 16 pieces of each of three batches write their slices of one output from 8 threads
+        pool = ThreadPoolExecutor(8)
+        monkeypatch.setattr(ensembles, "_pool", lambda: pool)
+        monkeypatch.setattr(ensembles, "_PIECE_ELEMENTS", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(1) as caller:
+                run = caller.submit(hamiltonian_eigenstate_entropies, 5, 2, 4100, np.random.default_rng(3))
+                pooled = run.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        expected = self.one_thread(monkeypatch, hamiltonian_eigenstate_entropies, 5, 2, 4100, 3)
+        assert np.array_equal(pooled, expected)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_makes_its_own_pool(self):
+        # a child forked after the pool exists must not wait for the parent's threads
+        code = """if True:
+            import os, signal, numpy as np
+            from gausspage import ensembles
+            os.sched_getaffinity = lambda pid: {0, 1}  # two cores, so that batches split
+            ensembles._PIECE_ELEMENTS = 1
+            a = ensembles.gaussian_entropies(5, 2, 300, np.random.default_rng(1))
+            r, w = os.pipe()
+            if os.fork() == 0:
+                signal.alarm(20)  # a child that hangs dies without writing
+                b = ensembles.gaussian_entropies(5, 2, 300, np.random.default_rng(1))
+                os.write(w, b"same" if np.array_equal(a, b) else b"different")
+                os._exit(0)
+            os.close(w)
+            os.wait()
+            print(os.read(r, 16).decode())
+        """
+        src = os.path.dirname(os.path.dirname(ensembles.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "same"
+
+    def test_error_in_one_piece_reaches_the_cli(self, counting_pool, monkeypatch, capsys):
+        calls = itertools.count()
+        real = ensembles.restrict_blocks
+
+        def fails_in_the_second_piece(blocks):
+            if next(calls) == 1:
+                raise ConsistencyError("singular values of the antisymmetric block do not pair up")
+            return real(blocks)
+
+        monkeypatch.setattr(ensembles, "restrict_blocks", fails_in_the_second_piece)
+        argv = ["page-curve", "--mode", "mc", "--ensemble", "hamiltonian", "--N", "16", "--NA", "5", "--samples", "1030"]
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        assert "do not pair up" in capsys.readouterr().err
+        assert counting_pool.pieces == next(calls) == 16  # raised once every piece had finished
+
+    def test_haar_pure_size_guard_comes_before_any_draw(self, counting_pool):
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        with pytest.raises(ResourceLimit):
+            haar_pure_entropies(HAAR_PURE_MAX_MODES + 1, 7, 10, gen)
+        assert gen.bit_generator.state == state and counting_pool.pieces == 0

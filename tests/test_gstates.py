@@ -8,7 +8,6 @@ from gausspage.linalg import InvalidArgument, RngStream, haar_orthogonal
 from gausspage.gstates import (
     SystemSplit,
     ConsistencyError,
-    bogoliubov_to_orthogonal,
     conjugate,
     entropy_from_spectrum,
     mode_entropy,
@@ -58,27 +57,6 @@ class TestConjugate:
     def test_rejects_mismatch(self):
         with pytest.raises(InvalidArgument):
             conjugate(reference_structure(2), np.eye(6))
-
-
-class TestBogoliubov:
-    def test_trivial(self):
-        m = bogoliubov_to_orthogonal(np.eye(2), np.zeros((2, 2)))
-        assert np.allclose(m, np.eye(4))
-
-    def test_phase_rotation(self):
-        m = bogoliubov_to_orthogonal(1j * np.eye(1), np.zeros((1, 1)))
-        assert np.allclose(m, [[0.0, -1.0], [1.0, 0.0]])
-
-    def test_unitary_alpha_embeds(self):
-        gen = np.random.default_rng(1)
-        g = gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3))
-        q, _ = np.linalg.qr(g)
-        m = bogoliubov_to_orthogonal(q, np.zeros((3, 3)))
-        assert np.max(np.abs(m @ m.T - np.eye(6))) <= 1e-10
-
-    def test_rejects_noncanonical(self):
-        with pytest.raises(InvalidArgument):
-            bogoliubov_to_orthogonal(2.0 * np.eye(2), np.zeros((2, 2)))
 
 
 class TestRestrict:

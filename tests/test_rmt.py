@@ -9,7 +9,6 @@ from gausspage import formulas, rmt
 from gausspage.rmt import (
     AccuracyError,
     build_kernel_ctx,
-    correlation_k,
     density_cdf,
     kernel,
     level_density,
@@ -122,11 +121,13 @@ class TestCorrelations:
     def test_one_point_is_density(self):
         ctx = build_kernel_ctx(3, 1)
         for x in (0.1, 0.5, 0.9):
-            assert abs(correlation_k(ctx, [x]) - level_density(ctx, x)) <= 1e-12
+            # R_1 = K(x, x) / N_A
+            assert abs(kernel(ctx, x, x) / ctx.n_a - level_density(ctx, x)) <= 1e-12
 
     def test_eigenvalue_repulsion(self):
         ctx = build_kernel_ctx(4, 2)
-        assert abs(correlation_k(ctx, [0.4, 0.4])) <= 1e-10
+        # R_2 is proportional to det K(x_a, x_b), which vanishes at coinciding points
+        assert abs(np.linalg.det(kernel(ctx, [0.4, 0.4], [0.4, 0.4]))) <= 1e-10
 
     def test_joint_density_normalization(self):
         # k = N_A = 2, Delta = 1: 2-d quadrature of R_2 equals 1
@@ -141,11 +142,6 @@ class TestCorrelations:
         dets = np.outer(diag, diag) - kmat**2
         integral = 0.5 * float(weights @ dets @ weights)  # (N_A-k)!/N_A! = 1/2
         assert abs(integral - 1.0) <= 1e-8
-
-    def test_rejects_bad_k(self):
-        ctx = build_kernel_ctx(2, 0)
-        with pytest.raises(InvalidArgument):
-            correlation_k(ctx, [0.1, 0.2, 0.3])
 
 
 class TestAverageEntropy:

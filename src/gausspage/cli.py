@@ -6,9 +6,9 @@ values round-trip exactly.  The default seed is a fixed constant
 (overridable via ``--seed`` or the GAUSSIAN_PAGE_SEED environment
 variable): this is a reproducibility-first tool, never time-seeded.
 
-Exit codes: 0 success; 2 invalid arguments or option combinations; 3 a
-resource limit (Haar-pure sampling above 14 modes); 4 a failed numerical
-check (singular-value pairing or [0,1] range, or a quadrature accuracy).
+Exit codes: 0 success; 2 invalid arguments or option combinations, or an
+``--out`` path that cannot be opened; 3 a resource limit (Haar-pure sampling
+above 14 modes); 4 a failed numerical check (:class:`ConsistencyError`).
 """
 
 from __future__ import annotations
@@ -69,7 +69,11 @@ def _emit(config: argparse.Namespace, columns: list[str], rows: list[list]) -> N
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
     if config.out:
-        with open(config.out, "w") as fh:
+        try:
+            fh = open(config.out, "w")
+        except OSError as exc:
+            raise InvalidArgument(f"cannot open --out {config.out!r}: {exc.strerror}") from None
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -104,7 +108,7 @@ def _curve_row(config: argparse.Namespace, n_a: int) -> list:
     if mode == "exact":
         if ens == "gaussian":
             value = formulas.gaussian_average_exact(N, k)
-            std = math.sqrt(rmt.variance_finite_N(rmt.build_kernel_ctx(k, N - 2 * k))) if k else 0.0
+            std = math.sqrt(rmt.variance_finite_N(N, k))
         elif ens == "haar-pure":
             value = formulas.page_average_exact(N, k)
         else:
@@ -120,6 +124,8 @@ def _curve_row(config: argparse.Namespace, n_a: int) -> list:
             est = stats.mc_estimate(_mc_sampler(config, n_a), config.samples, config.seed, config.workers)
             value, std, std_error, samples = est.mean, math.sqrt(est.variance), est.std_error, est.n
     elif mode == "limit":
+        if ens == "hamiltonian":
+            raise InvalidArgument(f"mode 'limit' is not available for ensemble {ens!r}")
         if k == 0:
             value = 0.0
         elif ens == "gaussian":
@@ -128,10 +134,8 @@ def _curve_row(config: argparse.Namespace, n_a: int) -> list:
         elif ens == "haar-pure":
             value = formulas.page_thermo(N, k / N)
             std = formulas.page_std_thermo(N, k / N)
-        elif ens == "number-conserving":
-            value = N * formulas.lrv_density(k / N)
         else:
-            raise InvalidArgument(f"mode 'limit' is not available for ensemble {ens!r}")
+            value = N * formulas.lrv_density(k / N)
     else:
         raise InvalidArgument(f"unknown mode {mode!r}")
     return [N, n_a, n_a / N, value, std, std_error, samples, mode, ens]
@@ -161,10 +165,10 @@ def run_variance(config: argparse.Namespace) -> None:
     N = config.N
     n_a = config.N_A if config.N_A is not None else N // 2
     k = _smaller_side(N, n_a)
-    var_exact = var_limit = 0.0 if config.ensemble in _GAUSSIAN_LAW else math.nan
-    if k and config.ensemble in _GAUSSIAN_LAW:
-        var_exact = rmt.variance_finite_N(rmt.build_kernel_ctx(k, N - 2 * k))
-        var_limit = formulas.gaussian_std_limit(k / N) ** 2
+    var_exact = var_limit = math.nan
+    if config.ensemble in _GAUSSIAN_LAW:
+        var_exact = rmt.variance_finite_N(N, k)
+        var_limit = formulas.gaussian_std_limit(k / N) ** 2 if k else 0.0
     if config.samples > 0:
         est = stats.mc_estimate(_mc_sampler(config, n_a), config.samples, config.seed, config.workers)
         var_mc, n = est.variance, est.n
@@ -217,7 +221,7 @@ def run(config: argparse.Namespace) -> int:
     except ensembles.ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ConsistencyError, rmt.AccuracyError) as exc:
+    except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -36,7 +36,7 @@ from gausspage.linalg import (
     antisym_canonical,
     haar_orthogonal,
 )
-from gausspage.gstates import SystemSplit, mode_entropy, restrict_blocks, subsystem_indices
+from gausspage.gstates import SystemSplit, clip_unit, mode_entropy, restrict_blocks, subsystem_indices
 
 HAAR_PURE_MAX_MODES = 14
 
@@ -161,11 +161,11 @@ def _pure_entropies(psi: np.ndarray) -> np.ndarray:
 
     lambda is the spectrum of the Gram matrix on the smaller side: psi^+ psi
     has the nonzero spectrum of psi psi^+ (S_A = S_B).  Rounding may leave
-    [0, 1], so lambda is clipped to it.
+    [0, 1], so lambda is clipped to it within ``CLAMP_TOL``.
     """
     if psi.shape[-2] > psi.shape[-1]:
         psi = np.swapaxes(psi, -2, -1)
-    lam = np.clip(np.linalg.eigvalsh(psi @ np.swapaxes(psi.conj(), -2, -1)), 0.0, 1.0)
+    lam = clip_unit(np.linalg.eigvalsh(psi @ np.swapaxes(psi.conj(), -2, -1)), "reduced density spectrum")
     return -np.sum(lam * np.log(np.where(lam > 0, lam, 1.0)), axis=-1)
 
 
@@ -294,7 +294,7 @@ def number_conserving_entropies(
         return _complex_ginibre(N, b, gen, N_A), gen.integers(0, 2, size=(b, N))
 
     def reduce(g, occ):
-        lam = np.clip(np.linalg.eigvalsh(correlation_block(_haar_q(g), occ)), 0.0, 1.0)  # rounding may leave [0, 1]
+        lam = clip_unit(np.linalg.eigvalsh(correlation_block(_haar_q(g), occ)), "correlation spectrum")
         return mode_entropy(2.0 * lam - 1.0).sum(axis=1)
 
     return _in_batches(count, 2 * N * max(N_A, 1), draw, reduce)

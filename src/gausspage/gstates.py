@@ -23,7 +23,7 @@ from gausspage.linalg import InvalidArgument
 
 
 class ConsistencyError(RuntimeError):
-    """A numerically verified identity (pairing, [0,1] range, orthonormality) failed."""
+    """A numerical check failed: pairing, orthonormality, a [0, 1] range, or an accuracy target."""
 
 
 PAIR_TOL = 1e-8
@@ -82,6 +82,13 @@ def conjugate(j0: np.ndarray, m: np.ndarray) -> np.ndarray:
     return m @ j0 @ m.T
 
 
+def clip_unit(values: np.ndarray, what: str) -> np.ndarray:
+    """Computed ``values`` clipped to [0, 1]; one more than CLAMP_TOL outside raises ConsistencyError."""
+    if values.size and (np.min(values) < -CLAMP_TOL or np.max(values) > 1.0 + CLAMP_TOL):
+        raise ConsistencyError(f"{what} escapes [0,1]: range [{np.min(values)}, {np.max(values)}]")
+    return np.clip(values, 0.0, 1.0)
+
+
 def subsystem_indices(split: SystemSplit) -> np.ndarray:
     """Majorana indices of subsystem A in the split ordering."""
     return np.concatenate([np.arange(split.N_A), split.N + np.arange(split.N_A)])
@@ -91,18 +98,15 @@ def restrict_blocks(blocks: np.ndarray) -> np.ndarray:
     """Paired singular values of a stack of antisymmetric 2n x 2n blocks [J]_A.
 
     Returns shape (..., n), descending, in [0, 1].  The spectrum of B^T B is
-    {x_i^2} with multiplicity two.  The pairing is checked on those
-    eigenvalues, whose absolute error is about eps for any x; the square
-    root of a pair near 0 would magnify its split to about sqrt(eps).
+    {x_i^2} with multiplicity two.  The pairing and range are checked on those
+    eigenvalues, whose absolute error is about eps for any x; the square root
+    of a pair near 0 would magnify its split to about sqrt(eps).
     """
     ev = np.linalg.eigvalsh(np.swapaxes(blocks, -2, -1) @ blocks)[..., ::-1]
     hi, lo = ev[..., 0::2], ev[..., 1::2]
     if hi.size and np.max(np.abs(hi - lo)) > PAIR_TOL:
         raise ConsistencyError("singular values of the antisymmetric block do not pair up")
-    x = np.sqrt(np.maximum(0.5 * (hi + lo), 0.0))
-    if x.size and np.max(x) > 1.0 + CLAMP_TOL:
-        raise ConsistencyError(f"restricted spectrum escapes [0,1]: max {np.max(x)}")
-    return np.minimum(x, 1.0)
+    return np.sqrt(clip_unit(0.5 * (hi + lo), "squared restricted spectrum"))
 
 
 def restrict(j: np.ndarray, split: SystemSplit) -> np.ndarray:

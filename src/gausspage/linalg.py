@@ -66,13 +66,8 @@ def _real_ginibre(dim: int, count: int, gen: np.random.Generator, cols: int | No
     return gen.standard_normal((count, dim, cols))
 
 
-def haar_unitary_batch(dim: int, count: int, gen: np.random.Generator, cols: int) -> np.ndarray:
-    """Leading ``cols`` columns of stacked Haar U(dim) samples, shape (count, dim, cols)."""
-    return _haar_q(_complex_ginibre(dim, count, gen, cols))
-
-
 def _complex_ginibre(dim: int, count: int, gen: np.random.Generator, cols: int) -> np.ndarray:
-    """The Ginibre stack whose :func:`_haar_q` is :func:`haar_unitary_batch`."""
+    """The Ginibre stack whose :func:`_haar_q` is the leading ``cols`` columns of stacked Haar U(dim) samples."""
     if not 0 <= cols <= dim:
         raise InvalidArgument(f"need 0 <= cols <= dim, got dim={dim}, cols={cols}")
     shape = (count, dim, cols)

@@ -28,16 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from gausspage.linalg import InvalidArgument
-from gausspage.gstates import ConsistencyError, mode_entropy
+from gausspage.gstates import ConsistencyError, SystemSplit, mode_entropy
 from gausspage.special import QuadratureRule, gauss_legendre, jacobi_all, panel_rule, unit_interval_rule
-from gausspage.formulas import log_gamma, s2_closed_form
-
-
-class AccuracyError(RuntimeError):
-    """Quadrature or series truncation failed to reach the target accuracy."""
-
+from gausspage.formulas import s2_closed_form
 
 ORTHONORMALITY_TOL = 1e-10
+QUADRATURE_TOL = 1e-10  # |integral(2n) - integral(n)| that ends the order doubling
+VARIANCE_TAIL_TOL = 1e-10  # bound on the truncated tails of the variance series, summed over rows
 _MAX_DOUBLINGS = 6
 _CHUNK_ELEMENTS = 1 << 22  # largest array of one density_cdf chunk, in words
 
@@ -45,9 +42,9 @@ _CHUNK_ELEMENTS = 1 << 22  # largest array of one density_cdf chunk, in words
 def _log_c(j: int, delta: int) -> float:
     return (
         2.0 * delta * math.log(2.0)
-        + 2.0 * log_gamma(2.0 * j + delta + 1.0)
-        - log_gamma(2.0 * j + 1.0)
-        - log_gamma(2.0 * j + 2.0 * delta + 1.0)
+        + 2.0 * math.lgamma(2.0 * j + delta + 1.0)
+        - math.lgamma(2.0 * j + 1.0)
+        - math.lgamma(2.0 * j + 2.0 * delta + 1.0)
         - math.log(4.0 * j + 2.0 * delta + 1.0)
     )
 
@@ -145,28 +142,28 @@ def _entropy_integral(ctx: JacobiKernelCtx, order: int) -> float:
     return rule.integrate(mode_entropy(rule.nodes) * density_times_na)
 
 
-def _converged(integral, order: int, tol: float, what: str) -> float:
-    """integral(2n) once it is within tol of integral(n), doubling n from order."""
+def _converged(integral, order: int, what: str) -> float:
+    """integral(2n) once it is within QUADRATURE_TOL of integral(n), doubling n from order."""
     value = integral(order)
     for _ in range(_MAX_DOUBLINGS):
         order *= 2
         refined = integral(order)
-        if abs(refined - value) < tol:
+        if abs(refined - value) < QUADRATURE_TOL:
             return refined
         value = refined
-    raise AccuracyError(f"{what} quadrature did not converge")
+    raise ConsistencyError(f"{what} quadrature did not converge")
 
 
-def average_entropy_quadrature(ctx: JacobiKernelCtx, tol: float = 1e-10) -> float:
+def average_entropy_quadrature(ctx: JacobiKernelCtx) -> float:
     """Ensemble-average entropy N_A * integral of s(x) rho(x) dx."""
     order = _panel_order(ctx.n_a, ctx.delta)
-    return _converged(lambda n: _entropy_integral(ctx, n), order, tol, "entropy")
+    return _converged(lambda n: _entropy_integral(ctx, n), order, "entropy")
 
 
-def s_ij_quadrature(ctx: JacobiKernelCtx, i: int, j: int, tol: float = 1e-10) -> float:
+def s_ij_quadrature(ctx: JacobiKernelCtx, i: int, j: int) -> float:
     """Matrix element s_ij = integral of s(x) psi_i(x) psi_j(x) dx.
 
-    The basis index may exceed N_A (needed for the variance sum); the
+    The basis index may exceed N_A, as j >= N_A does in the variance sum; the
     normalizations are extended on demand.
     """
     if i < 0 or j < 0:
@@ -178,20 +175,23 @@ def s_ij_quadrature(ctx: JacobiKernelCtx, i: int, j: int, tol: float = 1e-10) ->
         psi = wavefunctions(ctx, rule.nodes, jmax=jmax)
         return rule.integrate(mode_entropy(rule.nodes) * psi[i] * psi[j])
 
-    return _converged(integral, _panel_order(jmax, ctx.delta), tol, "matrix-element")
+    return _converged(integral, _panel_order(jmax, ctx.delta), "matrix-element")
 
 
-def variance_finite_N(ctx: JacobiKernelCtx, tail_tol: float = 1e-10) -> float:
-    """Finite-N entropy variance: sum_{i<N_A} sum_{j>=N_A} s^2_ij.
+def variance_finite_N(N: int, N_A: int) -> float:
+    """Finite-N entropy variance of the Gaussian ensemble: sum_{i<N_A<=j} of the closed-form s^2_ij.
 
-    Uses the closed form for s^2_ij.  Each row is truncated once the
-    geometric extrapolation of the running term falls below tail_tol; the
-    observed decay ratio is checked before the bound is trusted.
+    S_A = S_B, so N_A > N/2 is taken as N - N_A and N_A in {0, N} gives 0.
+    Each row is truncated once the geometric extrapolation of the running
+    term falls below VARIANCE_TAIL_TOL / N_A, after the observed decay ratio
+    is checked; the sum stops at the first row below that, with no bound.
     """
-    if tail_tol <= 0:
-        raise InvalidArgument("tail_tol must be positive")
-    n_a, delta = ctx.n_a, ctx.delta
-    per_row_tol = tail_tol / n_a
+    split = SystemSplit(N, N_A)
+    n_a = min(split.N_A, split.N_B)
+    if n_a == 0:
+        return 0.0
+    delta = N - 2 * n_a
+    per_row_tol = VARIANCE_TAIL_TOL / n_a
     total = 0.0
     for i in range(n_a - 1, -1, -1):
         row = 0.0
@@ -206,7 +206,7 @@ def variance_finite_N(ctx: JacobiKernelCtx, tail_tol: float = 1e-10) -> float:
                 if tail_bound < per_row_tol:
                     break
             if j - n_a > 100_000:
-                raise AccuracyError("variance tail is not decreasing")
+                raise ConsistencyError("variance tail is not decreasing")
             prev = term
             j += 1
         total += row

@@ -1,4 +1,4 @@
-"""Special functions: digamma, log-gamma, Jacobi polynomials, quadrature.
+"""Special functions: digamma, Jacobi polynomials, quadrature.
 
 The digamma implementation follows the classic recipe (upward recurrence to
 argument >= 10, then the Bernoulli asymptotic series through B14), which is
@@ -46,13 +46,6 @@ def digamma(z: float) -> float:
         series += coeff * power
         power *= inv2
     return acc + math.log(z) - 0.5 / z + series
-
-
-def log_gamma(z: float) -> float:
-    """Natural log of the Gamma function for z > 0."""
-    if not z > 0:
-        raise InvalidArgument(f"log_gamma requires z > 0, got {z}")
-    return math.lgamma(z)
 
 
 def jacobi_all(nmax: int, a: float, b: float, x: np.ndarray) -> np.ndarray:

@@ -20,6 +20,8 @@ from gausspage.linalg import InvalidArgument, RngStream
 Sampler = Callable[[np.random.Generator, int], np.ndarray]
 
 _CHUNK = 50_000
+KS_ALPHA = 0.01  # significance level of the KS critical values
+_KS_C = np.sqrt(-0.5 * np.log(KS_ALPHA / 2.0))
 
 
 @dataclass(frozen=True)
@@ -139,16 +141,14 @@ def ks_statistic_one_sample(samples: np.ndarray, cdf_values: np.ndarray) -> floa
     return float(max(np.max(np.abs(ecdf_hi - cdf_values)), np.max(np.abs(cdf_values - ecdf_lo))))
 
 
-def ks_two_sample_critical(n: int, m: int, alpha: float = 0.01) -> float:
-    """Critical value of the two-sample KS statistic at level alpha."""
-    c = np.sqrt(-0.5 * np.log(alpha / 2.0))
-    return float(c * np.sqrt((n + m) / (n * m)))
+def ks_two_sample_critical(n: int, m: int) -> float:
+    """Critical value of the two-sample KS statistic at level KS_ALPHA."""
+    return float(_KS_C * np.sqrt((n + m) / (n * m)))
 
 
-def ks_one_sample_critical(n: int, alpha: float = 0.01) -> float:
-    """Critical value of the one-sample KS statistic at level alpha."""
-    c = np.sqrt(-0.5 * np.log(alpha / 2.0))
-    return float(c / np.sqrt(n))
+def ks_one_sample_critical(n: int) -> float:
+    """Critical value of the one-sample KS statistic at level KS_ALPHA."""
+    return float(_KS_C / np.sqrt(n))
 
 
 @dataclass(frozen=True)

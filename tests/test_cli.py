@@ -154,7 +154,7 @@ class TestVariance:
         limit = float(row[header.index("variance_limit")])
         assert 0.0 < float(row[header.index("variance_mc")]) < (3 * math.log(2.0)) ** 2
         if ensemble in ("gaussian", "hamiltonian"):
-            assert finite == rmt.variance_finite_N(rmt.build_kernel_ctx(3, 0))
+            assert finite == rmt.variance_finite_N(6, 3)
             assert abs(limit - (0.75 - math.log(2.0)) / 2.0) <= 1e-12
         else:
             assert math.isnan(finite) and math.isnan(limit)
@@ -214,10 +214,20 @@ class TestSampleAndDist:
 
 
 class TestErrorPaths:
-    def test_invalid_combination(self, capsys):
-        code = main(["page-curve", "--N", "4", "--ensemble", "hamiltonian", "--mode", "exact"])
+    @pytest.mark.parametrize("mode", ["exact", "limit"])
+    @pytest.mark.parametrize("n_a", ["0", "1", "4"])
+    def test_invalid_combination(self, mode, n_a, capsys):
+        # the answer does not depend on N_A, also where N_A in {0, N} has a zero shortcut
+        code = main(["page-curve", "--N", "4", "--NA", n_a, "--ensemble", "hamiltonian", "--mode", mode])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unopenable_out_path(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        assert main(["page-curve", "--N", "4", "--NA", "2", "--out", str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot open --out") and len(err.splitlines()) == 1
+        assert not path.parent.exists()
 
     def test_resource_guard(self, capsys):
         code = main(["page-curve", "--N", "20", "--ensemble", "haar-pure", "--mode", "mc", "--samples", "10"])
@@ -261,13 +271,31 @@ class TestErrorPaths:
         assert "do not pair up" in capsys.readouterr().err
 
     def test_accuracy_failure_exit_code(self, monkeypatch, capsys):
-        def broken(ctx):
-            raise rmt.AccuracyError("entropy quadrature did not converge")
-
-        monkeypatch.setattr(rmt, "average_entropy_quadrature", broken)
+        monkeypatch.setattr(rmt, "_entropy_integral", lambda ctx, order: float(order))  # never settles
         code = main(["page-curve", "--N", "4", "--NA", "2", "--mode", "quadrature"])
         assert code == EXIT_NUMERICAL
         assert "did not converge" in capsys.readouterr().err
+
+    def test_series_failure_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(rmt, "s2_closed_form", lambda i, j, delta: 1.0)  # a tail that does not decrease
+        code = main(["variance", "--N", "4", "--NA", "2", "--samples", "0"])
+        assert code == EXIT_NUMERICAL
+        assert "not decreasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ensemble", ["number-conserving", "haar-pure"])
+    def test_spectrum_beyond_the_clip_tolerance_exit_code(self, ensemble, monkeypatch, capsys):
+        # an eigenvalue of 1 + 1e-6 is no rounding error: it is not clipped back into [0, 1]
+        eigvalsh = np.linalg.eigvalsh
+
+        def one_too_large(a):
+            lam = eigvalsh(a)
+            lam[..., -1] = 1.0 + 1e-6
+            return lam
+
+        monkeypatch.setattr(ensembles.np.linalg, "eigvalsh", one_too_large)
+        code = main(["page-curve", "--N", "4", "--NA", "2", "--ensemble", ensemble, "--mode", "mc", "--samples", "10"])
+        assert code == EXIT_NUMERICAL
+        assert "escapes [0,1]" in capsys.readouterr().err
 
 
 class TestSeedHandling:

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from gausspage.linalg import InvalidArgument, RngStream, haar_orthogonal
 from gausspage.gstates import (
+    CLAMP_TOL,
     SystemSplit,
     ConsistencyError,
+    clip_unit,
     conjugate,
     entropy_from_spectrum,
     mode_entropy,
@@ -85,7 +87,7 @@ class TestRestrict:
         ev = np.linalg.eigvalsh(np.swapaxes(block, -2, -1) @ block)
         xs = np.sort(np.sqrt(np.clip(ev.mean(axis=1), 0.0, 1.0)))
         stat = ks_statistic_one_sample(xs, xs)  # uniform CDF on [0,1] is x itself
-        assert stat < ks_one_sample_critical(n, alpha=0.01)
+        assert stat < ks_one_sample_critical(n)
 
     def test_entropy_complementarity(self):
         for n_a in (1, 2):
@@ -176,3 +178,12 @@ def test_restrict_blocks_checks_pairing_and_range():
         restrict_blocks(np.diag([1.0, 0.5, 0.2, 0.1])[None])  # not antisymmetric: no pairs
     with pytest.raises(ConsistencyError):
         restrict_blocks(1.01 * reference_structure(2)[None])  # escapes [0, 1]
+
+
+def test_clip_unit_clips_within_the_tolerance_and_raises_beyond():
+    inside = np.array([-0.5 * CLAMP_TOL, 0.0, 0.25, 1.0, 1.0 + 0.5 * CLAMP_TOL])
+    assert np.array_equal(clip_unit(inside, "x"), [0.0, 0.0, 0.25, 1.0, 1.0])
+    assert clip_unit(np.empty((3, 0)), "x").shape == (3, 0)
+    for bad in (-2.0 * CLAMP_TOL, 1.0 + 2.0 * CLAMP_TOL):
+        with pytest.raises(ConsistencyError, match="spectrum escapes"):
+            clip_unit(np.array([[0.5, bad]]), "spectrum")

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.special
@@ -10,14 +8,12 @@ from gausspage.special import (
     digamma,
     gauss_legendre,
     jacobi_all,
-    log_gamma,
     unit_interval_rule,
 )
 
 EULER_GAMMA = 0.5772156649015328606  # -digamma(1)
 # frozen from a 50-digit mpmath evaluation
 DIGAMMA_HALF = -1.9635100260214234794
-LOG_GAMMA_10_5 = 13.940625219403763633
 
 
 class TestDigamma:
@@ -46,17 +42,6 @@ class TestDigamma:
             digamma(0.0)
         with pytest.raises(InvalidArgument):
             digamma(-1.5)
-
-
-class TestLogGamma:
-    def test_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert abs(log_gamma(5.0) - math.log(24.0)) <= 1e-12
-        assert abs(log_gamma(10.5) - LOG_GAMMA_10_5) <= 1e-12 * LOG_GAMMA_10_5
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidArgument):
-            log_gamma(-2.0)
 
 
 class TestJacobi:

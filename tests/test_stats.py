@@ -77,7 +77,7 @@ class TestKs:
         assert ks_statistic(a, b) < 1.63 * np.sqrt(2.0 / 10_000)
 
     def test_critical_value_formula(self):
-        assert ks_two_sample_critical(10_000, 10_000, alpha=0.01) == pytest.approx(
+        assert ks_two_sample_critical(10_000, 10_000) == pytest.approx(
             1.6276 * np.sqrt(2.0 / 10_000), rel=1e-3
         )
 

@@ -9,6 +9,9 @@ variable): this is a reproducibility-first tool, never time-seeded.
 Exit codes: 0 success; 2 invalid arguments or option combinations, or an
 ``--out`` path that cannot be opened; 3 a resource limit (Haar-pure sampling
 above 14 modes); 4 a failed numerical check (:class:`ConsistencyError`).
+An ``--out`` that is a directory, or whose parent directory is missing, exits
+2 before any work; the file itself is opened only once every row is computed,
+so a run that fails leaves no file behind and an existing one untouched.
 """
 
 from __future__ import annotations
@@ -77,6 +80,15 @@ def _emit(config: argparse.Namespace, columns: list[str], rows: list[list]) -> N
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` that can be seen not to open before the run: a directory, or a missing parent."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        raise InvalidArgument(f"cannot open --out {path!r}: Is a directory")
+    if not os.path.isdir(parent):
+        raise InvalidArgument(f"cannot open --out {path!r}: {parent!r} is not a directory")
 
 
 def _mc_sampler(config: argparse.Namespace, n_a: int):
@@ -214,6 +226,8 @@ def run(config: argparse.Namespace) -> int:
             raise InvalidArgument(f"need N >= 1, got {config.N}")
         if config.samples < 0 or config.points < 1:
             raise InvalidArgument("need --samples >= 0 and --points >= 1")
+        if config.out:
+            _check_out(config.out)
         _COMMANDS[config.command](config)
     except InvalidArgument as exc:
         print(f"error: {exc}", file=sys.stderr)

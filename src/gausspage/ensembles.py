@@ -11,11 +11,15 @@ to a block-diagonal reference, with the occupation signs of D absorbed into
 the frame.  The batched samplers take a live generator and are used by the
 Monte Carlo harness.  They are restriction-only: they draw or keep only the
 rows that lie in A and build the block [J]_A (or C_A) directly, never a full
-2N x 2N structure.  Each batch is drawn serially, and its linear algebra then
-runs on the available cores in row pieces; a sample's entropy does not depend
-on its piece, so the output is the same for any core count.  The single-draw
-functions are pure functions of an :class:`RngStream` and draw a batch of one
-through the same helpers.
+2N x 2N structure.  Each batch is drawn serially, and the draw makes only
+RNG calls: every operation on the draws, even the antisymmetric part of a
+Hamiltonian or the complex Ginibre stack, runs with the linear algebra on the
+available cores in row pieces.  A sample's entropy does not depend on its
+piece, so the output is the same for any core count.  The Hamiltonian sampler
+takes the modes of h from the real eigenvectors of h h^T, in oriented planes
+(:func:`gausspage.linalg._mode_planes`).  The single-draw functions are pure
+functions of an :class:`RngStream` and draw a batch of one through the same
+helpers.
 """
 
 from __future__ import annotations
@@ -29,9 +33,8 @@ import numpy as np
 from gausspage.linalg import (
     InvalidArgument,
     RngStream,
-    _complex_ginibre,
     _haar_q,
-    _positive_modes,
+    _mode_planes,
     _real_ginibre,
     antisym_canonical,
     haar_orthogonal,
@@ -74,10 +77,16 @@ def pair_block(a: np.ndarray, b: np.ndarray, signs: np.ndarray | None = None) ->
     return y - np.swapaxes(y, -2, -1)
 
 
-def _random_antisym(N: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    """Stack of ``count`` O(2N)-invariant Gaussian antisymmetric 2N x 2N matrices."""
-    g = gen.standard_normal((count, 2 * N, 2 * N))
+def _antisym(g: np.ndarray) -> np.ndarray:
+    """Antisymmetric part 0.5 (g - g^T): O(2N)-invariant for a (stack of) standard normal 2N x 2N g."""
     return 0.5 * (g - np.swapaxes(g, -2, -1))
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + 1j*im, the same bits, with no temporary 1j*im."""
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
 
 
 def sample_gaussian_state(N: int, rng: RngStream) -> np.ndarray:
@@ -90,7 +99,7 @@ def sample_random_hamiltonian(N: int, rng: RngStream) -> QuadraticHamiltonian:
     """Random quadratic Hamiltonian with O(2N)-invariant Gaussian coefficients."""
     if N < 1:
         raise InvalidArgument(f"need N >= 1, got {N}")
-    h = _random_antisym(N, 1, rng.generator())[0]
+    h = _antisym(rng.generator().standard_normal((2 * N, 2 * N)))
     m, omega = antisym_canonical(h)
     return QuadraticHamiltonian(N=N, h=h, M=m, omega=omega)
 
@@ -145,14 +154,19 @@ def many_body_spectrum(ham: QuadraticHamiltonian) -> np.ndarray:
     return np.sort(energies)
 
 
-def _haar_pure_states(N: int, N_A: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    """``count`` Haar pure states of N modes, each as a 2^N_A x 2^(N - N_A) matrix."""
+def _haar_pure_draw(N: int, N_A: int, count: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts, each (count, 2^N_A, 2^(N - N_A)), of ``count`` unnormalised states."""
     if N > HAAR_PURE_MAX_MODES:
         raise ResourceLimit(f"haar pure states limited to N <= {HAAR_PURE_MAX_MODES}")
     SystemSplit(N, N_A)
-    shape = (count, 2**N_A, 2 ** (N - N_A))
-    psi = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-    psi /= np.linalg.norm(psi.reshape(count, 2**N), axis=1)[:, None, None]
+    re, im = gen.standard_normal((2, count, 2**N_A, 2 ** (N - N_A)))
+    return re, im
+
+
+def _haar_pure_states(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The Haar pure states of a :func:`_haar_pure_draw`, each as a 2^N_A x 2^(N - N_A) matrix."""
+    psi = _complex(re, im)
+    psi /= np.linalg.norm(psi.reshape(len(psi), -1), axis=1)[:, None, None]
     return psi
 
 
@@ -171,7 +185,7 @@ def _pure_entropies(psi: np.ndarray) -> np.ndarray:
 
 def sample_haar_pure_state(N: int, rng: RngStream) -> np.ndarray:
     """Haar-random unit vector in the full 2^N-dimensional Hilbert space."""
-    return _haar_pure_states(N, N, 1, rng.generator()).reshape(-1)
+    return _haar_pure_states(*_haar_pure_draw(N, N, 1, rng.generator())).reshape(-1)
 
 
 def entanglement_entropy_pure(psi: np.ndarray, N_A: int) -> float:
@@ -210,9 +224,10 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's p
 def _in_batches(count: int, per_sample: int, draw, reduce) -> np.ndarray:
     """Entropies ``reduce(*draw(b))`` over batches covering ``count``.
 
-    ``draw(b)`` makes all RNG calls of a batch and returns arrays of b rows;
-    ``reduce`` maps each row to its entropy alone, so row pieces of a batch are
-    reduced on the pool.  A piece's error is raised once every piece is done.
+    ``draw(b)`` makes the RNG calls of a batch and nothing else, and returns
+    arrays of b rows; ``reduce`` does all the arithmetic and maps each row to
+    its entropy alone, so row pieces of a batch are reduced on the pool.  A
+    piece's error is raised once every piece is done.
     """
     batch = max(1, min(_BATCH, _BATCH_ELEMENTS // per_sample))
     piece = -(-_PIECE_ELEMENTS // per_sample)  # fewest rows in a piece
@@ -258,26 +273,30 @@ def hamiltonian_eigenstate_entropies(
 ) -> np.ndarray:
     """Entropies of random-Hamiltonian eigenstates with uniform occupations.
 
-    v = p + i*q are the A rows of the positive-half eigenvectors of i*h; the
-    diagonalizer M of :func:`eigenstate_structure` has the rows sqrt(2) q^T,
-    sqrt(2) p^T, so [M^T D M]_A = 2 pair_block(q_A, p_A, 1 - 2*occ).
+    (u1, u2) are the oriented mode planes of h, ascending in omega.  Up to a
+    rotation within each plane they are the row pairs of the diagonalizer M of
+    :func:`eigenstate_structure`, so [M^T D M]_A = pair_block(u1_A, u2_A, 1 - 2*occ).
     """
     idx = subsystem_indices(SystemSplit(N, N_A))
 
     def draw(b):
-        return _random_antisym(N, b, gen), gen.integers(0, 2, size=(b, N))
+        return gen.standard_normal((b, 2 * N, 2 * N)), gen.integers(0, 2, size=(b, N))
 
-    def reduce(h, occ):
-        v = _positive_modes(h)[1][:, idx]
-        return mode_entropy(restrict_blocks(2.0 * pair_block(v.imag, v.real, 1.0 - 2.0 * occ))).sum(axis=1)
+    def reduce(g, occ):
+        u1, u2 = _mode_planes(_antisym(g))
+        return mode_entropy(restrict_blocks(pair_block(u1[:, idx], u2[:, idx], 1.0 - 2.0 * occ))).sum(axis=1)
 
     return _in_batches(count, 8 * N * N, draw, reduce)
 
 
 def haar_pure_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """Entropies of Haar pure states on the full 2^N Hilbert space."""
-    _haar_pure_states(N, N_A, 0, gen)  # the size guards, also for count = 0; draws nothing
-    return _in_batches(count, 2 ** (N + 1), lambda b: (_haar_pure_states(N, N_A, b, gen),), _pure_entropies)
+    _haar_pure_draw(N, N_A, 0, gen)  # the size guards, also for count = 0; draws nothing
+
+    def reduce(re, im):
+        return _pure_entropies(_haar_pure_states(re, im))
+
+    return _in_batches(count, 2 ** (N + 1), lambda b: _haar_pure_draw(N, N_A, b, gen), reduce)
 
 
 def number_conserving_entropies(
@@ -291,10 +310,12 @@ def number_conserving_entropies(
     SystemSplit(N, N_A)
 
     def draw(b):
-        return _complex_ginibre(N, b, gen, N_A), gen.integers(0, 2, size=(b, N))
+        re, im = gen.standard_normal((2, b, N, N_A))  # all real parts, then all imaginary parts
+        return re, im, gen.integers(0, 2, size=(b, N))
 
-    def reduce(g, occ):
-        lam = clip_unit(np.linalg.eigvalsh(correlation_block(_haar_q(g), occ)), "correlation spectrum")
+    def reduce(re, im, occ):
+        v = _haar_q(_complex(re, im))
+        lam = clip_unit(np.linalg.eigvalsh(correlation_block(v, occ)), "correlation spectrum")
         return mode_entropy(2.0 * lam - 1.0).sum(axis=1)
 
     return _in_batches(count, 2 * N * max(N_A, 1), draw, reduce)

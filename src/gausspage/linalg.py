@@ -1,10 +1,22 @@
 """Dense linear algebra on small matrices.
 
-Haar-orthogonal and Haar-unitary sampling, and the canonical
-(block-diagonal) form of real antisymmetric matrices, always through the
-Hermitian eigendecomposition of i*h (:func:`_positive_modes`).  Everything
-here is a pure function of its inputs; random draws are pure functions of an
-:class:`RngStream`.
+Haar-orthogonal and Haar-unitary sampling, and the invariant planes of real
+antisymmetric matrices h, by one of two routes:
+
+* :func:`antisym_canonical` takes the Hermitian eigendecomposition of i*h.
+  Its inputs may have exactly degenerate modes (zero modes, or the
+  Hamiltonians of :func:`gausspage.ensembles.from_particle_basis`), and it
+  splits them into orthonormal planes all the same.
+* :func:`_mode_planes` takes the real eigendecomposition of h h^T for the
+  random stacks of the Monte Carlo samplers, a Gaussian random h, whose
+  spectrum is simple with probability one.  It takes one real eigensolve in
+  place of a complex one, and a mode near omega = 0 costs it no accuracy.
+  Two modes i, j are told apart only to about
+  eps*|h|^2/|omega_i^2 - omega_j^2|, against eps*|h|/|omega_i - omega_j|
+  through i*h: its one weak case is a close pair of small modes.
+
+Everything here is a pure function of its inputs; random draws are pure
+functions of an :class:`RngStream`.
 """
 
 from __future__ import annotations
@@ -66,24 +78,19 @@ def _real_ginibre(dim: int, count: int, gen: np.random.Generator, cols: int | No
     return gen.standard_normal((count, dim, cols))
 
 
-def _complex_ginibre(dim: int, count: int, gen: np.random.Generator, cols: int) -> np.ndarray:
-    """The Ginibre stack whose :func:`_haar_q` is the leading ``cols`` columns of stacked Haar U(dim) samples."""
-    if not 0 <= cols <= dim:
-        raise InvalidArgument(f"need 0 <= cols <= dim, got dim={dim}, cols={cols}")
-    shape = (count, dim, cols)
-    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+def _mode_planes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oriented invariant planes (u1, u2) of a stack of real antisymmetric h, each (..., n, n/2).
 
-
-def _positive_modes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positive half (omega, v) of ``eigh(1j * h)`` for a stack of real antisymmetric h.
-
-    omega (..., n/2) is ascending; the columns v = p + i*q (..., n, n/2) obey
-    h p = omega q and h q = -omega p, and for omega > 0 the vectors sqrt(2) q,
-    sqrt(2) p of all modes are orthonormal.
+    h h^T = -h^2 has each omega_k^2 twice, so the eigenvector pairs of
+    ``eigh(h @ h^T)`` span the plane of mode k, in ascending omega as in the
+    positive half of ``eigh(1j * h)``.  u2_k is flipped where u1_k^T h u2_k < 0,
+    so that h u2_k = omega_k u1_k and h u1_k = -omega_k u2_k.  [u1, u2] is
+    orthogonal to rounding, and nothing divides by omega.
     """
-    w, v = np.linalg.eigh(1j * h)
-    n = h.shape[-1] // 2
-    return w[..., n:], v[..., n:]
+    u = np.linalg.eigh(h @ np.swapaxes(h, -2, -1))[1]
+    u1, u2 = u[..., 0::2], u[..., 1::2]
+    sigma = np.where(np.sum(u1 * (h @ u2), axis=-2) < 0.0, -1.0, 1.0)
+    return u1, u2 * sigma[..., None, :]
 
 
 def antisym_canonical(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,9 +102,10 @@ def antisym_canonical(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         M @ h @ M.T = direct_sum_i [[0, omega_i], [-omega_i, 0]].
 
     Row pair i of M is sqrt(2) q_i^T, sqrt(2) p_i^T for the eigenvector
-    p_i + i*q_i of i*h (:func:`_positive_modes`).  One QR of M^T, diag R >= 0,
-    makes M orthogonal to rounding, also when h has zero modes (last in M):
-    eigh splits the kernel into vectors whose p and q need not be orthonormal.
+    p_i + i*q_i of i*h with eigenvalue omega_i >= 0, so that h p_i = omega_i q_i
+    and h q_i = -omega_i p_i.  One QR of M^T, diag R >= 0, makes M orthogonal
+    to rounding, also when h has zero modes (last in M): eigh splits the
+    kernel into vectors whose p and q need not be orthonormal.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2 != 0 or h.shape[0] == 0:
@@ -106,7 +114,8 @@ def antisym_canonical(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = max(np.max(np.abs(h)), 1.0)
     if np.max(np.abs(h + h.T)) > 1e-10 * scale:
         raise InvalidArgument("matrix is not antisymmetric within tolerance")
-    omega, v = _positive_modes(h)
+    w, v = np.linalg.eigh(1j * h)
+    omega, v = w[n // 2 :], v[:, n // 2 :]  # the positive half, ascending
     m_t = np.stack([v.imag, v.real], axis=-1)[:, ::-1].reshape(n, n)  # columns q, p per mode, omega descending
     q, r = np.linalg.qr(np.sqrt(2.0) * m_t)
     return (q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)).T, np.maximum(omega[::-1], 0.0)

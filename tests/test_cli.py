@@ -229,6 +229,35 @@ class TestErrorPaths:
         assert err.startswith("error: cannot open --out") and len(err.splitlines()) == 1
         assert not path.parent.exists()
 
+    @pytest.mark.parametrize("where", ["missing parent", "file as parent", "directory"])
+    def test_out_path_is_refused_before_any_sampling(self, where, tmp_path, monkeypatch, capsys):
+        def never_called(N, N_A, count, gen):
+            raise AssertionError("sampled before the --out check")
+
+        monkeypatch.setattr(ensembles, "gaussian_entropies", never_called)
+        (tmp_path / "file").write_text("kept")
+        out = {"missing parent": tmp_path / "missing" / "x.csv", "file as parent": tmp_path / "file" / "x.csv",
+               "directory": tmp_path}[where]
+        argv = ["page-curve", "--N", "32", "--NA", "16", "--mode", "mc", "--samples", "20000", "--out", str(out)]
+        assert main(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot open --out") and len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"] and (tmp_path / "file").read_text() == "kept"
+
+    @pytest.mark.parametrize("error, code", [(ConsistencyError, EXIT_NUMERICAL), (ensembles.ResourceLimit, EXIT_RESOURCE)])
+    def test_a_failed_run_writes_no_out_file(self, error, code, tmp_path, monkeypatch, capsys):
+        def fails(N, N_A, count, gen):
+            raise error("failed")
+
+        monkeypatch.setattr(ensembles, "gaussian_entropies", fails)
+        kept = tmp_path / "kept.csv"
+        kept.write_text("an earlier table\n")
+        for out in (kept, tmp_path / "new.csv"):
+            argv = ["page-curve", "--N", "4", "--NA", "2", "--mode", "mc", "--samples", "10", "--out", str(out)]
+            assert main(argv) == code
+        assert capsys.readouterr().err == "error: failed\n" * 2
+        assert kept.read_text() == "an earlier table\n" and not (tmp_path / "new.csv").exists()
+
     def test_resource_guard(self, capsys):
         code = main(["page-curve", "--N", "20", "--ensemble", "haar-pure", "--mode", "mc", "--samples", "10"])
         assert code == 3

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from gausspage.linalg import InvalidArgument, RngStream, _complex_ginibre, _haar_q, haar_orthogonal
+from gausspage.linalg import InvalidArgument, RngStream, _haar_q, _mode_planes, haar_orthogonal
 from gausspage.gstates import (
     ConsistencyError,
     SystemSplit,
@@ -15,6 +15,7 @@ from gausspage.gstates import (
     entropy_from_spectrum,
     reference_structure,
     restrict,
+    restrict_blocks,
     subsystem_indices,
 )
 from gausspage.ensembles import (
@@ -106,11 +107,25 @@ class TestRestrictionOnlyBlocks:
     @pytest.mark.parametrize("N, N_A", [(2, 1), (6, 3), (9, 9), (16, 5)])
     def test_number_conserving_frame(self, N, N_A):
         gen = RngStream(34, N).generator()
-        u = _haar_q(_complex_ginibre(N, 1, gen, N))[0]
+        u = _haar_q(ensembles._complex(*gen.standard_normal((2, 1, N, N))))[0]
         occ = gen.integers(0, 2, size=N)
         ua = u[:N_A, :]
         per_sample = (ua * occ) @ ua.conj().T
         assert np.max(np.abs(correlation_block(ua.conj().T, occ) - per_sample)) <= 1e-12
+
+    @pytest.mark.parametrize("N, N_A", [(7, 3), (6, 5), (5, 5)])
+    def test_number_conserving_draw_order(self, N, N_A):
+        # real parts of the whole batch, then imaginary parts, then occupations
+        s = number_conserving_entropies(N, N_A, 6, RngStream(54, N).generator())
+        gen = RngStream(54, N).generator()
+        re = gen.standard_normal((6, N, N_A))
+        im = gen.standard_normal((6, N, N_A))
+        occ = gen.integers(0, 2, size=(6, N))
+        ref = []
+        for g, n in zip(re + 1j * im, occ):
+            lam = np.linalg.eigvalsh(correlation_block(_haar_q(g), n))
+            ref.append(entropy_from_spectrum(np.abs(2.0 * np.clip(lam, 0.0, 1.0) - 1.0)))
+        assert np.max(np.abs(s - ref)) <= 1e-12
 
     @pytest.mark.parametrize(
         "sampler", [gaussian_entropies, hamiltonian_eigenstate_entropies, number_conserving_entropies]
@@ -122,6 +137,73 @@ class TestRestrictionOnlyBlocks:
         for n_a in (-1, 5):
             with pytest.raises(InvalidArgument):
                 sampler(4, n_a, 3, gen)
+
+
+class TestRealModePlanes:
+    """The batched Hamiltonian sampler's real route: oriented planes of h h^T, no 1/omega."""
+
+    N, N_A = 8, 3
+
+    def planted(self, omega, seed):
+        # h = M^T W M for a Haar M and the ascending omega in W: helper and reference index modes alike
+        N = self.N
+        m = haar_orthogonal(2 * N, RngStream(seed))
+        signs = 1.0 - 2.0 * RngStream(seed, 1).generator().integers(0, 2, size=N)
+        k = 2 * np.arange(N)
+        w = np.zeros((2 * N, 2 * N))
+        w[k, k + 1] = omega
+        d = np.zeros((2 * N, 2 * N))
+        d[k, k + 1] = signs
+        idx = subsystem_indices(SystemSplit(N, self.N_A))
+        u1, u2 = _mode_planes(m.T @ (w - w.T) @ m)
+        block = pair_block(u1[idx], u2[idx], signs)
+        return block, (m.T @ (d - d.T) @ m)[np.ix_(idx, idx)]
+
+    @staticmethod
+    def pairing_split(block):
+        ev = np.linalg.eigvalsh(block.T @ block)[::-1]
+        return np.max(np.abs(ev[0::2] - ev[1::2]))
+
+    @pytest.mark.parametrize(
+        "low, bound",
+        [
+            ((), 1e-12),  # a generic spectrum
+            ((1e-12,), 1e-12),  # one mode near zero: through eigh(1j * h), off by about 1e-8 at these seeds
+            ((1e-3, 1e-3 + 1e-7), 1e-5),  # two close small modes, the route's one weak case: up to 5e-7 here
+        ],
+    )
+    @pytest.mark.parametrize("seed", [70, 71, 72])
+    def test_block_against_the_planted_eigenstate(self, low, bound, seed):
+        omega = np.sort(RngStream(seed, 2).generator().uniform(0.2, 2.0, self.N))
+        omega[: len(low)] = low
+        block, ref = self.planted(omega, seed)
+        assert np.max(np.abs(block - ref)) <= bound
+        assert self.pairing_split(block) <= 1e-14
+
+    def test_exact_zero_modes_keep_an_orientation(self):
+        # u1^T h u2 = 0 exactly: a sign of 0 would erase the plane and leave no complex structure
+        h = np.zeros((2, 6, 6))
+        h[1, 0, 1], h[1, 1, 0] = 1.0, -1.0
+        u1, u2 = _mode_planes(h)
+        j = pair_block(u1, u2)
+        assert np.max(np.abs(j @ np.swapaxes(j, -2, -1) - np.eye(6))) <= 1e-15
+        assert np.max(np.abs(j[1][:2, :2] - [[0.0, 1.0], [-1.0, 0.0]])) <= 1e-15
+
+    @pytest.mark.parametrize("N", [2, 5, 8, 12])
+    def test_sampler_against_the_complex_route(self, N):
+        # the same draws through eigh(1j * h), as in test_hamiltonian_a_rows
+        for N_A in sorted({0, 1, N // 2, N}):
+            s = hamiltonian_eigenstate_entropies(N, N_A, 64, RngStream(56, N).generator())
+            gen = RngStream(56, N).generator()
+            g = gen.standard_normal((64, 2 * N, 2 * N))
+            occ = gen.integers(0, 2, size=(64, N))
+            idx = subsystem_indices(SystemSplit(N, N_A))
+            ref = []
+            for h, n in zip(0.5 * (g - np.swapaxes(g, 1, 2)), occ):
+                v = np.linalg.eigh(1j * h)[1][idx, N:]
+                block = 2.0 * pair_block(v.imag, v.real, 1.0 - 2.0 * n)
+                ref.append(entropy_from_spectrum(restrict_blocks(block[None])[0]))
+            assert np.max(np.abs(s - ref)) <= 1e-12
 
 
 class TestRandomHamiltonian:

@@ -1,5 +1,8 @@
 """Command-line surface: curve, density, distribution and variance tables.
 
+Every command takes ``--N``, ``--NA``, ``--seed``, ``--format`` and ``--out``
+and, beyond them, only the options it reads (``_COMMANDS``): any other exits
+2.  ``--NA`` is an integer; ``page-curve`` also takes ``sweep``, its default.
 Emits CSV (default) or JSON.  The first CSV line is the versioned header
 ``# gaussian-page v1``; every numeric field uses 17 significant digits so
 values round-trip exactly.  The default seed is a fixed constant
@@ -51,6 +54,15 @@ _GAUSSIAN_LAW = ("gaussian", "hamiltonian")
 MODES = ("exact", "quadrature", "mc", "limit")
 _WORKERS_HELP = ("split samples into this many RNG streams, which fix the result; each batch's linear algebra"
                  " runs on the available cores, and the output does not depend on their number")
+# Options beyond the common --N, --NA, --seed, --format and --out; each command takes those it reads.
+_OPTIONS = {
+    "ensemble": {"choices": ENSEMBLES, "default": "gaussian"},
+    "mode": {"choices": MODES, "default": "exact"},
+    "samples": {"type": int, "default": 10_000},
+    "workers": {"type": int, "default": 1, "help": _WORKERS_HELP},
+    "points": {"type": int, "default": 101},
+    "bins": {"type": int, "default": 50},
+}
 
 
 def _fmt(x) -> str:
@@ -64,7 +76,7 @@ def _emit(config: argparse.Namespace, columns: list[str], rows: list[list]) -> N
         payload = {
             "version": HEADER.lstrip("# "),
             "columns": columns,
-            "rows": [[(f"{v:.17g}" if isinstance(v, float) else v) for v in row] for row in rows],
+            "rows": [[_fmt(v) if isinstance(v, float) else v for v in row] for row in rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -110,46 +122,32 @@ def _smaller_side(N: int, n_a: int) -> int:
     return min(n_a, N - n_a)
 
 
+# (value, std) of each analytic (mode, ensemble) at N and 1 <= k <= N/2; mode mc serves every ensemble.
+_ANALYTIC = {
+    ("exact", "gaussian"): lambda N, k: (formulas.gaussian_average_exact(N, k), math.sqrt(rmt.variance_finite_N(N, k))),
+    ("exact", "haar-pure"): lambda N, k: (formulas.page_average_exact(N, k), math.nan),
+    ("quadrature", "gaussian"): lambda N, k: (rmt.average_entropy_quadrature(rmt.build_kernel_ctx(k, N - 2 * k)), math.nan),
+    ("limit", "gaussian"): lambda N, k: (formulas.gaussian_thermo(N, k / N), formulas.gaussian_std_limit(k / N)),
+    ("limit", "haar-pure"): lambda N, k: (formulas.page_thermo(N, k / N), formulas.page_std_thermo(N, k / N)),
+    ("limit", "number-conserving"): lambda N, k: (N * formulas.lrv_density(k / N), math.nan),
+}
+
+
 def _curve_row(config: argparse.Namespace, n_a: int) -> list:
-    N = config.N
+    N, mode, ens = config.N, config.mode, config.ensemble
     k = _smaller_side(N, n_a)
-    mode, ens = config.mode, config.ensemble
-    std = math.nan
-    std_error = math.nan
-    samples = 0
-    if mode == "exact":
-        if ens == "gaussian":
-            value = formulas.gaussian_average_exact(N, k)
-            std = math.sqrt(rmt.variance_finite_N(N, k))
-        elif ens == "haar-pure":
-            value = formulas.page_average_exact(N, k)
-        else:
-            raise InvalidArgument(f"mode 'exact' is not available for ensemble {ens!r}")
-    elif mode == "quadrature":
-        if ens != "gaussian":
-            raise InvalidArgument("mode 'quadrature' requires the gaussian ensemble")
-        value = rmt.average_entropy_quadrature(rmt.build_kernel_ctx(k, N - 2 * k)) if k else 0.0
-    elif mode == "mc":
+    std_error, samples = math.nan, 0
+    if mode == "mc":
         if n_a == 0:
-            value, std, std_error, samples = 0.0, 0.0, 0.0, 0
+            value, std, std_error = 0.0, 0.0, 0.0
         else:
             est = stats.mc_estimate(_mc_sampler(config, n_a), config.samples, config.seed, config.workers)
             value, std, std_error, samples = est.mean, math.sqrt(est.variance), est.std_error, est.n
-    elif mode == "limit":
-        if ens == "hamiltonian":
-            raise InvalidArgument(f"mode 'limit' is not available for ensemble {ens!r}")
-        if k == 0:
-            value = 0.0
-        elif ens == "gaussian":
-            value = formulas.gaussian_thermo(N, k / N)
-            std = formulas.gaussian_std_limit(k / N)
-        elif ens == "haar-pure":
-            value = formulas.page_thermo(N, k / N)
-            std = formulas.page_std_thermo(N, k / N)
-        else:
-            value = N * formulas.lrv_density(k / N)
+    elif (mode, ens) in _ANALYTIC:
+        # S_A = 0 at k = 0; the exact formulas give it (with std 0 for the Gaussian law), the others take no f = 0
+        value, std = _ANALYTIC[mode, ens](N, k) if k or mode == "exact" else (0.0, math.nan)
     else:
-        raise InvalidArgument(f"unknown mode {mode!r}")
+        raise InvalidArgument(f"mode {mode!r} is not available for ensemble {ens!r}")
     return [N, n_a, n_a / N, value, std, std_error, samples, mode, ens]
 
 
@@ -211,38 +209,36 @@ def run_dist(config: argparse.Namespace) -> None:
     _emit(config, ["bin_lo", "bin_hi", "count"], rows)
 
 
+# Each command's run function and the options it reads beyond the common ones.
 _COMMANDS = {
-    "page-curve": run_page_curve,
-    "density": run_density,
-    "variance": run_variance,
-    "sample": run_sample,
-    "dist": run_dist,
+    "page-curve": (run_page_curve, ("ensemble", "mode", "samples", "workers")),
+    "density": (run_density, ("points",)),
+    "variance": (run_variance, ("ensemble", "samples", "workers")),
+    "sample": (run_sample, ("ensemble", "samples")),
+    "dist": (run_dist, ("ensemble", "samples", "bins")),
 }
+_NA_HELP = {"page-curve": "subsystem size, or 'sweep' (the default): every N_A from 0 to N/2",
+            "variance": "subsystem size (default N/2)"}
+_EXIT_CODES = {InvalidArgument: EXIT_INVALID, ensembles.ResourceLimit: EXIT_RESOURCE, ConsistencyError: EXIT_NUMERICAL}
 
 
 def run(config: argparse.Namespace) -> int:
     try:
         if config.N < 1:
             raise InvalidArgument(f"need N >= 1, got {config.N}")
-        if config.samples < 0 or config.points < 1:
+        if vars(config).get("samples", 0) < 0 or vars(config).get("points", 1) < 1:
             raise InvalidArgument("need --samples >= 0 and --points >= 1")
         if config.out:
             _check_out(config.out)
-        _COMMANDS[config.command](config)
-    except InvalidArgument as exc:
+        _COMMANDS[config.command][0](config)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ensembles.ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
     return EXIT_OK
 
 
 def _subsystem_size(text: str) -> int | None:
-    """``--NA``: an integer, or ``sweep`` (None: every N_A from 0 to N/2)."""
+    """``page-curve --NA``: an integer, or ``sweep`` (None: every N_A from 0 to N/2)."""
     try:
         return None if text == "sweep" else int(text)
     except ValueError:
@@ -256,21 +252,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Entanglement entropy statistics of random fermionic Gaussian states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, options) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--N", type=int, required=True)
-        p.add_argument(
-            "--NA", dest="N_A", metavar="NA", type=_subsystem_size, help="subsystem size, or 'sweep' (page-curve default)"
-        )
-        p.add_argument("--ensemble", choices=ENSEMBLES, default="gaussian")
-        p.add_argument("--mode", choices=MODES, default="exact")
-        p.add_argument("--samples", type=int, default=10_000)
+        p.add_argument("--NA", dest="N_A", metavar="NA", type=_subsystem_size if name == "page-curve" else int,
+                       help=_NA_HELP.get(name, "subsystem size (required)"))
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
         p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
         p.add_argument("--out", default=None)
-        p.add_argument("--points", type=int, default=101)
-        p.add_argument("--bins", type=int, default=50)
+        for option in options:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 

@@ -39,7 +39,7 @@ from gausspage.linalg import (
     antisym_canonical,
     haar_orthogonal,
 )
-from gausspage.gstates import SystemSplit, clip_unit, mode_entropy, restrict_blocks, subsystem_indices
+from gausspage.gstates import SystemSplit, _xlogx, clip_unit, mode_entropy, restrict_blocks, subsystem_indices
 
 HAAR_PURE_MAX_MODES = 14
 
@@ -180,7 +180,7 @@ def _pure_entropies(psi: np.ndarray) -> np.ndarray:
     if psi.shape[-2] > psi.shape[-1]:
         psi = np.swapaxes(psi, -2, -1)
     lam = clip_unit(np.linalg.eigvalsh(psi @ np.swapaxes(psi.conj(), -2, -1)), "reduced density spectrum")
-    return -np.sum(lam * np.log(np.where(lam > 0, lam, 1.0)), axis=-1)
+    return -np.sum(_xlogx(lam), axis=-1)
 
 
 def sample_haar_pure_state(N: int, rng: RngStream) -> np.ndarray:

@@ -54,14 +54,15 @@ class SystemSplit:
         return self.N_A / self.N
 
 
+def _xlogx(p: np.ndarray) -> np.ndarray:
+    """p log p elementwise, with 0 log 0 = 0."""
+    return p * np.log(np.where(p > 0.0, p, 1.0))
+
+
 def mode_entropy(x):
     """Single-mode entropy s(x) in nats, vectorized, with s(1) = 0 exactly."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape)
-    for sign in (1.0, -1.0):
-        p = 0.5 * (1.0 + sign * x)
-        mask = p > 0.0
-        out = out - np.where(mask, p * np.log(np.where(mask, p, 1.0)), 0.0)
+    out = 0.0 - _xlogx(0.5 * (1.0 + x)) - _xlogx(0.5 * (1.0 - x))  # 0.0 - 0.0: s(1) is +0.0, not -0.0
     return out if out.shape else float(out)
 
 

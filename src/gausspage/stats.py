@@ -32,8 +32,6 @@ class MCEstimate:
     variance: float  # unbiased (n-1) estimator
     std_error: float
     n: int
-    seed: int
-    workers: int
     fourth_central: float = float("nan")
 
     def variance_std_error(self) -> float:
@@ -87,7 +85,8 @@ def mc_estimate(sampler: Sampler, n: int, seed: int, workers: int = 1) -> MCEsti
 
     The sampler is called with a per-stream generator and a count and must
     return that many samples.  Stream w receives n//workers samples plus one
-    of the remainder; streams are merged in increasing stream id.
+    of the remainder; streams are merged in increasing stream id.  Streams
+    past the n-th would draw nothing, so at most n are visited.
     """
     if n < 2:
         raise InvalidArgument(f"need n >= 2 samples, got {n}")
@@ -95,10 +94,8 @@ def mc_estimate(sampler: Sampler, n: int, seed: int, workers: int = 1) -> MCEsti
         raise InvalidArgument("need at least one worker")
     base, rem = divmod(n, workers)
     moments = _Moments()
-    for w in range(workers):
+    for w in range(min(workers, n)):
         count = base + (1 if w < rem else 0)
-        if count == 0:
-            continue
         gen = RngStream(seed, w).generator()
         done = 0
         stream_moments = _Moments()
@@ -113,8 +110,6 @@ def mc_estimate(sampler: Sampler, n: int, seed: int, workers: int = 1) -> MCEsti
         variance=variance,
         std_error=float(np.sqrt(variance / moments.n)),
         n=moments.n,
-        seed=seed,
-        workers=workers,
         fourth_central=moments.m4 / moments.n,
     )
 

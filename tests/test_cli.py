@@ -14,6 +14,7 @@ import gausspage
 from gausspage import ensembles, rmt
 from gausspage.cli import (
     _COMMANDS,
+    _OPTIONS,
     DEFAULT_SEED,
     ENSEMBLES,
     EXIT_INVALID,
@@ -214,13 +215,13 @@ class TestSampleAndDist:
 
 
 class TestErrorPaths:
-    @pytest.mark.parametrize("mode", ["exact", "limit"])
+    @pytest.mark.parametrize("mode", ["exact", "quadrature", "limit"])
     @pytest.mark.parametrize("n_a", ["0", "1", "4"])
     def test_invalid_combination(self, mode, n_a, capsys):
         # the answer does not depend on N_A, also where N_A in {0, N} has a zero shortcut
         code = main(["page-curve", "--N", "4", "--NA", n_a, "--ensemble", "hamiltonian", "--mode", mode])
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: mode {mode!r} is not available for ensemble 'hamiltonian'\n"
 
     def test_unopenable_out_path(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.csv"
@@ -358,8 +359,11 @@ def test_arguments_reach_documented_exit_codes(command, mode, ensemble, N, data)
     n_a = data.draw(st.one_of(st.integers(-2, max(N, 0) + 2), st.just("sweep"), st.text(max_size=4)), label="NA")
     samples = data.draw(st.integers(-1, 32), label="samples")
     workers = data.draw(st.integers(1, 2), label="workers")
-    argv = [command, "--mode", mode, "--ensemble", ensemble, "--N", str(N), "--NA", str(n_a),
-            "--samples", str(samples), "--workers", str(workers), "--points", "11"]
+    bins = data.draw(st.integers(0, 8), label="bins")
+    values = {"mode": mode, "ensemble": ensemble, "samples": samples, "workers": workers, "points": 11, "bins": bins}
+    argv = [command, "--N", str(N), "--NA", str(n_a)]
+    for option in _COMMANDS[command][1]:  # only the options the command reads
+        argv += [f"--{option}", str(values[option])]
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         try:
             code = main(argv)
@@ -367,6 +371,29 @@ def test_arguments_reach_documented_exit_codes(command, mode, ensemble, N, data)
             code = exc.code
     assert code in (EXIT_OK, EXIT_INVALID, EXIT_RESOURCE, EXIT_NUMERICAL)
     assert (code == EXIT_OK) == ("error" not in err.getvalue())
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command, (_, options) in _COMMANDS.items() for option in _OPTIONS if option not in options],
+)
+def test_an_option_the_command_does_not_read_exits_2(command, option, capsys):
+    # 17 such pairs: 5 commands x 6 options less the 13 options the commands read
+    argv = [command, "--N", "4", "--NA", "2"]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--{option}", str(_OPTIONS[option]["default"])])
+    assert exc.value.code == EXIT_INVALID
+    assert f"error: unrecognized arguments: --{option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [command for command in _COMMANDS if command != "page-curve"])
+def test_only_page_curve_sweeps_the_subsystem(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--N", "4", "--NA", "sweep"])
+    assert exc.value.code == EXIT_INVALID
+    assert "error: argument --NA: invalid int value: 'sweep'" in capsys.readouterr().err
 
 
 def run_fresh(code):

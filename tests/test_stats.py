@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gausspage.linalg import InvalidArgument
+from gausspage.linalg import InvalidArgument, RngStream
 from gausspage.stats import (
     _Moments,
     histogram,
@@ -38,10 +38,23 @@ class TestMcEstimate:
         assert a == b
 
     def test_worker_partition_fixed_by_stream(self):
-        # same per-stream budgets => identical result regardless of call order
+        # stream w draws its n/workers samples from RngStream(seed, w), whatever the call order
         a = mc_estimate(uniform_sampler, 9999, seed=3, workers=3)
         assert a.n == 9999
-        assert a.workers == 3
+        draws = np.concatenate([RngStream(3, w).generator().random(3333) for w in range(3)])
+        assert a.mean == pytest.approx(np.mean(draws), rel=1e-14)
+        assert a.variance == pytest.approx(np.var(draws, ddof=1), rel=1e-12)
+
+    def test_streams_past_the_samples_are_not_visited(self):
+        # with more workers than samples, streams past the n-th draw nothing: 10**12 of them cost nothing
+        counts = []
+
+        def counting(gen, n):
+            counts.append(n)
+            return gen.random(n)
+
+        assert mc_estimate(counting, 10, seed=5, workers=10**12) == mc_estimate(uniform_sampler, 10, seed=5, workers=10)
+        assert counts == [1] * 10
 
     def test_streaming_matches_two_pass(self):
         gen = np.random.default_rng(4)

@@ -226,8 +226,11 @@ def run(config: argparse.Namespace) -> int:
     try:
         if config.N < 1:
             raise InvalidArgument(f"need N >= 1, got {config.N}")
-        if vars(config).get("samples", 0) < 0 or vars(config).get("points", 1) < 1:
-            raise InvalidArgument("need --samples >= 0 and --points >= 1")
+        given = vars(config)
+        if given.get("samples", 0) < 0 or given.get("points", 1) < 1 or given.get("workers", 1) < 1:
+            raise InvalidArgument("need --samples >= 0, --points >= 1 and --workers >= 1")
+        if (given.get("mode") == "mc" or config.command == "variance" and config.samples) and config.samples < 2:
+            raise InvalidArgument("a Monte Carlo mean and variance need --samples >= 2")
         if config.out:
             _check_out(config.out)
         _COMMANDS[config.command][0](config)

@@ -12,6 +12,12 @@ The psi_j are orthonormal on [0, 1] directly (verified at context build; no
 interval rescaling is needed).  Averages of sum_i s(x_i) reduce to
 one-dimensional integrals against the level density rho = K(x,x)/N_A.
 
+By the quadratic transformation P^{(Delta,Delta)}_{2j}(x) ~ P^{(Delta,-1/2)}_j(t),
+t = 2x^2 - 1 (Szego, Orthogonal Polynomials, 4.1), psi_j = 2^{Delta/2 + 3/4}
+(1 - x^2)^{Delta/2} p_j(t) with p_j orthonormal for (1 - t)^Delta (1 + t)^{-1/2}.
+One recurrence in t yields the psi_j a row at a time from psi_0, so K(x, x) is
+a running sum in O(len(x)) memory and no degree x nodes table is built.
+
 psi_i psi_j (i, j < j_max) is a polynomial of degree 4(j_max-1) + 2 Delta,
 exact under n Gauss-Legendre nodes once 2n - 1 reaches it.  Integrals of
 s(x) psi_i psi_j use 2 j_max + Delta + 16 nodes per graded panel (rounded up
@@ -23,30 +29,21 @@ polynomial integrands (Gram matrix, K(x, x), K(z, x) K(z, y)), exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from gausspage.linalg import InvalidArgument
 from gausspage.gstates import ConsistencyError, SystemSplit, mode_entropy
-from gausspage.special import QuadratureRule, gauss_legendre, jacobi_all, panel_rule, unit_interval_rule
+from gausspage.special import QuadratureRule, gauss_legendre, jacobi_orthonormal, panel_rule, unit_interval_rule
 from gausspage.formulas import s2_closed_form
 
 ORTHONORMALITY_TOL = 1e-10
 QUADRATURE_TOL = 1e-10  # |integral(2n) - integral(n)| that ends the order doubling
 VARIANCE_TAIL_TOL = 1e-10  # bound on the truncated tails of the variance series, summed over rows
 _MAX_DOUBLINGS = 6
-_CHUNK_ELEMENTS = 1 << 22  # largest array of one density_cdf chunk, in words
-
-
-def _log_c(j: int, delta: int) -> float:
-    return (
-        2.0 * delta * math.log(2.0)
-        + 2.0 * math.lgamma(2.0 * j + delta + 1.0)
-        - math.lgamma(2.0 * j + 1.0)
-        - math.lgamma(2.0 * j + 2.0 * delta + 1.0)
-        - math.log(4.0 * j + 2.0 * delta + 1.0)
-    )
+_CHUNK_ELEMENTS = 1 << 20  # largest array of one density_cdf chunk, points x 24 nodes, in words
 
 
 @dataclass(frozen=True)
@@ -55,23 +52,24 @@ class JacobiKernelCtx:
 
     n_a: int
     delta: int
-    log_c: np.ndarray  # log normalizations, length n_a
     quadrature: QuadratureRule
 
-    @property
-    def c(self) -> np.ndarray:
-        return np.exp(self.log_c)
+
+def _rows(delta: int, x: np.ndarray, jmax: int) -> Iterator[np.ndarray]:
+    """psi_0..psi_{jmax-1} at x, one row at a time (see the module docstring)."""
+    # psi_0 = (1 - x^2)^{Delta/2} / sqrt(c_0), with c_0 = sqrt(pi) Delta! / (2 Gamma(Delta + 3/2))
+    scale = math.sqrt(2.0 / math.sqrt(math.pi)) * math.exp(0.5 * (math.lgamma(delta + 1.5) - math.lgamma(delta + 1.0)))
+    return jacobi_orthonormal(jmax, delta, -0.5, 2.0 * x * x - 1.0, scale * (1.0 - x * x) ** (0.5 * delta))
 
 
 def wavefunctions(ctx: JacobiKernelCtx, x: np.ndarray, jmax: int | None = None) -> np.ndarray:
-    """psi_0..psi_{jmax-1} evaluated at x, shape (jmax, len(x))."""
-    if jmax is None:
-        jmax = ctx.n_a
+    """psi_0..psi_{jmax-1} evaluated at x, shape (jmax, len(x)); jmax (default N_A) may exceed N_A."""
     x = np.asarray(x, dtype=float)
-    poly = jacobi_all(2 * (jmax - 1), ctx.delta, ctx.delta, x)[0 :: 2]
-    log_c = ctx.log_c[:jmax] if jmax <= ctx.n_a else np.array([_log_c(j, ctx.delta) for j in range(jmax)])
-    weight = (1.0 - x * x) ** (0.5 * ctx.delta)
-    return poly * weight[None, :] / np.exp(0.5 * log_c)[:, None]
+    jmax = ctx.n_a if jmax is None else jmax
+    out = np.empty((jmax, x.size))
+    for j, row in enumerate(_rows(ctx.delta, x, jmax)):
+        out[j] = row
+    return out
 
 
 def _panel_order(jmax: int, delta: int) -> int:
@@ -80,15 +78,10 @@ def _panel_order(jmax: int, delta: int) -> int:
 
 
 def build_kernel_ctx(n_a: int, delta: int) -> JacobiKernelCtx:
-    """Precompute normalizations and quadrature; verifies orthonormality."""
+    """Precompute the quadrature; verifies orthonormality."""
     if n_a < 1 or delta < 0:
         raise InvalidArgument(f"need N_A >= 1 and Delta >= 0, got ({n_a}, {delta})")
-    ctx = JacobiKernelCtx(
-        n_a=n_a,
-        delta=delta,
-        log_c=np.array([_log_c(j, delta) for j in range(n_a)]),
-        quadrature=panel_rule(_panel_order(n_a, delta), [(0.0, 1.0)]),
-    )
+    ctx = JacobiKernelCtx(n_a=n_a, delta=delta, quadrature=panel_rule(_panel_order(n_a, delta), [(0.0, 1.0)]))
     psi = wavefunctions(ctx, ctx.quadrature.nodes)
     gram = (psi * ctx.quadrature.weights) @ psi.T
     err = np.max(np.abs(gram - np.eye(n_a)))
@@ -110,8 +103,7 @@ def kernel(ctx: JacobiKernelCtx, x, y) -> float | np.ndarray:
 def level_density(ctx: JacobiKernelCtx, x) -> float | np.ndarray:
     """Level density rho(x) = K(x, x)/N_A, normalized to unit integral."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    psi = wavefunctions(ctx, x)
-    val = np.sum(psi * psi, axis=0) / ctx.n_a
+    val = sum(row * row for row in _rows(ctx.delta, x, ctx.n_a)) / ctx.n_a  # K(x, x), summed row by row
     return float(val[0]) if val.size == 1 else val
 
 
@@ -119,15 +111,15 @@ def density_cdf(ctx: JacobiKernelCtx, grid: np.ndarray) -> np.ndarray:
     """CDF of the level density at the given sorted grid points.
 
     A 24-node Gauss-Legendre rule per interval from 0 through the grid, in
-    chunks whose largest array stays below 2^22 words, summed cumulatively;
-    accurate to quadrature level for use in one-sample KS tests.
+    chunks whose largest array, points x 24 nodes, stays below 2^20 words,
+    summed cumulatively; accurate to quadrature level for one-sample KS tests.
     """
     base = gauss_legendre(24)
     edges = np.concatenate([[0.0], np.asarray(grid, dtype=float)])
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
     pieces = np.empty(half.size)
-    chunk = max(1, _CHUNK_ELEMENTS // (base.nodes.size * (2 * ctx.n_a - 1)))
+    chunk = max(1, _CHUNK_ELEMENTS // base.nodes.size)
     for start in range(0, half.size, chunk):
         h, m = half[start : start + chunk, None], mid[start : start + chunk, None]
         rho = level_density(ctx, (h * base.nodes + m).ravel())
@@ -137,9 +129,7 @@ def density_cdf(ctx: JacobiKernelCtx, grid: np.ndarray) -> np.ndarray:
 
 def _entropy_integral(ctx: JacobiKernelCtx, order: int) -> float:
     rule = unit_interval_rule(order)
-    psi = wavefunctions(ctx, rule.nodes)
-    density_times_na = np.sum(psi * psi, axis=0)
-    return rule.integrate(mode_entropy(rule.nodes) * density_times_na)
+    return ctx.n_a * rule.integrate(mode_entropy(rule.nodes) * level_density(ctx, rule.nodes))
 
 
 def _converged(integral, order: int, what: str) -> float:
@@ -163,8 +153,7 @@ def average_entropy_quadrature(ctx: JacobiKernelCtx) -> float:
 def s_ij_quadrature(ctx: JacobiKernelCtx, i: int, j: int) -> float:
     """Matrix element s_ij = integral of s(x) psi_i(x) psi_j(x) dx.
 
-    The basis index may exceed N_A, as j >= N_A does in the variance sum; the
-    normalizations are extended on demand.
+    The basis index may exceed N_A, as j >= N_A does in the variance sum.
     """
     if i < 0 or j < 0:
         raise InvalidArgument("indices must be non-negative")

@@ -3,15 +3,16 @@
 The digamma implementation follows the classic recipe (upward recurrence to
 argument >= 10, then the Bernoulli asymptotic series through B14), which is
 uniformly accurate to ~1e-12 on (0, 1e6] and keeps improving for larger
-arguments.  Jacobi polynomials are evaluated by the three-term recurrence
-only; closed forms with factorial ratios are unstable at the degrees we need
-(up to ~500).
+arguments.  Orthonormal Jacobi polynomials for any weight (a, b) come from
+their recurrence a row at a time, with no degree x points table (``rmt`` uses
+(Delta, -1/2) in t = 2x^2 - 1); factorial-ratio closed forms are unstable.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,21 +49,28 @@ def digamma(z: float) -> float:
     return acc + math.log(z) - 0.5 / z + series
 
 
-def jacobi_all(nmax: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """All Jacobi polynomials P_0..P_nmax at points x, shape (nmax+1, len(x))."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1, x.size))
-    out[0] = 1.0
-    if nmax == 0:
-        return out
-    out[1] = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    for n in range(2, nmax + 1):
-        c1 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
-        c2 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
-        c3 = (2.0 * n + a + b - 1.0) * (2.0 * n + a + b) * (2.0 * n + a + b - 2.0)
-        c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
-        out[n] = ((c2 + c3 * x) * out[n - 1] - c4 * out[n - 2]) / c1
-    return out
+def jacobi_orthonormal(count: int, a: float, b: float, t: np.ndarray, row0: np.ndarray) -> Iterator[np.ndarray]:
+    """Rows f p_0, ..., f p_{count-1} at t, each a new array, from row0 = f p_0 for any factor f.
+
+    p_n are the orthonormal Jacobi polynomials for the weight (1 - t)^a (1 + t)^b on [-1, 1], with positive
+    leading coefficients: p_0 = 1 / sqrt(integral of the weight), and
+    t p_n = sqrt(beta_{n+1}) p_{n+1} + alpha_n p_n + sqrt(beta_n) p_{n-1}.
+    """
+    t = np.asarray(t, dtype=float)
+    prev, row, sqrt_beta = 0.0, np.asarray(row0, dtype=float), 0.0
+    for n in range(count):
+        yield row
+        if n + 1 == count:
+            return
+        s, m = 2.0 * n + a + b, n + 1.0
+        if n == 0:  # the general forms below are 0/0 at a + b = 0 (alpha_0) and a + b = -1 (beta_1)
+            alpha, beta = (b - a) / (s + 2.0), 4.0 * (a + 1.0) * (b + 1.0) / ((s + 2.0) ** 2 * (s + 3.0))
+        else:
+            alpha = (b * b - a * a) / (s * (s + 2.0))
+            beta = 4.0 * m * (m + a) * (m + b) * (m + a + b) / ((s + 2.0) ** 2 * (s + 3.0) * (s + 1.0))
+        nxt = (t - alpha) * row - sqrt_beta * prev
+        sqrt_beta = math.sqrt(beta)
+        prev, row = row, nxt / sqrt_beta
 
 
 @dataclass(frozen=True)

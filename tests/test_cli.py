@@ -284,6 +284,37 @@ class TestErrorPaths:
         assert main(args) == EXIT_INVALID
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["page-curve", "--N", "4", "--NA", "0", "--mode", "mc", "--samples", "1", "--workers", "0"],
+            ["page-curve", "--N", "4", "--NA", "1", "--mode", "mc", "--samples", "1", "--workers", "0"],
+            ["page-curve", "--N", "4", "--NA", "0", "--mode", "mc", "--samples", "2", "--workers", "0"],
+            ["page-curve", "--N", "4", "--mode", "exact", "--workers", "-1"],
+            ["page-curve", "--N", "4", "--NA", "0", "--mode", "mc", "--samples", "1"],
+            ["page-curve", "--N", "4", "--NA", "1", "--mode", "mc", "--samples", "1"],
+            ["page-curve", "--N", "4", "--NA", "0", "--mode", "mc", "--samples", "0"],
+            ["variance", "--N", "4", "--samples", "0", "--workers", "-5"],
+            ["variance", "--N", "4", "--NA", "0", "--samples", "1"],
+            ["variance", "--N", "4", "--samples", "1"],
+        ],
+    )
+    def test_samples_and_workers_are_checked_whatever_the_subsystem(self, args, capsys):
+        # --workers >= 1 wherever it is read; a Monte Carlo mean and variance need at least 2 samples
+        assert main(args) == EXIT_INVALID
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["variance", "--N", "4", "--samples", "0"],
+            ["page-curve", "--N", "4", "--NA", "0", "--mode", "mc", "--samples", "2"],
+        ],
+    )
+    def test_smallest_valid_sample_counts(self, args, capsys):
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("n_a", ["abc", "1.5", ""])
     def test_rejects_a_non_integer_subsystem(self, n_a, capsys):
         with pytest.raises(SystemExit) as exc:

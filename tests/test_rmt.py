@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 
 from gausspage.linalg import InvalidArgument, RngStream, haar_orthogonal_batch
 from gausspage.gstates import ConsistencyError, reference_structure
@@ -20,18 +22,41 @@ from gausspage.special import gauss_legendre
 from gausspage.stats import ks_one_sample_critical, ks_statistic_one_sample
 
 
+def reference_c(j, delta):
+    """c_j of the module docstring, from its factorials."""
+    return math.exp(
+        2.0 * delta * math.log(2.0) + 2.0 * math.lgamma(2.0 * j + delta + 1.0) - math.lgamma(2.0 * j + 1.0)
+        - math.lgamma(2.0 * j + 2.0 * delta + 1.0) - math.log(4.0 * j + 2.0 * delta + 1.0)
+    )
+
+
+def reference_psi(j, delta, x):
+    """psi_j of the module docstring: (1 - x^2)^{Delta/2} P_{2j}^{(Delta,Delta)}(x) / sqrt(c_j)."""
+    x = np.asarray(x, dtype=float)
+    poly = scipy.special.eval_jacobi(2 * j, delta, delta, x)
+    return (1.0 - x * x) ** (0.5 * delta) * poly / math.sqrt(reference_c(j, delta))
+
+
 class TestKernelCtx:
     def test_normalizations_delta0(self):
-        ctx = build_kernel_ctx(2, 0)
-        assert np.allclose(ctx.c, [1.0, 0.2], rtol=1e-12)
+        assert np.allclose([reference_c(0, 0), reference_c(1, 0)], [1.0, 0.2], rtol=1e-12)
 
     def test_normalizations_delta1(self):
-        ctx = build_kernel_ctx(1, 1)
-        assert abs(ctx.c[0] - 2.0 / 3.0) <= 1e-12
+        assert abs(reference_c(0, 1) - 2.0 / 3.0) <= 1e-12
 
     def test_positive(self):
+        # c_j > 0, and psi_j has the sign of P_{2j}: positive beyond its largest zero
         ctx = build_kernel_ctx(8, 5)
-        assert np.all(ctx.c > 0)
+        assert all(reference_c(j, 5) > 0 for j in range(8))
+        assert np.all(wavefunctions(ctx, [0.9999]) > 0)
+
+    @pytest.mark.parametrize("delta", [0, 1, 7, 40, 192])
+    def test_wavefunctions_match_the_definition(self, delta):
+        ctx = build_kernel_ctx(1, delta)
+        x = np.array([0.0, 1.0])
+        ref = np.array([reference_psi(j, delta, x) for j in range(12)])
+        got = wavefunctions(ctx, x, jmax=12)
+        assert np.all(np.abs(got - ref) <= 1e-11 * np.maximum(np.abs(ref), 1.0))
 
     @pytest.mark.parametrize("n_a,delta", [(1, 0), (2, 1), (5, 5), (20, 20)])
     def test_orthonormality(self, n_a, delta):
@@ -111,9 +136,22 @@ class TestLevelDensity:
             half = 0.5 * (b - a)
             acc += half * float(np.dot(base.weights, level_density(ctx, half * base.nodes + 0.5 * (a + b))))
             expected.append(acc)
+        chunks = []
+        monkeypatch.setattr(rmt, "level_density", lambda ctx, x: chunks.append(x.size) or level_density(ctx, x))
         assert np.max(np.abs(density_cdf(ctx, grid) - np.array(expected))) <= 1e-13
+        assert len(chunks) >= 2 and sum(chunks) == 24 * grid.size
         assert abs(density_cdf(ctx, np.array([1.0]))[0] - 1.0) <= 1e-12
         assert density_cdf(ctx, np.array([])).size == 0
+
+
+    @pytest.mark.parametrize("n_a,delta", [(96, 0), (3, 194), (20, 20)])
+    def test_running_sum_is_the_sum_of_squared_rows(self, n_a, delta):
+        ctx = build_kernel_ctx(n_a, delta)
+        x = np.concatenate([np.linspace(0.0, 1.0, 257), ctx.quadrature.nodes])
+        squares = np.sum(wavefunctions(ctx, x) ** 2, axis=0)
+        # relative, down to the smallest normal double: (1 - x^2)^97 is subnormal near x = 1 at Delta = 194
+        scale = np.maximum(squares, np.finfo(float).tiny)
+        assert np.all(np.abs(n_a * level_density(ctx, x) - squares) <= 1e-13 * scale)
 
 
 class TestCorrelations:
@@ -162,6 +200,16 @@ class TestAverageEntropy:
         for n, n_a in sizes + [(192, 96), (256, 1), (400, 100)]:
             quad = average_entropy_quadrature(build_kernel_ctx(n_a, n - 2 * n_a))
             assert abs(quad - formulas.gaussian_average_exact(n, n_a)) <= 1e-10, (n, n_a)
+
+    def test_quadrature_builds_no_degree_by_nodes_table(self):
+        # K(x, x) is a running sum over rows, O(nodes) memory; a 191 x 21504 degree x nodes table peaks at 63 MB
+        tracemalloc.start()
+        try:
+            average_entropy_quadrature(build_kernel_ctx(96, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_unsettled_quadrature_raises(self, monkeypatch):
         orders = []

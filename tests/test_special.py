@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.special
@@ -7,7 +9,7 @@ from gausspage.linalg import InvalidArgument
 from gausspage.special import (
     digamma,
     gauss_legendre,
-    jacobi_all,
+    jacobi_orthonormal,
     unit_interval_rule,
 )
 
@@ -44,38 +46,81 @@ class TestDigamma:
             digamma(-1.5)
 
 
+def jacobi_norm(n, a, b):
+    """h_n = integral of P_n^{(a,b)}(t)^2 (1 - t)^a (1 + t)^b over [-1, 1], for a + b > -1."""
+    return math.exp(
+        (a + b + 1.0) * math.log(2.0) - math.log(2.0 * n + a + b + 1.0) + math.lgamma(n + a + 1.0)
+        + math.lgamma(n + b + 1.0) - math.lgamma(n + a + b + 1.0) - math.lgamma(n + 1.0)
+    )
+
+
+def orthonormal_rows(n, a, b, x):
+    """p_0..p_n at x, shape (n + 1, len(x)), from p_0 = 1 / sqrt(h_0)."""
+    x = np.asarray(x, dtype=float)
+    return np.array(list(jacobi_orthonormal(n + 1, a, b, x, np.full(x.shape, jacobi_norm(0, a, b) ** -0.5))))
+
+
 class TestJacobi:
     def test_degree_zero(self):
-        assert jacobi_all(0, 3.0, 7.0, [-0.2])[0, 0] == 1.0
+        # p_0 = 1 / sqrt(integral of the weight); (1 - t)^3 (1 + t)^7 integrates to 2^11 3! 7! / 11!
+        mass = 2.0**11 * math.factorial(3) * math.factorial(7) / math.factorial(11)
+        assert abs(orthonormal_rows(0, 3.0, 7.0, [-0.2])[0, 0] - 1.0 / math.sqrt(mass)) <= 1e-12
+        row0 = np.array([0.25, -3.0])
+        assert next(jacobi_orthonormal(1, 3.0, 7.0, [-0.2, 0.4], row0)) is row0
 
     def test_legendre_endpoint(self):
-        assert abs(jacobi_all(2, 0.0, 0.0, [1.0])[2, 0] - 1.0) <= 1e-12
+        # P_2(1) = 1 and h_2 = 2/5
+        assert abs(orthonormal_rows(2, 0.0, 0.0, [1.0])[2, 0] - math.sqrt(2.5)) <= 1e-12
 
     def test_degree_one_explicit(self):
-        # (a-b)/2 + (a+b+2) x / 2 at a=b=2, x=0.3
-        assert abs(jacobi_all(1, 2.0, 2.0, [0.3])[1, 0] - 0.9) <= 1e-12
+        # P_1 = (a-b)/2 + (a+b+2) x / 2 = 0.9 at a=b=2, x=0.3, and h_1 = 2^5/7 * 3!^2/5!
+        h1 = 2.0**5 / 7.0 * 36.0 / 120.0
+        assert abs(orthonormal_rows(1, 2.0, 2.0, [0.3])[1, 0] - 0.9 / math.sqrt(h1)) <= 1e-12
 
-    @pytest.mark.parametrize("n,a,b", [(5, 0.0, 0.0), (20, 3.0, 3.0), (100, 7.0, 7.0), (500, 2.0, 2.0)])
+    def test_rows_are_new_arrays(self):
+        rows = list(jacobi_orthonormal(4, 1.0, -0.5, np.array([0.1, 0.7]), np.ones(2)))
+        assert not any(np.shares_memory(r, s) for r, s in zip(rows, rows[1:]))
+
+    def test_factor_carried_by_every_row(self):
+        t, f = np.linspace(-1, 1, 7), np.linspace(0.5, 2.0, 7)
+        plain = orthonormal_rows(9, 7.0, -0.5, t)
+        scaled = np.array(list(jacobi_orthonormal(10, 7.0, -0.5, t, f * plain[0])))
+        assert np.allclose(scaled, f * plain, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "n,a,b",
+        [(5, 0.0, 0.0), (20, 3.0, 3.0), (100, 7.0, 7.0), (500, 2.0, 2.0),
+         (5, 0.0, -0.5), (20, 1.0, -0.5), (100, 7.0, -0.5), (500, 40.0, -0.5), (20, 2.5, 0.5), (100, 0.0, 6.0)],
+    )
     def test_against_scipy(self, n, a, b):
         x = np.linspace(-1, 1, 11)
-        ref = scipy.special.eval_jacobi(n, a, b, x)
+        ref = scipy.special.eval_jacobi(n, a, b, x) / math.sqrt(jacobi_norm(n, a, b))
         scale = np.maximum(np.abs(ref), 1.0)
-        assert np.all(np.abs(jacobi_all(n, a, b, x)[n] - ref) <= 1e-11 * scale)
+        assert np.all(np.abs(orthonormal_rows(n, a, b, x)[n] - ref) <= 1e-11 * scale)
 
     @given(
         st.integers(min_value=2, max_value=60),
         st.integers(min_value=0, max_value=50),
+        st.booleans(),
         st.floats(min_value=-1.0, max_value=1.0),
     )
     @settings(max_examples=60, deadline=None)
-    def test_recurrence_residual(self, n, delta, x):
-        a = b = float(delta)
-        vals = jacobi_all(n, a, b, np.array([x]))[:, 0]
+    def test_recurrence_residual(self, n, delta, symmetric, x):
+        # t p_{n-1} = sqrt(beta_n) p_n + alpha_{n-1} p_{n-1} + sqrt(beta_{n-1}) p_{n-2}, with the orthonormal
+        # coefficients taken from the classical recurrence c1 P_n = (c2 + c3 t) P_{n-1} - c4 P_{n-2}
+        # and P_k = sqrt(h_k) p_k
+        a, b = float(delta), float(delta) if symmetric else -0.5
+        vals = orthonormal_rows(n, a, b, [x])[:, 0]
         c1 = 2.0 * n * (n + a + b) * (2 * n + a + b - 2.0)
+        c2 = (2 * n + a + b - 1.0) * (a * a - b * b)
         c3 = (2 * n + a + b - 1.0) * (2 * n + a + b) * (2 * n + a + b - 2.0)
         c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2 * n + a + b)
-        resid = c1 * vals[n] - (c3 * x * vals[n - 1] - c4 * vals[n - 2])
-        scale = max(abs(c1 * vals[n]), abs(c3 * vals[n - 1]), 1.0)
+        h = [jacobi_norm(k, a, b) for k in (n - 2, n - 1, n)]
+        alpha = -c2 / c3
+        sqrt_beta_n = c1 / c3 * math.sqrt(h[2] / h[1])
+        sqrt_beta_prev = c4 / c3 * math.sqrt(h[0] / h[1])
+        resid = sqrt_beta_n * vals[n] - ((x - alpha) * vals[n - 1] - sqrt_beta_prev * vals[n - 2])
+        scale = max(abs(sqrt_beta_n * vals[n]), abs(vals[n - 1]), abs(sqrt_beta_prev * vals[n - 2]), 1.0)
         assert abs(resid) <= 1e-11 * scale
 
 

@@ -15,11 +15,11 @@ rows that lie in A and build the block [J]_A (or C_A) directly, never a full
 RNG calls: every operation on the draws, even the antisymmetric part of a
 Hamiltonian or the complex Ginibre stack, runs with the linear algebra on the
 available cores in row pieces.  A sample's entropy does not depend on its
-piece, so the output is the same for any core count.  The Hamiltonian sampler
-takes the modes of h from the real eigenvectors of h h^T, in oriented planes
-(:func:`gausspage.linalg._mode_planes`).  The single-draw functions are pure
-functions of an :class:`RngStream` and draw a batch of one through the same
-helpers.
+piece, so the output is the same for any core count.  The single-draw
+functions are pure functions of an :class:`RngStream` and draw a batch of one
+through the same helpers: a random h, single or batched, has its modes from
+the real eigenvectors of h h^T, in oriented planes (:func:`gausspage.linalg._mode_planes`).
+:func:`from_particle_basis` writes a caller's (A, B) as four real blocks of h.
 """
 
 from __future__ import annotations
@@ -100,8 +100,9 @@ def sample_random_hamiltonian(N: int, rng: RngStream) -> QuadraticHamiltonian:
     if N < 1:
         raise InvalidArgument(f"need N >= 1, got {N}")
     h = _antisym(rng.generator().standard_normal((2 * N, 2 * N)))
-    m, omega = antisym_canonical(h)
-    return QuadraticHamiltonian(N=N, h=h, M=m, omega=omega)
+    u1, u2, omega = _mode_planes(h)
+    m = np.stack([u1, u2], axis=-1)[:, ::-1].reshape(2 * N, 2 * N).T  # rows u1_k, u2_k, omega descending
+    return QuadraticHamiltonian(N=N, h=h, M=m, omega=omega[::-1])
 
 
 def eigenstate_structure(ham: QuadraticHamiltonian, occ: np.ndarray) -> np.ndarray:
@@ -121,7 +122,11 @@ def from_particle_basis(A: np.ndarray, B: np.ndarray) -> QuadraticHamiltonian:
 
     A must be Hermitian (that term is self-adjoint as written); the h.c.
     applies to the pair-creation part.  Returns the real antisymmetric h
-    with H = i sum h_uv xi_u xi_v up to an additive constant.
+    with H = i sum h_uv xi_u xi_v up to an additive constant: for
+    a_j = (xi_j + i xi_{N+j})/sqrt(2), its real N x N blocks are
+    h = [[Im A/2 + Im B, Re A/2 - Re B], [-Re A/2 - Re B, Im A/2 - Im B]].
+    Its modes come from :func:`antisym_canonical`, which splits exactly
+    degenerate ones (a translation-invariant ring has eps_k = eps_-k).
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -132,16 +137,8 @@ def from_particle_basis(A: np.ndarray, B: np.ndarray) -> QuadraticHamiltonian:
         raise InvalidArgument("A must be Hermitian")
     if np.max(np.abs(B + B.T)) > 1e-10 * max(1.0, np.max(np.abs(B))):
         raise InvalidArgument("B must be antisymmetric")
-    # a = w xi with w = [I, iI]/sqrt(2) = kron(u, I)/sqrt(2), u = (1, i), so H = xi^T c xi
-    # with c = w^+ A w + w^+ B conj(w) + w^T B^+ w: one Kronecker product per term
-    u = np.array([1.0, 1j])
-    c = np.kron(np.outer(u.conj(), u), A) + np.kron(np.outer(u.conj(), u.conj()), B)
-    c = 0.5 * (c + np.kron(np.outer(u, u), B.conj().T))
-    # symmetric part only shifts the constant; i*h is the antisymmetric part
-    h = -0.5j * (c - c.T)
-    if np.max(np.abs(h.imag)) > 1e-10 * max(1.0, np.max(np.abs(h))):
-        raise InvalidArgument("inconsistent (A, B): Majorana coefficients not real")
-    h = h.real
+    h = np.block([[A.imag / 2 + B.imag, A.real / 2 - B.real], [-A.real / 2 - B.real, A.imag / 2 - B.imag]])
+    h = 0.5 * (h - h.T)  # antisymmetric also where A and B have their symmetry only within the tolerance above
     m, omega = antisym_canonical(h)
     return QuadraticHamiltonian(N=n, h=h, M=m, omega=omega)
 
@@ -283,7 +280,7 @@ def hamiltonian_eigenstate_entropies(
         return gen.standard_normal((b, 2 * N, 2 * N)), gen.integers(0, 2, size=(b, N))
 
     def reduce(g, occ):
-        u1, u2 = _mode_planes(_antisym(g))
+        u1, u2, _ = _mode_planes(_antisym(g))
         return mode_entropy(restrict_blocks(pair_block(u1[:, idx], u2[:, idx], 1.0 - 2.0 * occ))).sum(axis=1)
 
     return _in_batches(count, 8 * N * N, draw, reduce)

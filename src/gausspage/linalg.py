@@ -4,12 +4,13 @@ Haar-orthogonal and Haar-unitary sampling, and the invariant planes of real
 antisymmetric matrices h, by one of two routes:
 
 * :func:`antisym_canonical` takes the Hermitian eigendecomposition of i*h.
-  Its inputs may have exactly degenerate modes (zero modes, or the
-  Hamiltonians of :func:`gausspage.ensembles.from_particle_basis`), and it
-  splits them into orthonormal planes all the same.
-* :func:`_mode_planes` takes the real eigendecomposition of h h^T for the
-  random stacks of the Monte Carlo samplers, a Gaussian random h, whose
-  spectrum is simple with probability one.  It takes one real eigensolve in
+  It serves caller-given Hamiltonians (direct calls, and
+  :func:`gausspage.ensembles.from_particle_basis`), which may have exactly
+  degenerate modes (zero modes, or eps_k = eps_-k on a translation-invariant
+  ring), and it splits them into orthonormal planes all the same.
+* :func:`_mode_planes` takes the real eigendecomposition of h h^T for every
+  random draw, single or batched: a Gaussian random h, whose spectrum is
+  simple with probability one.  It takes one real eigensolve in
   place of a complex one, and a mode near omega = 0 costs it no accuracy.
   Two modes i, j are told apart only to about
   eps*|h|^2/|omega_i^2 - omega_j^2|, against eps*|h|/|omega_i - omega_j|
@@ -78,19 +79,20 @@ def _real_ginibre(dim: int, count: int, gen: np.random.Generator, cols: int | No
     return gen.standard_normal((count, dim, cols))
 
 
-def _mode_planes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Oriented invariant planes (u1, u2) of a stack of real antisymmetric h, each (..., n, n/2).
+def _mode_planes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Oriented invariant planes (u1, u2), each (..., n, n/2), and omega of a stack of real antisymmetric h.
 
     h h^T = -h^2 has each omega_k^2 twice, so the eigenvector pairs of
     ``eigh(h @ h^T)`` span the plane of mode k, in ascending omega as in the
     positive half of ``eigh(1j * h)``.  u2_k is flipped where u1_k^T h u2_k < 0,
     so that h u2_k = omega_k u1_k and h u1_k = -omega_k u2_k.  [u1, u2] is
-    orthogonal to rounding, and nothing divides by omega.
+    orthogonal to rounding, and nothing divides by omega; omega_k = |u1_k^T h u2_k|.
     """
     u = np.linalg.eigh(h @ np.swapaxes(h, -2, -1))[1]
     u1, u2 = u[..., 0::2], u[..., 1::2]
-    sigma = np.where(np.sum(u1 * (h @ u2), axis=-2) < 0.0, -1.0, 1.0)
-    return u1, u2 * sigma[..., None, :]
+    w = np.sum(u1 * (h @ u2), axis=-2)
+    sigma = np.where(w < 0.0, -1.0, 1.0)
+    return u1, u2 * sigma[..., None, :], np.abs(w)
 
 
 def antisym_canonical(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

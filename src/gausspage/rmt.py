@@ -161,7 +161,7 @@ def s_ij_quadrature(ctx: JacobiKernelCtx, i: int, j: int) -> float:
 
     def integral(order: int) -> float:
         rule = unit_interval_rule(order)
-        psi = wavefunctions(ctx, rule.nodes, jmax=jmax)
+        psi = {k: row for k, row in enumerate(_rows(ctx.delta, rule.nodes, jmax)) if k in (i, j)}  # two rows held
         return rule.integrate(mode_entropy(rule.nodes) * psi[i] * psi[j])
 
     return _converged(integral, _panel_order(jmax, ctx.delta), "matrix-element")

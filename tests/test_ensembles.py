@@ -88,8 +88,8 @@ class TestRestrictionOnlyBlocks:
 
     @pytest.mark.parametrize("N, N_A", [(2, 1), (5, 2), (8, 8), (12, 5)])
     def test_hamiltonian_a_rows(self, N, N_A):
-        # M from antisym_canonical (modes by descending omega), eigenvectors of
-        # i*h from eigh (positive half ascending): same modes, reversed order
+        # M from the oriented planes of h h^T (modes by descending omega), eigenvectors
+        # of i*h from eigh (positive half ascending): same modes, reversed order
         ham = sample_random_hamiltonian(N, RngStream(32, N))
         occ = RngStream(33, N).generator().integers(0, 2, size=N)
         # reference M^T D M, D with blocks (1 - 2*occ_k) [[0, 1], [-1, 0]] on the diagonal
@@ -155,7 +155,7 @@ class TestRealModePlanes:
         d = np.zeros((2 * N, 2 * N))
         d[k, k + 1] = signs
         idx = subsystem_indices(SystemSplit(N, self.N_A))
-        u1, u2 = _mode_planes(m.T @ (w - w.T) @ m)
+        u1, u2, _ = _mode_planes(m.T @ (w - w.T) @ m)
         block = pair_block(u1[idx], u2[idx], signs)
         return block, (m.T @ (d - d.T) @ m)[np.ix_(idx, idx)]
 
@@ -184,7 +184,7 @@ class TestRealModePlanes:
         # u1^T h u2 = 0 exactly: a sign of 0 would erase the plane and leave no complex structure
         h = np.zeros((2, 6, 6))
         h[1, 0, 1], h[1, 1, 0] = 1.0, -1.0
-        u1, u2 = _mode_planes(h)
+        u1, u2, _ = _mode_planes(h)
         j = pair_block(u1, u2)
         assert np.max(np.abs(j @ np.swapaxes(j, -2, -1) - np.eye(6))) <= 1e-15
         assert np.max(np.abs(j[1][:2, :2] - [[0.0, 1.0], [-1.0, 0.0]])) <= 1e-15
@@ -207,15 +207,29 @@ class TestRealModePlanes:
 
 
 class TestRandomHamiltonian:
-    def test_antisymmetry_and_canonical(self):
-        ham = sample_random_hamiltonian(6, RngStream(2))
+    @pytest.mark.parametrize("N", [1, 2, 6, 32, 128])
+    def test_antisymmetry_and_canonical(self, N):
+        ham = sample_random_hamiltonian(N, RngStream(2))
         assert np.array_equal(ham.h, -ham.h.T)
         assert np.all(ham.omega >= 0)
-        blocks = np.zeros((12, 12))
+        assert np.all(np.diff(ham.omega) <= 0.0)
+        assert np.max(np.abs(ham.M @ ham.M.T - np.eye(2 * N))) <= 1e-12
+        blocks = np.zeros((2 * N, 2 * N))
         for k, w in enumerate(ham.omega):
             blocks[2 * k, 2 * k + 1] = w
             blocks[2 * k + 1, 2 * k] = -w
         assert np.max(np.abs(ham.M @ ham.h @ ham.M.T - blocks)) <= 1e-9 * np.max(np.abs(ham.h))
+
+    @pytest.mark.parametrize("N, N_A", [(1, 1), (5, 2), (12, 6), (40, 17)])
+    def test_single_draw_is_a_batch_of_one(self, N, N_A):
+        # the batch draws h, then occupations by ascending omega; the single draw orders modes by descending omega
+        for seed in (60, 61, 62):
+            s = hamiltonian_eigenstate_entropies(N, N_A, 1, RngStream(seed).generator())
+            gen = RngStream(seed).generator()
+            gen.standard_normal((1, 2 * N, 2 * N))
+            occ = gen.integers(0, 2, size=(1, N))[0, ::-1]
+            j = eigenstate_structure(sample_random_hamiltonian(N, RngStream(seed)), occ)
+            assert abs(entropy_from_spectrum(restrict(j, SystemSplit(N, N_A))) - s[0]) <= 1e-12
 
     def test_omega_matches_singular_values(self):
         # canonical coefficients are the paired singular values of h
@@ -347,15 +361,15 @@ class TestParticleBasis:
             energy = 0.5 * np.trace(ham.h @ j)
             assert abs(energy - np.sum(2.0 * ham.omega * (occ - 0.5))) <= 1e-9
 
-    def test_majorana_elements_against_fock_operators(self):
+    @pytest.mark.parametrize("N, zero", [(3, None), (3, "A"), (3, "B"), (1, None)])
+    def test_majorana_elements_against_fock_operators(self, N, zero):
         # i sum h_uv xi_u xi_v is the Fock H up to a constant, element by element:
         # the spectrum alone would also accept any O h O^T
         gen = np.random.default_rng(19)
-        N = 3
         a_mat = gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))
-        a_mat = 0.5 * (a_mat + a_mat.conj().T)
+        a_mat = 0.0 * a_mat if zero == "A" else 0.5 * (a_mat + a_mat.conj().T)
         b_mat = gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))
-        b_mat = 0.5 * (b_mat - b_mat.T)
+        b_mat = 0.0 * b_mat if zero == "B" else 0.5 * (b_mat - b_mat.T)
         h = from_particle_basis(a_mat, b_mat).h
         ops = fock_annihilation_operators(N)
         h_fock = sum(

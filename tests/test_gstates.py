@@ -163,6 +163,7 @@ def test_restrict_pairs_singular_values_near_zero():
     x = restrict(j, split)
     idx = subsystem_indices(split)
     sv = np.linalg.svd(j[np.ix_(idx, idx)], compute_uv=False)
+    assert sv[-1] < 1e-8  # the block still has the pair near 0 that this test is about
     assert np.max(np.abs(sv[0::2] - sv[1::2])) <= 1e-14
     ref = 0.5 * (sv[0::2] + sv[1::2])
     assert np.allclose(x, ref, atol=1e-7)

@@ -11,10 +11,14 @@ A BENCH file records, for the checkout this script lives in:
   workload of ``BENCHMARK.json`` and seeds 1-3, one process per (W, S) so each
   run stays within run.py's time limit: each run's metrics and info line, and
   per workload the median of each end-to-end metric and the summed failures;
-* each batched sampler in microseconds per sample at fixed (N, N_A), in this
-  process, with one BLAS thread, at reference speed as run.py reports its
-  latencies (the tier-1 time is raw);
-* the wall time of one tier-1 run (the command of ROADMAP.md);
+* each batched sampler in microseconds per sample at fixed (N, N_A), and the
+  three single-state chains of the ``state-algebra`` workload (particle,
+  hamiltonian, gaussian: ``perfbench/worker.py`` runs them) in milliseconds
+  per chain at N = 64 and 128 with N_A = N/2, in this process, with one BLAS
+  thread, at reference speed as run.py reports its latencies;
+* the wall time of one tier-1 run (the command of ROADMAP.md), and the median
+  wall time of three runs of each fixed CLI command in ``CLI_RUNS``, each a new
+  process with one BLAS thread (these times are raw);
 * the commit, and whether the tracked files differ from it.
 
 ``--compare`` prints NEW/OLD for each metric the two files share.  It flags an
@@ -44,7 +48,16 @@ SAMPLERS = {
     "number-conserving": ("number_conserving_entropies", [(8, 4, 8192), (16, 8, 2048), (64, 32, 128)]),
     "haar-pure": ("haar_pure_entropies", [(8, 4, 8192), (12, 6, 1024)]),
 }
+# single-state chains of the state-algebra workload: seeds 1..CHAIN_SEEDS per timing, N_A = N/2
+CHAINS = [(kind, n) for kind in ("particle", "hamiltonian", "gaussian") for n in (64, 128)]
+CHAIN_SEEDS = 8
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+# fixed end-to-end CLI runs, from README's command-line block
+CLI_RUNS = {
+    "page-curve": ["page-curve", "--N", "10", "--ensemble", "hamiltonian", "--mode", "mc", "--samples", "20000"],
+    "variance": ["variance", "--N", "8", "--NA", "4", "--samples", "100000"],
+    "dist": ["dist", "--N", "10", "--NA", "5", "--samples", "50000", "--bins", "60"],
+}
 
 
 def _git(*args: str) -> str | None:
@@ -67,6 +80,10 @@ def run_benchmark(workload: str, seed: int) -> dict:
             "failed": result["failed"], "metrics": metrics}
 
 
+def _one_blas_thread() -> dict[str, str]:
+    return {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
 def time_tier1() -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
@@ -76,37 +93,63 @@ def time_tier1() -> dict:
     return {"seconds": seconds, "returncode": proc.returncode, "summary": summary}
 
 
-def time_samplers() -> tuple[dict, list[float]]:
-    """Each sampler's median of three timings in microseconds per sample at reference speed, and the slownesses.
+def time_cli() -> dict:
+    """Median wall seconds of three runs of each ``CLI_RUNS`` command, each a new process."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **_one_blas_thread())
+    out = {}
+    for name, argv in CLI_RUNS.items():
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-m", "gausspage.cli", *argv], cwd=ROOT, env=env, capture_output=True,
+                           check=True)
+            times.append(time.perf_counter() - start)
+        out[f"cli.{name}.seconds"] = statistics.median(times)
+    return out
 
-    A timing is divided by the mean slowness of the benchmark's speed probe
-    (``perfbench/probe.py``) just before and just after it, as run.py scales
-    its latencies.  Call once per process.
+
+def time_layers() -> tuple[dict, list[float]]:
+    """Per sampler and per chain the median of three timings at reference speed, and the slownesses.
+
+    Samplers are reported in microseconds per sample, chains in milliseconds
+    per chain.  A timing is divided by the mean slowness of the benchmark's
+    speed probe (``perfbench/probe.py``) just before and just after it, as
+    run.py scales its latencies.  Call once per process.
     """
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"  # before the first numpy import
+    os.environ.update(_one_blas_thread())  # before the first numpy import
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import run as perfbench
+    import worker
     from gausspage import ensembles
     from gausspage.linalg import RngStream
 
-    out = {}
+    out, slow = {}, []
     probe = perfbench.Probe(time.monotonic() + 600.0)
+
+    def measure(name: str, warm_up, job, per_unit: float) -> None:
+        warm_up()
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            job()
+            times.append(time.perf_counter() - start)
+        slow.append(perfbench.slowness(probe()))
+        out[name] = statistics.median(times) / per_unit / (0.5 * (slow[-2] + slow[-1]))
+
     try:
-        slow = [perfbench.slowness(probe())]
+        slow.append(perfbench.slowness(probe()))
         for ensemble, (fn_name, sizes) in SAMPLERS.items():
             sampler = getattr(ensembles, fn_name)
             for n, n_a, count in sizes:
                 gen = RngStream(1).generator()
-                sampler(n, n_a, 16, gen)  # the pool and the first-call set-up
-                times = []
-                for _ in range(3):
-                    start = time.perf_counter()
-                    sampler(n, n_a, count, gen)
-                    times.append(time.perf_counter() - start)
-                slow.append(perfbench.slowness(probe()))
-                us = 1e6 * statistics.median(times) / count
-                out[f"samplers.{ensemble}.{n}x{n_a}.us_per_sample"] = us / (0.5 * (slow[-2] + slow[-1]))
+                measure(f"samplers.{ensemble}.{n}x{n_a}.us_per_sample", lambda: sampler(n, n_a, 16, gen),
+                        lambda: sampler(n, n_a, count, gen), 1e-6 * count)
+        for kind, n in CHAINS:
+            reqs = [{"kind": kind, "N": n, "NA": n // 2, "seed": seed, "occ": [(seed + k) % 2 for k in range(n)]}
+                    for seed in range(1, CHAIN_SEEDS + 1)]
+            inputs = [worker.prepare(req) for req in reqs]
+            measure(f"chains.{kind}.{n}.ms_per_chain", lambda: worker.execute(reqs[0], inputs[0]),
+                    lambda: [worker.execute(*pair) for pair in zip(reqs, inputs)], 1e-3 * len(reqs))
     finally:
         probe.close()
     return out, slow
@@ -178,11 +221,14 @@ def main(argv: list[str] | None = None) -> int:
             runs.append(run_benchmark(workload, seed))
     print("tier-1", file=sys.stderr)
     tier1 = time_tier1()
-    print("samplers", file=sys.stderr)
+    print("cli", file=sys.stderr)
     metrics = summarize(runs, units)
     metrics["tier1.seconds"] = {"value": tier1["seconds"], "unit": "s"}
-    sampler_us, sampler_slowness = time_samplers()
-    metrics.update({name: {"value": us, "unit": "us"} for name, us in sampler_us.items()})
+    metrics.update({name: {"value": s, "unit": "s"} for name, s in time_cli().items()})
+    print("samplers and chains", file=sys.stderr)
+    layers, layer_slowness = time_layers()
+    metrics.update({name: {"value": v, "unit": "us" if name.startswith("samplers.") else "ms"}
+                    for name, v in layers.items()})
     status = _git("status", "--porcelain", "--untracked-files=no")
     record = {
         "label": args.pr,
@@ -192,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         "run_seconds": RUN_SECONDS,
         "metrics": metrics,
         "tier1": tier1,
-        "sampler_slowness": sampler_slowness,
+        "layer_slowness": layer_slowness,
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.pr}.json"

@@ -17,9 +17,9 @@ Hamiltonian or the complex Ginibre stack, runs with the linear algebra on the
 available cores in row pieces.  A sample's entropy does not depend on its
 piece, so the output is the same for any core count.  The single-draw
 functions are pure functions of an :class:`RngStream` and draw a batch of one
-through the same helpers: a random h, single or batched, has its modes from
-the real eigenvectors of h h^T, in oriented planes (:func:`gausspage.linalg._mode_planes`).
-:func:`from_particle_basis` writes a caller's (A, B) as four real blocks of h.
+through the same helpers.  Every h, random or a caller's (A, B) written as four
+real blocks by :func:`from_particle_basis`, has its modes from the real
+eigenvectors of h h^T, in oriented planes (:func:`gausspage.linalg._mode_planes`).
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ class ResourceLimit(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
-    """Random quadratic Hamiltonian in Majorana form, H = i sum h_uv xi_u xi_v.
+    """Quadratic Hamiltonian in Majorana form, H = i sum h_uv xi_u xi_v, random or caller-given.
 
-    ``M`` block-diagonalizes h (M h M^T = direct sum of [[0, w_i], [-w_i, 0]])
-    and ``omega`` holds the non-negative block coefficients, descending.  The
-    many-body excitation energies are 2*omega per mode (the factor two comes
-    from the Majorana normalization xi^2 = 1/2).
+    ``M`` block-diagonalizes h (M h M^T = direct sum of [[0, w_i], [-w_i, 0]]) and
+    ``omega`` holds the non-negative block coefficients, descending, both from
+    :func:`gausspage.linalg.antisym_canonical`.  The many-body excitation energies
+    are 2*omega per mode (the factor two comes from the Majorana normalization xi^2 = 1/2).
     """
 
     N: int
@@ -100,9 +100,7 @@ def sample_random_hamiltonian(N: int, rng: RngStream) -> QuadraticHamiltonian:
     if N < 1:
         raise InvalidArgument(f"need N >= 1, got {N}")
     h = _antisym(rng.generator().standard_normal((2 * N, 2 * N)))
-    u1, u2, omega = _mode_planes(h)
-    m = np.stack([u1, u2], axis=-1)[:, ::-1].reshape(2 * N, 2 * N).T  # rows u1_k, u2_k, omega descending
-    return QuadraticHamiltonian(N=N, h=h, M=m, omega=omega[::-1])
+    return QuadraticHamiltonian(N, h, *antisym_canonical(h))
 
 
 def eigenstate_structure(ham: QuadraticHamiltonian, occ: np.ndarray) -> np.ndarray:
@@ -125,14 +123,15 @@ def from_particle_basis(A: np.ndarray, B: np.ndarray) -> QuadraticHamiltonian:
     with H = i sum h_uv xi_u xi_v up to an additive constant: for
     a_j = (xi_j + i xi_{N+j})/sqrt(2), its real N x N blocks are
     h = [[Im A/2 + Im B, Re A/2 - Re B], [-Re A/2 - Re B, Im A/2 - Im B]].
-    Its modes come from :func:`antisym_canonical`, which splits exactly
-    degenerate ones (a translation-invariant ring has eps_k = eps_-k).
+    Its modes come from :func:`antisym_canonical`, as for a random h.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     n = A.shape[0]
     if A.shape != (n, n) or B.shape != (n, n):
         raise InvalidArgument("A and B must be square matrices of equal shape")
+    if n < 1 or not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        raise InvalidArgument(f"need N >= 1 and A and B with finite entries, got N={n}")
     if np.max(np.abs(A - A.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(A))):
         raise InvalidArgument("A must be Hermitian")
     if np.max(np.abs(B + B.T)) > 1e-10 * max(1.0, np.max(np.abs(B))):
@@ -187,7 +186,9 @@ def sample_haar_pure_state(N: int, rng: RngStream) -> np.ndarray:
 
 def entanglement_entropy_pure(psi: np.ndarray, N_A: int) -> float:
     """Von Neumann entropy (nats) of the first N_A qubit-modes of psi."""
-    N = int(round(np.log2(psi.size)))
+    N = psi.size.bit_length() - 1
+    if psi.size != 2**N:  # also for size 0: 2**-1 = 0.5
+        raise InvalidArgument(f"need a vector of 2^N amplitudes, got {psi.size}")
     SystemSplit(N, N_A)
     return float(_pure_entropies(psi.reshape(1, 2**N_A, 2 ** (N - N_A)))[0])
 

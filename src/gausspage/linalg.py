@@ -1,20 +1,15 @@
 """Dense linear algebra on small matrices.
 
 Haar-orthogonal and Haar-unitary sampling, and the invariant planes of real
-antisymmetric matrices h, by one of two routes:
-
-* :func:`antisym_canonical` takes the Hermitian eigendecomposition of i*h.
-  It serves caller-given Hamiltonians (direct calls, and
-  :func:`gausspage.ensembles.from_particle_basis`), which may have exactly
-  degenerate modes (zero modes, or eps_k = eps_-k on a translation-invariant
-  ring), and it splits them into orthonormal planes all the same.
-* :func:`_mode_planes` takes the real eigendecomposition of h h^T for every
-  random draw, single or batched: a Gaussian random h, whose spectrum is
-  simple with probability one.  It takes one real eigensolve in
-  place of a complex one, and a mode near omega = 0 costs it no accuracy.
-  Two modes i, j are told apart only to about
-  eps*|h|^2/|omega_i^2 - omega_j^2|, against eps*|h|/|omega_i - omega_j|
-  through i*h: its one weak case is a close pair of small modes.
+antisymmetric matrices h by one route, :func:`_mode_planes`, for random
+draws (single or batched) and caller-given Hamiltonians
+(:func:`antisym_canonical`) alike.  It takes the real eigendecomposition of
+h h^T, whose eigenvector pairs span the plane of each mode, and measures how
+far each plane is from invariant under h.  Only where a matrix has exactly
+or nearly degenerate modes (eps_k = eps_-k on a translation-invariant ring,
+or two close small modes) does a Hermitian eigendecomposition of i*h run,
+restricted to the span of the planes it flagged.  A zero mode costs the
+route no accuracy, and nothing divides by omega.
 
 Everything here is a pure function of its inputs; random draws are pure
 functions of an :class:`RngStream`.
@@ -79,6 +74,10 @@ def _real_ginibre(dim: int, count: int, gen: np.random.Generator, cols: int | No
     return gen.standard_normal((count, dim, cols))
 
 
+# A plane is split anew where max|h u2_k - w_k u1_k| > PLANE_TOL |h|; a generic h stays below 1e-13 |h|.
+PLANE_TOL = 1e-11
+
+
 def _mode_planes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Oriented invariant planes (u1, u2), each (..., n, n/2), and omega of a stack of real antisymmetric h.
 
@@ -87,10 +86,26 @@ def _mode_planes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     positive half of ``eigh(1j * h)``.  u2_k is flipped where u1_k^T h u2_k < 0,
     so that h u2_k = omega_k u1_k and h u1_k = -omega_k u2_k.  [u1, u2] is
     orthogonal to rounding, and nothing divides by omega; omega_k = |u1_k^T h u2_k|.
+    The planes of one h with a residual above ``PLANE_TOL`` |h| (equal or close omega) span an
+    h-invariant V; the positive half p + i*q (h p = omega q) of the eigenvectors of i V^T h V
+    replaces them, orthonormal near omega = 0 after one QR of [q, p] with diag R >= 0.
     """
-    u = np.linalg.eigh(h @ np.swapaxes(h, -2, -1))[1]
+    lam, u = np.linalg.eigh(h @ np.swapaxes(h, -2, -1))
     u1, u2 = u[..., 0::2], u[..., 1::2]
-    w = np.sum(u1 * (h @ u2), axis=-2)
+    hu2 = h @ u2
+    prod = u1 * hu2
+    w = np.sum(prod, axis=-2)
+    hu2 -= np.multiply(u1, w[..., None, :], out=prod)  # the residual h u2 - w u1, in place
+    tol = PLANE_TOL * np.sqrt(np.abs(lam[..., -1:]))  # |h| = sqrt of the largest eigenvalue of h h^T
+    if np.abs(hu2, out=hu2).max() > tol.min():  # one pass over the stack when no plane is off
+        bad = hu2.max(axis=-2) > tol
+        for i in map(tuple, np.argwhere(bad.any(axis=-1))):
+            v = np.concatenate([u1[i][:, bad[i]], u2[i][:, bad[i]]], axis=1)
+            e, z = np.linalg.eigh(1j * (v.T @ h[i] @ v))
+            m = len(e) // 2
+            q, r = np.linalg.qr(np.stack([z.imag, z.real], axis=-1)[:, : m - 1 : -1].reshape(2 * m, 2 * m))
+            q = v @ (q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0))  # columns q, p per mode, omega descending
+            u1[i][:, bad[i]], u2[i][:, bad[i]], w[i][bad[i]] = q[:, -2::-2], q[:, ::-2], np.maximum(e[m:], 0.0)
     sigma = np.where(w < 0.0, -1.0, 1.0)
     return u1, u2 * sigma[..., None, :], np.abs(w)
 
@@ -103,21 +118,14 @@ def antisym_canonical(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
         M @ h @ M.T = direct_sum_i [[0, omega_i], [-omega_i, 0]].
 
-    Row pair i of M is sqrt(2) q_i^T, sqrt(2) p_i^T for the eigenvector
-    p_i + i*q_i of i*h with eigenvalue omega_i >= 0, so that h p_i = omega_i q_i
-    and h q_i = -omega_i p_i.  One QR of M^T, diag R >= 0, makes M orthogonal
-    to rounding, also when h has zero modes (last in M): eigh splits the
-    kernel into vectors whose p and q need not be orthonormal.
+    Row pair i of M is (u1_i, u2_i) of :func:`_mode_planes`, for any spectrum.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2 != 0 or h.shape[0] == 0:
         raise InvalidArgument("input must be square with even dimension")
-    n = h.shape[0]
-    scale = max(np.max(np.abs(h)), 1.0)
-    if np.max(np.abs(h + h.T)) > 1e-10 * scale:
-        raise InvalidArgument("matrix is not antisymmetric within tolerance")
-    w, v = np.linalg.eigh(1j * h)
-    omega, v = w[n // 2 :], v[:, n // 2 :]  # the positive half, ascending
-    m_t = np.stack([v.imag, v.real], axis=-1)[:, ::-1].reshape(n, n)  # columns q, p per mode, omega descending
-    q, r = np.linalg.qr(np.sqrt(2.0) * m_t)
-    return (q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)).T, np.maximum(omega[::-1], 0.0)
+    top = np.maximum(h.max(), -h.min())  # max|h|: nan or inf unless h is finite
+    if not np.isfinite(top) or np.max(np.abs(h + h.T)) > 1e-10 * max(top, 1.0):
+        raise InvalidArgument("matrix must have finite entries and be antisymmetric within tolerance")
+    u1, u2, omega = _mode_planes(h)
+    order = np.argsort(-omega, kind="stable")  # exactly descending, also among zero modes' rounding-level omega
+    return np.stack([u1.T[order], u2.T[order]], axis=1).reshape(h.shape), omega[order]

@@ -53,6 +53,19 @@ def fock_annihilation_operators(N):
     return ops
 
 
+def fock_hamiltonian(a_mat, b_mat):
+    """sum A_ij a+_i a_j + (sum B_ij a+_i a+_j + h.c.) on the 2^N Fock space."""
+    N = len(a_mat)
+    ops = fock_annihilation_operators(N)
+    return sum(
+        a_mat[i, j] * ops[i].conj().T @ ops[j]
+        + b_mat[i, j] * ops[i].conj().T @ ops[j].conj().T
+        + np.conj(b_mat[i, j]) * ops[j] @ ops[i]
+        for i in range(N)
+        for j in range(N)
+    )
+
+
 class TestGaussianSampler:
     def test_structure_invariants(self):
         j = sample_gaussian_state(4, RngStream(0))
@@ -169,7 +182,7 @@ class TestRealModePlanes:
         [
             ((), 1e-12),  # a generic spectrum
             ((1e-12,), 1e-12),  # one mode near zero: through eigh(1j * h), off by about 1e-8 at these seeds
-            ((1e-3, 1e-3 + 1e-7), 1e-5),  # two close small modes, the route's one weak case: up to 5e-7 here
+            ((1e-3, 1e-3 + 1e-7), 1e-9),  # two close small modes: their planes are split in complex arithmetic
         ],
     )
     @pytest.mark.parametrize("seed", [70, 71, 72])
@@ -337,14 +350,7 @@ class TestParticleBasis:
         b_mat = gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))
         b_mat = 0.5 * (b_mat - b_mat.T)
         ham = from_particle_basis(a_mat, b_mat)
-        ops = fock_annihilation_operators(N)
-        h_fock = np.zeros((2**N, 2**N), dtype=complex)
-        for i in range(N):
-            for j in range(N):
-                h_fock += a_mat[i, j] * ops[i].conj().T @ ops[j]
-                h_fock += b_mat[i, j] * ops[i].conj().T @ ops[j].conj().T
-                h_fock += np.conj(b_mat[i, j]) * ops[j] @ ops[i]
-        exact = np.linalg.eigvalsh(h_fock)
+        exact = np.linalg.eigvalsh(fock_hamiltonian(a_mat, b_mat))
         spec = many_body_spectrum(ham)
         assert np.max(np.abs((exact - exact.mean()) - (spec - spec.mean()))) <= 1e-8
 
@@ -372,22 +378,52 @@ class TestParticleBasis:
         b_mat = 0.0 * b_mat if zero == "B" else 0.5 * (b_mat - b_mat.T)
         h = from_particle_basis(a_mat, b_mat).h
         ops = fock_annihilation_operators(N)
-        h_fock = sum(
-            a_mat[i, j] * ops[i].conj().T @ ops[j]
-            + b_mat[i, j] * ops[i].conj().T @ ops[j].conj().T
-            + np.conj(b_mat[i, j]) * ops[j] @ ops[i]
-            for i in range(N)
-            for j in range(N)
-        )
+        h_fock = fock_hamiltonian(a_mat, b_mat)
         xi = [(a + a.conj().T) / np.sqrt(2.0) for a in ops] + [-1j * (a - a.conj().T) / np.sqrt(2.0) for a in ops]
         h_maj = 1j * sum(h[u, v] * xi[u] @ xi[v] for u in range(2 * N) for v in range(2 * N))
         diff = h_maj - h_fock
         shift = np.trace(diff) / 2**N
         assert np.max(np.abs(diff - shift * np.eye(2**N))) <= 1e-12
 
+    @pytest.mark.parametrize("N", [3, 4, 5, 16, 64, 128])
+    @pytest.mark.parametrize("pairing", [0.0, 0.5])
+    def test_translation_invariant_ring(self, N, pairing):
+        # circulant hopping -t (S + S^T) - mu and p-wave pairing (d/2)(S - S^T) for the cyclic shift S:
+        # each k != 0, pi has eps_k = eps_-k, a doubly degenerate mode with 2 omega = |eps_k|,
+        # eps_k = sqrt((2t cos k + mu)^2 + (2d sin k)^2)
+        t, mu = 1.0, 0.3
+        shift = np.roll(np.eye(N), 1, axis=1)
+        a_mat = -t * (shift + shift.T) - mu * np.eye(N)
+        b_mat = 0.5 * pairing * (shift - shift.T)
+        ham = from_particle_basis(a_mat, b_mat)
+        k = 2.0 * np.pi * np.arange(N) / N
+        eps = np.sqrt((2.0 * t * np.cos(k) + mu) ** 2 + (2.0 * pairing * np.sin(k)) ** 2)
+        assert np.max(np.abs(ham.omega - np.sort(0.5 * eps)[::-1])) <= 1e-12
+        canonical = np.zeros((2 * N, 2 * N))
+        idx = 2 * np.arange(N)
+        canonical[idx, idx + 1], canonical[idx + 1, idx] = ham.omega, -ham.omega
+        scale = max(np.max(np.abs(ham.h)), 1.0)
+        assert np.max(np.abs(ham.M @ ham.h @ ham.M.T - canonical)) <= 1e-9 * scale
+        if N <= 5:
+            # the energy 1/2 tr(h J) of each eigenstate structure is a level of the Fock Hamiltonian
+            energies = []
+            for occ in itertools.product((0, 1), repeat=N):
+                energies.append(0.5 * np.trace(ham.h @ eigenstate_structure(ham, np.array(occ))))
+            exact = np.linalg.eigvalsh(fock_hamiltonian(a_mat, b_mat))
+            assert np.max(np.abs(np.sort(energies) - (exact - exact.mean()))) <= 1e-10
+
     def test_rejects_bad_symmetry(self):
         with pytest.raises(Exception):
             from_particle_basis(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
+
+    def test_rejects_an_empty_or_non_finite_hamiltonian(self):
+        with pytest.raises(InvalidArgument, match="need N >= 1"):
+            from_particle_basis(np.zeros((0, 0)), np.zeros((0, 0)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidArgument, match="finite entries"):
+                from_particle_basis(np.array([[0.0, bad], [bad, 0.0]]), np.zeros((2, 2)))
+            with pytest.raises(InvalidArgument, match="finite entries"):
+                from_particle_basis(np.eye(2), np.array([[0.0, bad], [-bad, 0.0]]))
 
 
 class TestHaarPure:
@@ -428,8 +464,9 @@ class TestHaarPure:
         assert abs(entanglement_entropy_pure(psi, HAAR_PURE_MAX_MODES)) <= 1e-12
 
     def test_rejects_a_vector_of_no_qubit_dimension(self):
-        with pytest.raises(ValueError):
-            entanglement_entropy_pure(np.full(6, 1.0 / np.sqrt(6.0)), 1)
+        for size in (0, 3, 6, 12):
+            with pytest.raises(InvalidArgument, match="2\\^N amplitudes"):
+                entanglement_entropy_pure(np.full(size, 1.0 / np.sqrt(max(size, 1))), 1)
 
     def test_product_state_entropy(self):
         psi = np.zeros(8, dtype=complex)

@@ -6,6 +6,7 @@ from gausspage.linalg import (
     InvalidArgument,
     RngStream,
     _haar_q,
+    _mode_planes,
     antisym_canonical,
     haar_orthogonal,
     haar_orthogonal_batch,
@@ -121,12 +122,34 @@ class TestAntisymCanonical:
 
     @pytest.mark.parametrize(
         "omega",
-        [[0.0] * 5, [1.7, 0.6, 0.0, 0.0, 0.0], [2.0, 1.0, 0.5, 1e-13, 1e-13], [1.0] * 5],
-        ids=["zero-matrix", "kernel", "tiny-omega", "degenerate"],
+        [
+            [0.0] * 5,
+            [1.7, 0.6, 0.0, 0.0, 0.0],
+            [2.0, 1.0, 0.5, 1e-13, 1e-13],
+            [1.0] * 5,
+            [1.0, 1.0, 2.0, 2.0, 3.0],
+            [2.0, 1.0, 0.5, 1e-3, 1e-3 + 1e-7],
+        ],
+        ids=["zero-matrix", "kernel", "tiny-omega", "degenerate", "two-clusters", "close-pair"],
     )
     def test_orthogonal_with_zero_tiny_and_repeated_modes(self, omega):
-        # eigh of i*h splits a kernel (or a near-kernel) into vectors whose real
-        # and imaginary parts need not be orthonormal; M must stay orthogonal
+        # a kernel, a near-kernel or a cluster of equal or close omega leaves the pairing of the
+        # eigenvectors of h h^T to rounding; M must stay orthogonal and canonical all the same
+        m, got, h = self.canonical_of_planted(omega)
+        dim = h.shape[0]
+        assert np.max(np.abs(m @ m.T - np.eye(dim))) <= 1e-12
+        assert np.allclose(got, sorted(omega, reverse=True), rtol=0.0, atol=1e-12)
+        assert np.all(np.diff(got) <= 0.0)  # exactly, also inside a cluster
+        canonical = np.zeros((dim, dim))
+        for k, w in enumerate(got):
+            canonical[2 * k, 2 * k + 1] = w
+            canonical[2 * k + 1, 2 * k] = -w
+        scale = max(np.max(np.abs(h)), 1.0)
+        assert np.max(np.abs(m @ h @ m.T - canonical)) <= 1e-9 * scale
+
+    @staticmethod
+    def canonical_of_planted(omega):
+        """antisym_canonical of O W O^T for a Haar O and the blocks of omega in W, shuffled."""
         dim = 2 * len(omega)
         blocks = np.zeros((dim, dim))
         for k, w in enumerate(np.random.default_rng(42).permutation(omega)):
@@ -135,15 +158,7 @@ class TestAntisymCanonical:
         o = haar_orthogonal(dim, RngStream(43))
         h = o @ blocks @ o.T
         h = 0.5 * (h - h.T)
-        m, got = antisym_canonical(h)
-        assert np.max(np.abs(m @ m.T - np.eye(dim))) <= 1e-12
-        assert np.allclose(got, sorted(omega, reverse=True), rtol=0.0, atol=1e-12)
-        canonical = np.zeros((dim, dim))
-        for k, w in enumerate(got):
-            canonical[2 * k, 2 * k + 1] = w
-            canonical[2 * k + 1, 2 * k] = -w
-        scale = max(np.max(np.abs(h)), 1.0)
-        assert np.max(np.abs(m @ h @ m.T - canonical)) <= 1e-9 * scale
+        return (*antisym_canonical(h), h)
 
     def test_rejects_odd_dim_and_nonantisym(self):
         with pytest.raises(InvalidArgument):
@@ -152,6 +167,29 @@ class TestAntisymCanonical:
             antisym_canonical(np.eye(4))
         with pytest.raises(InvalidArgument):
             antisym_canonical(1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # a NaN passes the max|h + h^T| test, since every comparison with it is false
+        h = np.zeros((4, 4))
+        h[0, 1], h[1, 0] = bad, -bad
+        with pytest.raises(InvalidArgument, match="finite entries"):
+            antisym_canonical(h)
+
+
+class TestModePlanes:
+    def test_a_degenerate_matrix_leaves_the_rest_of_a_stack_alone(self):
+        # only the matrix with off planes is split; the others keep the bits of their single calls
+        gen = np.random.default_rng(44)
+        generic = [random_antisymmetric(10, gen) for _ in range(3)]
+        _, _, degenerate = TestAntisymCanonical.canonical_of_planted([1.0, 1.0, 2.0, 2.0, 3.0])
+        u1, u2, omega = _mode_planes(np.stack([generic[0], degenerate, *generic[1:]]))
+        for k, h in zip((0, 2, 3), generic):
+            for got, single in zip((u1[k], u2[k], omega[k]), _mode_planes(h)):
+                assert np.array_equal(got, single)
+        assert np.max(np.abs(degenerate @ u2[1] - omega[1] * u1[1])) <= 1e-12
+        assert np.max(np.abs(degenerate @ u1[1] + omega[1] * u2[1])) <= 1e-12
+        assert np.allclose(omega[1], [1.0, 1.0, 2.0, 2.0, 3.0], rtol=0.0, atol=1e-12)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))

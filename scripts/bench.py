@@ -11,7 +11,9 @@ A BENCH file records, for the checkout this script lives in:
   workload of ``BENCHMARK.json`` and seeds 1-3, one process per (W, S) so each
   run stays within run.py's time limit: each run's metrics and info line, and
   per workload the median of each end-to-end metric and the summed failures;
-* each batched sampler in microseconds per sample at fixed (N, N_A), and the
+* each batched sampler in microseconds per sample at fixed (N, N_A), each
+  sampler's Monte Carlo estimate (``stats.mc_estimate``, so with its streams
+  run at once) in microseconds per sample at ``--workers`` 1 and 2, and the
   three single-state chains of the ``state-algebra`` workload (particle,
   hamiltonian, gaussian: ``perfbench/worker.py`` runs them) in milliseconds
   per chain at N = 64 and 128 with N_A = N/2, in this process, with one BLAS
@@ -48,6 +50,11 @@ SAMPLERS = {
     "number-conserving": ("number_conserving_entropies", [(8, 4, 8192), (16, 8, 2048), (64, 32, 128)]),
     "haar-pure": ("haar_pure_entropies", [(8, 4, 8192), (12, 6, 1024)]),
 }
+# (N, N_A) of each Monte Carlo estimate timed through stats.mc_estimate at each of ESTIMATE_WORKERS, with
+# ESTIMATE_SAMPLES samples; haar-pure stops at N = 14
+ESTIMATES = {"gaussian": (16, 8), "hamiltonian": (16, 8), "number-conserving": (16, 8), "haar-pure": (12, 6)}
+ESTIMATE_WORKERS = (1, 2)
+ESTIMATE_SAMPLES = 4096
 # single-state chains of the state-algebra workload: seeds 1..CHAIN_SEEDS per timing, N_A = N/2
 CHAINS = [(kind, n) for kind in ("particle", "hamiltonian", "gaussian") for n in (64, 128)]
 CHAIN_SEEDS = 8
@@ -120,7 +127,7 @@ def time_layers() -> tuple[dict, list[float]]:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import run as perfbench
     import worker
-    from gausspage import ensembles
+    from gausspage import ensembles, stats
     from gausspage.linalg import RngStream
 
     out, slow = {}, []
@@ -144,6 +151,13 @@ def time_layers() -> tuple[dict, list[float]]:
                 gen = RngStream(1).generator()
                 measure(f"samplers.{ensemble}.{n}x{n_a}.us_per_sample", lambda: sampler(n, n_a, 16, gen),
                         lambda: sampler(n, n_a, count, gen), 1e-6 * count)
+        for ensemble, (n, n_a) in ESTIMATES.items():
+            sampler = getattr(ensembles, SAMPLERS[ensemble][0])
+            draws = lambda gen, count: sampler(n, n_a, count, gen)  # noqa: E731
+            for workers in ESTIMATE_WORKERS:
+                measure(f"estimates.{ensemble}.{n}x{n_a}.workers{workers}.us_per_sample",
+                        lambda: stats.mc_estimate(draws, 64, 1, workers),
+                        lambda: stats.mc_estimate(draws, ESTIMATE_SAMPLES, 1, workers), 1e-6 * ESTIMATE_SAMPLES)
         for kind, n in CHAINS:
             reqs = [{"kind": kind, "N": n, "NA": n // 2, "seed": seed, "occ": [(seed + k) % 2 for k in range(n)]}
                     for seed in range(1, CHAIN_SEEDS + 1)]
@@ -227,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     metrics.update({name: {"value": s, "unit": "s"} for name, s in time_cli().items()})
     print("samplers and chains", file=sys.stderr)
     layers, layer_slowness = time_layers()
-    metrics.update({name: {"value": v, "unit": "us" if name.startswith("samplers.") else "ms"}
+    metrics.update({name: {"value": v, "unit": "us" if name.endswith(".us_per_sample") else "ms"}
                     for name, v in layers.items()})
     status = _git("status", "--porcelain", "--untracked-files=no")
     record = {

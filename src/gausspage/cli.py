@@ -52,8 +52,9 @@ ENSEMBLES = tuple(_SAMPLERS)
 # Ensembles whose entropy follows the Haar Gaussian law: the analytic variance columns apply.
 _GAUSSIAN_LAW = ("gaussian", "hamiltonian")
 MODES = ("exact", "quadrature", "mc", "limit")
-_WORKERS_HELP = ("split samples into this many RNG streams, which fix the result; each batch's linear algebra"
-                 " runs on the available cores, and the output does not depend on their number")
+_WORKERS_HELP = ("split samples into this many RNG streams, which fix the result; up to one stream per available"
+                 " core runs at a time, and each batch's linear algebra runs on the available cores; the output"
+                 " does not depend on their number")
 # Options beyond the common --N, --NA, --seed, --format and --out; each command takes those it reads.
 _OPTIONS = {
     "ensemble": {"choices": ENSEMBLES, "default": "gaussian"},

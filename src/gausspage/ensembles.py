@@ -15,7 +15,12 @@ rows that lie in A and build the block [J]_A (or C_A) directly, never a full
 RNG calls: every operation on the draws, even the antisymmetric part of a
 Hamiltonian or the complex Ginibre stack, runs with the linear algebra on the
 available cores in row pieces.  A sample's entropy does not depend on its
-piece, so the output is the same for any core count.  The single-draw
+piece, so the output is the same for any core count.  A batched sampler may
+be called concurrently, once per Monte Carlo stream, on distinct generators:
+the piece pool is shared, its threads never wait, and the batches of all
+streams draw from one in-flight budget of ``_BATCH_ELEMENTS`` words, so
+concurrent streams hold no more batch memory than one stream at the cap.
+Each batch is freed before the next is drawn.  The single-draw
 functions are pure functions of an :class:`RngStream` and draw a batch of one
 through the same helpers.  Every h, random or a caller's (A, B) written as four
 real blocks by :func:`from_particle_basis`, has its modes from the real
@@ -24,8 +29,10 @@ eigenvectors of h h^T, in oriented planes (:func:`gausspage.linalg._mode_planes`
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,9 +134,9 @@ def from_particle_basis(A: np.ndarray, B: np.ndarray) -> QuadraticHamiltonian:
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
-    n = A.shape[0]
-    if A.shape != (n, n) or B.shape != (n, n):
+    if A.ndim != 2 or A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise InvalidArgument("A and B must be square matrices of equal shape")
+    n = A.shape[0]
     if n < 1 or not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise InvalidArgument(f"need N >= 1 and A and B with finite entries, got N={n}")
     if np.max(np.abs(A - A.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(A))):
@@ -198,7 +205,8 @@ def entanglement_entropy_pure(psi: np.ndarray, N_A: int) -> float:
 # ---------------------------------------------------------------------------
 
 _BATCH = 2048
-# Cap on the 8-byte words in the largest array of one batch (32 MB).
+# Cap on the 8-byte words in the largest array of one batch (32 MB), and on those of all
+# batches in flight in the process, whichever streams they belong to.
 _BATCH_ELEMENTS = 1 << 22
 # A batch is reduced in at most _MAX_PIECES row pieces of at least 1 MB of its largest
 # array: smaller pieces slow the cheap samplers and strand temporaries in per-thread arenas.
@@ -206,17 +214,48 @@ _PIECE_ELEMENTS = 1 << 17
 _MAX_PIECES = 16
 
 
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 @functools.cache
 def _pool():
-    """One reduction thread per core this process may run on, at most _MAX_PIECES; None on one core."""
+    """One reduction thread per core, at most _MAX_PIECES; None on one core.  Its threads never wait."""
     from concurrent.futures import ThreadPoolExecutor  # here, not at import, which it would slow by ~8 ms
 
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cores = _cores()
     return ThreadPoolExecutor(min(cores, _MAX_PIECES), thread_name_prefix="gausspage") if cores > 1 else None
 
 
-if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's pool threads
-    os.register_at_fork(after_in_child=_pool.cache_clear)
+class _Budget:
+    """Words of batch arrays in flight in this process, at most _BATCH_ELEMENTS unless one batch alone is larger."""
+
+    def __init__(self):
+        self._free = threading.Condition()
+        self.words = 0
+
+    @contextlib.contextmanager
+    def take(self, words: int):
+        with self._free:
+            self._free.wait_for(lambda: self.words == 0 or self.words + words <= _BATCH_ELEMENTS)
+            self.words += words
+        try:
+            yield
+        finally:
+            with self._free:
+                self.words -= words
+                self._free.notify_all()
+
+
+@functools.cache
+def _budget() -> _Budget:
+    """The one in-flight budget that the batches of every concurrent stream share."""
+    return _Budget()
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's threads, and may inherit a held lock
+    os.register_at_fork(after_in_child=lambda: (_pool.cache_clear(), _budget.cache_clear()))
 
 
 def _in_batches(count: int, per_sample: int, draw, reduce) -> np.ndarray:
@@ -225,29 +264,38 @@ def _in_batches(count: int, per_sample: int, draw, reduce) -> np.ndarray:
     ``draw(b)`` makes the RNG calls of a batch and nothing else, and returns
     arrays of b rows; ``reduce`` does all the arithmetic and maps each row to
     its entropy alone, so row pieces of a batch are reduced on the pool.  A
-    piece's error is raised once every piece is done.
+    piece's error is raised once every piece is done.  A batch takes its
+    b * per_sample words from the shared budget before its draw and gives
+    them back once it is reduced and freed, so the batches of concurrent
+    streams hold at most _BATCH_ELEMENTS words between them (a lone batch
+    always runs).  The batch size does not depend on the budget: for some
+    samplers it fixes the order of the RNG calls.
     """
     batch = max(1, min(_BATCH, _BATCH_ELEMENTS // per_sample))
     piece = -(-_PIECE_ELEMENTS // per_sample)  # fewest rows in a piece
     out = np.empty(count)
     for start in range(0, count, batch):
         b = min(batch, count - start)
-        inputs = draw(b)
-        pieces = min(_MAX_PIECES, b // piece)
-        pool = _pool() if pieces > 1 else None
-        if pool is None:
-            out[start : start + b] = reduce(*inputs)
-            continue
-        cuts = [b * i // pieces for i in range(pieces + 1)]
-
-        def reduce_piece(lo: int, hi: int) -> None:
-            out[start + lo : start + hi] = reduce(*(x[lo:hi] for x in inputs))
-
-        futures = [pool.submit(reduce_piece, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-        errors = [future.exception() for future in futures]  # waits for every piece
-        for error in filter(None, errors):
-            raise error
+        with _budget().take(b * per_sample):
+            _reduce_batch(out[start : start + b], draw(b), reduce, min(_MAX_PIECES, b // piece))
     return out
+
+
+def _reduce_batch(out: np.ndarray, inputs: tuple, reduce, pieces: int) -> None:
+    """out = reduce(*inputs), in ``pieces`` row pieces on the pool; the inputs are freed on return."""
+    pool = _pool() if pieces > 1 else None
+    if pool is None:
+        out[:] = reduce(*inputs)
+        return
+    cuts = [len(out) * i // pieces for i in range(pieces + 1)]
+
+    def reduce_piece(lo: int, hi: int) -> None:
+        out[lo:hi] = reduce(*(x[lo:hi] for x in inputs))
+
+    futures = [pool.submit(reduce_piece, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    errors = [future.exception() for future in futures]  # waits for every piece
+    for error in filter(None, errors):
+        raise error
 
 
 def correlation_block(v: np.ndarray, occ: np.ndarray) -> np.ndarray:

@@ -1,19 +1,25 @@
 """Monte Carlo harness: streaming moments, KS statistics, histograms.
 
 ``mc_estimate`` partitions the sample budget across RNG streams derived
-from (seed, stream id), draws them one after another and merges moments in
-fixed stream order, so a run is bit-reproducible for a given (seed, workers).
-The streams fix the result; the samplers run each batch's linear algebra on
-the available cores, and the output does not depend on their number.
+from (seed, stream id), runs up to one stream per core at a time and merges
+moments in fixed stream order, so a run is bit-reproducible for a given
+(seed, workers).  The streams fix the result; which thread runs a stream,
+how many run at once and the cores each batch's linear algebra runs on do
+not change it.  A sampler may therefore be called concurrently, once per
+stream, each time on a distinct generator.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from gausspage.ensembles import _cores
 from gausspage.linalg import InvalidArgument, RngStream
 
 # Entropy-producing procedure: maps (generator, count) to `count` samples.
@@ -80,30 +86,117 @@ class _Moments:
         self.n, self.m2, self.m3, self.m4 = n, m2, m3, m4
 
 
+@functools.cache
+def _stream_pool():
+    """One stream thread per core beyond the caller's; None on one core.
+
+    Stream threads wait on the piece pool of :mod:`gausspage.ensembles`,
+    whose threads never wait, so they are kept apart from it.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # here, not at import, which it would slow by ~8 ms
+
+    cores = _cores()
+    return ThreadPoolExecutor(cores - 1, thread_name_prefix="gausspage-stream") if cores > 1 else None
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's stream threads
+    os.register_at_fork(after_in_child=_stream_pool.cache_clear)
+
+
+class _Streams:
+    """Streams 0..count-1, started in increasing id by each thread that calls :meth:`work`.
+
+    A finished stream's moments are merged in increasing stream id, so the
+    sum does not depend on which thread ran which stream.  Once a stream has
+    failed no further stream starts; every stream below it has started by
+    then, so the lowest failing stream is the one a serial run would report.
+    """
+
+    def __init__(self, run: Callable[[int], _Moments], count: int):
+        self._run, self._count = run, count
+        self._changed = threading.Condition()
+        self._next = 0  # the next stream to start
+        self._running = 0
+        self._done: dict[int, _Moments] = {}  # finished streams waiting for a lower one
+        self.moments = _Moments()  # streams 0..merged-1
+        self._merged = 0
+        self.errors: dict[int, BaseException] = {}
+
+    def work(self) -> None:
+        """Run streams until none is left to start; never raises."""
+        while True:
+            with self._changed:
+                if self._next == self._count or self.errors:
+                    return
+                w = self._next
+                self._next += 1
+                self._running += 1
+            result = error = None
+            try:
+                result = self._run(w)
+            except BaseException as e:  # re-raised by mc_estimate once every started stream has ended
+                error = e
+            with self._changed:
+                self._running -= 1
+                if error is not None:
+                    self.errors[w] = error
+                else:
+                    self._done[w] = result
+                while self._merged in self._done:
+                    self.moments.merge(self._done.pop(self._merged))
+                    self._merged += 1
+                self._changed.notify_all()
+
+    def join(self) -> None:
+        """Start no further stream, and wait until every started one has ended."""
+        with self._changed:
+            self._count = self._next
+            self._changed.wait_for(lambda: self._running == 0)
+
+
 def mc_estimate(sampler: Sampler, n: int, seed: int, workers: int = 1) -> MCEstimate:
     """Streaming Monte Carlo estimate of mean and variance.
 
     The sampler is called with a per-stream generator and a count and must
     return that many samples.  Stream w receives n//workers samples plus one
     of the remainder; streams are merged in increasing stream id.  Streams
-    past the n-th would draw nothing, so at most n are visited.
+    past the n-th would draw nothing, so at most n are visited.  Up to one
+    stream per core runs at a time, one on the calling thread and the rest
+    on stream threads, so the sampler may be called concurrently, once per
+    stream, on distinct generators.  Every stream started has ended when
+    this returns or raises; a failure raises the error of the lowest
+    failing stream.
     """
     if n < 2:
         raise InvalidArgument(f"need n >= 2 samples, got {n}")
     if workers < 1:
         raise InvalidArgument("need at least one worker")
     base, rem = divmod(n, workers)
-    moments = _Moments()
-    for w in range(min(workers, n)):
+
+    def stream(w: int) -> _Moments:
         count = base + (1 if w < rem else 0)
         gen = RngStream(seed, w).generator()
         done = 0
-        stream_moments = _Moments()
+        moments = _Moments()
         while done < count:
             b = min(_CHUNK, count - done)
-            stream_moments.add_chunk(np.asarray(sampler(gen, b), dtype=float))
+            moments.add_chunk(np.asarray(sampler(gen, b), dtype=float))
             done += b
-        moments.merge(stream_moments)
+        return moments
+
+    visited = min(workers, n)
+    streams = _Streams(stream, visited)
+    pool = _stream_pool() if visited > 1 else None
+    for _ in range(min(visited, _cores()) - 1 if pool else 0):
+        # no one waits on these: a helper that starts late finds no stream left and returns
+        pool.submit(streams.work)
+    try:
+        streams.work()
+    finally:
+        streams.join()
+    if streams.errors:
+        raise streams.errors[min(streams.errors)]
+    moments = streams.moments
     variance = moments.m2 / (moments.n - 1)
     return MCEstimate(
         mean=moments.mean,

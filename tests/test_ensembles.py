@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -416,6 +417,12 @@ class TestParticleBasis:
         with pytest.raises(Exception):
             from_particle_basis(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("A, B", [(1.0, 1.0), (np.eye(2), 1.0), (np.ones(2), np.ones(2))])
+    def test_rejects_a_scalar_or_vector_hamiltonian(self, A, B):
+        # a 0-d A, a 0-d B and a 1-d A
+        with pytest.raises(InvalidArgument, match="square matrices"):
+            from_particle_basis(A, B)
+
     def test_rejects_an_empty_or_non_finite_hamiltonian(self):
         with pytest.raises(InvalidArgument, match="need N >= 1"):
             from_particle_basis(np.zeros((0, 0)), np.zeros((0, 0)))
@@ -585,18 +592,23 @@ class TestParallelReduction:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_makes_its_own_pool(self):
-        # a child forked after the pool exists must not wait for the parent's threads
+        # a child forked after the pools exist must not wait for the parent's threads
         code = """if True:
             import os, signal, numpy as np
-            from gausspage import ensembles
-            os.sched_getaffinity = lambda pid: {0, 1}  # two cores, so that batches split
+            from gausspage import ensembles, stats
+            os.sched_getaffinity = lambda pid: {0, 1}  # two cores, so that batches split and streams run at once
             ensembles._PIECE_ELEMENTS = 1
-            a = ensembles.gaussian_entropies(5, 2, 300, np.random.default_rng(1))
+            def run():  # the piece pool, the budget and the stream pool
+                sampler = lambda gen, n: ensembles.gaussian_entropies(5, 2, n, gen)
+                return ensembles.gaussian_entropies(5, 2, 300, np.random.default_rng(1)), stats.mc_estimate(
+                    sampler, 600, 1, workers=2)
+
+            a = run()
             r, w = os.pipe()
             if os.fork() == 0:
                 signal.alarm(20)  # a child that hangs dies without writing
-                b = ensembles.gaussian_entropies(5, 2, 300, np.random.default_rng(1))
-                os.write(w, b"same" if np.array_equal(a, b) else b"different")
+                b = run()
+                os.write(w, b"same" if np.array_equal(a[0], b[0]) and a[1] == b[1] else b"different")
                 os._exit(0)
             os.close(w)
             os.wait()
@@ -606,6 +618,23 @@ class TestParallelReduction:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert out.stdout.strip() == "same"
+
+    def test_each_batch_is_freed_before_the_next_draw(self, counting_pool, monkeypatch):
+        # reduced in pieces, a batch peaks below its draw plus the previous batch's arrays
+        monkeypatch.setattr(ensembles, "_BATCH", 256)
+        monkeypatch.setattr(ensembles, "_PIECE_ELEMENTS", 16 * 2**11)  # 16 pieces of a batch of 2^11-word samples
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                haar_pure_entropies(10, 5, count, np.random.default_rng(0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_batch = peak(256)
+        assert peak(512) <= 1.3 * one_batch
+        assert counting_pool.pieces == 16 * 3
 
     def test_error_in_one_piece_reaches_the_cli(self, counting_pool, monkeypatch, capsys):
         calls = itertools.count()

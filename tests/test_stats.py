@@ -1,7 +1,15 @@
+import contextlib
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gausspage import ensembles, stats
+from gausspage.gstates import ConsistencyError
 from gausspage.linalg import InvalidArgument, RngStream
 from gausspage.stats import (
     _Moments,
@@ -74,6 +82,140 @@ class TestMcEstimate:
     def test_rejects_tiny_runs(self):
         with pytest.raises(InvalidArgument):
             mc_estimate(uniform_sampler, 1, seed=0)
+
+
+# (sampler, N, N_A) of each batched sampler; batches of 64 samples give each stream several batches
+BATCHED = [
+    (ensembles.gaussian_entropies, 6, 3),
+    (ensembles.hamiltonian_eigenstate_entropies, 5, 2),
+    (ensembles.number_conserving_entropies, 6, 4),
+    (ensembles.haar_pure_entropies, 6, 2),
+]
+
+
+def bind(sampler, N, N_A):
+    return lambda gen, n: sampler(N, N_A, n, gen)
+
+
+@pytest.fixture
+def three_cores(monkeypatch):
+    """Streams as on three cores, whatever this machine has: the caller and two stream threads."""
+    pool = ThreadPoolExecutor(2)
+    monkeypatch.setattr(stats, "_cores", lambda: 3)
+    monkeypatch.setattr(stats, "_stream_pool", lambda: pool)
+    yield pool
+    pool.shutdown()
+
+
+class RecordingBudget(ensembles._Budget):
+    """The in-flight budget, recording the most words it ever lent at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.peak = 0
+
+    @contextlib.contextmanager
+    def take(self, words):
+        with super().take(words):
+            with self._free:
+                self.peak = max(self.peak, self.words)
+            yield
+
+
+class TestConcurrentStreams:
+    """Up to one stream per core runs at a time; the moments are merged in stream order."""
+
+    @staticmethod
+    def serial(monkeypatch, sampler, n, seed, workers):
+        with monkeypatch.context() as m:
+            m.setattr(stats, "_stream_pool", lambda: None)  # as on one core
+            return mc_estimate(sampler, n, seed, workers)
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    @pytest.mark.parametrize("sampler, N, N_A", BATCHED)
+    def test_stream_threads_match_one_thread(self, sampler, N, N_A, workers, three_cores, monkeypatch):
+        # more streams than cores, with uneven counts: 1001 samples over 2, 3 or 5 streams
+        monkeypatch.setattr(ensembles, "_BATCH", 64)
+        run = bind(sampler, N, N_A)
+        assert mc_estimate(run, 1001, 7, workers) == self.serial(monkeypatch, run, 1001, 7, workers)
+
+    @pytest.mark.parametrize("workers", [3, 5])
+    @pytest.mark.parametrize("failing", [{2}, {1, 2}])
+    def test_the_lowest_failing_stream_is_raised_once_every_stream_has_ended(self, failing, workers, three_cores):
+        # 11 samples over 3 or 5 streams; stream 2 fails at once, and the calling thread, which is most
+        # often the one to take stream 0, is done long before stream 1.  Streams past a failed one never start.
+        lock, busy, ended = threading.Lock(), [0], []
+        stream_of = {RngStream(1, w).generator().random(): w for w in range(workers)}
+
+        def sampler(gen, n):
+            w = stream_of[gen.random()]
+            with lock:
+                busy[0] += 1
+            try:
+                time.sleep((0.05, 0.3)[w] if w < 2 else 0.0)
+                if w in failing:
+                    raise ConsistencyError(f"stream {w}")
+                return np.zeros(n)
+            finally:
+                with lock:
+                    busy[0] -= 1
+                    ended.append(w)
+
+        with pytest.raises(ConsistencyError, match=f"stream {min(failing)}"):
+            mc_estimate(sampler, 11, 1, workers=workers)
+        assert busy == [0] and sorted(ended) == [0, 1, 2]
+        assert three_cores.submit(lambda: None).result(timeout=10) is None  # no stream thread is left busy
+
+    def test_at_most_one_stream_per_core(self, monkeypatch):
+        monkeypatch.setattr(stats, "_cores", lambda: 3)
+        pool = ThreadPoolExecutor(8)  # more threads than cores: the count of streams in flight is what caps them
+        monkeypatch.setattr(stats, "_stream_pool", lambda: pool)
+        lock, state = threading.Lock(), {"busy": 0, "peak": 0, "calls": 0}
+        first_round = threading.Barrier(3, timeout=20)  # the first three streams run at once, or this times out
+
+        def sampler(gen, n):
+            with lock:
+                state["busy"] += 1
+                state["peak"] = max(state["peak"], state["busy"])
+                state["calls"] += 1
+                call = state["calls"]
+            try:
+                if call <= 3:
+                    first_round.wait()
+                time.sleep(0.01)
+                return gen.random(n)
+            finally:
+                with lock:
+                    state["busy"] -= 1
+
+        try:
+            est = mc_estimate(sampler, 50, 4, workers=7)
+            start = time.perf_counter()
+            many = mc_estimate(sampler, 10, 5, workers=10**12)  # streams past the n-th are never started
+            seconds = time.perf_counter() - start
+        finally:
+            pool.shutdown()
+        assert state["peak"] == 3 and state["calls"] == 7 + 10
+        assert est == self.serial(monkeypatch, uniform_sampler, 50, 4, 7)
+        assert many == self.serial(monkeypatch, uniform_sampler, 10, 5, 10) and seconds < 10
+
+    @pytest.mark.parametrize("below_a_sample", [False, True])
+    def test_batches_in_flight_stay_within_the_budget(self, below_a_sample, three_cores, monkeypatch):
+        # gaussian (6, 3) takes 72 words a sample; a budget of 5000 words holds one batch of 64 (4608) at a time
+        budget = RecordingBudget()
+        monkeypatch.setattr(ensembles, "_budget", lambda: budget)
+        monkeypatch.setattr(ensembles, "_BATCH", 64)
+        monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", 50 if below_a_sample else 5000)
+        run = bind(ensembles.gaussian_entropies, 6, 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so that a lost update of the budget would show
+        try:
+            threaded = mc_estimate(run, 600, 2, workers=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert budget.peak == (72 if below_a_sample else 64 * 72)  # a lone batch runs even above the budget
+        assert budget.words == 0
+        assert threaded == self.serial(monkeypatch, run, 600, 2, 3)
 
 
 class TestKs:

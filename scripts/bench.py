@@ -16,8 +16,12 @@ A BENCH file records, for the checkout this script lives in:
   run at once) in microseconds per sample at ``--workers`` 1 and 2, and the
   three single-state chains of the ``state-algebra`` workload (particle,
   hamiltonian, gaussian: ``perfbench/worker.py`` runs them) in milliseconds
-  per chain at N = 64 and 128 with N_A = N/2, in this process, with one BLAS
-  thread, at reference speed as run.py reports its latencies;
+  per chain at N = 64 and 128 with N_A = N/2, and the analytic layers in
+  milliseconds per call at (N, N_A) = (64, 32), (192, 96) and (256, 128):
+  ``rmt.build_kernel_ctx``, ``rmt.average_entropy_quadrature`` (the context
+  built outside the timing) and ``formulas.variance_finite_N``; all in this
+  process, with one BLAS thread, at reference speed as run.py reports its
+  latencies;
 * the wall time of one tier-1 run (the command of ROADMAP.md), and the median
   wall time of three runs of each fixed CLI command in ``CLI_RUNS``, each a new
   process with one BLAS thread (these times are raw);
@@ -58,6 +62,9 @@ ESTIMATE_SAMPLES = 4096
 # single-state chains of the state-algebra workload: seeds 1..CHAIN_SEEDS per timing, N_A = N/2
 CHAINS = [(kind, n) for kind in ("particle", "hamiltonian", "gaussian") for n in (64, 128)]
 CHAIN_SEEDS = 8
+# (N, N_A) of the analytic layer timings, and calls per timing
+ANALYTIC_SIZES = [(64, 32), (192, 96), (256, 128)]
+ANALYTIC_CALLS = 8
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 # fixed end-to-end CLI runs, from README's command-line block
 CLI_RUNS = {
@@ -116,18 +123,19 @@ def time_cli() -> dict:
 
 
 def time_layers() -> tuple[dict, list[float]]:
-    """Per sampler and per chain the median of three timings at reference speed, and the slownesses.
+    """Per sampler, chain and analytic call the median of three timings at reference speed, and the slownesses.
 
     Samplers are reported in microseconds per sample, chains in milliseconds
-    per chain.  A timing is divided by the mean slowness of the benchmark's
-    speed probe (``perfbench/probe.py``) just before and just after it, as
-    run.py scales its latencies.  Call once per process.
+    per chain and analytic calls in milliseconds per call.  A timing is
+    divided by the mean slowness of the benchmark's speed probe
+    (``perfbench/probe.py``) just before and just after it, as run.py scales
+    its latencies.  Call once per process.
     """
     os.environ.update(_one_blas_thread())  # before the first numpy import
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import run as perfbench
     import worker
-    from gausspage import ensembles, stats
+    from gausspage import ensembles, formulas, rmt, stats
     from gausspage.linalg import RngStream
 
     out, slow = {}, []
@@ -164,6 +172,16 @@ def time_layers() -> tuple[dict, list[float]]:
             inputs = [worker.prepare(req) for req in reqs]
             measure(f"chains.{kind}.{n}.ms_per_chain", lambda: worker.execute(reqs[0], inputs[0]),
                     lambda: [worker.execute(*pair) for pair in zip(reqs, inputs)], 1e-3 * len(reqs))
+        for n, n_a in ANALYTIC_SIZES:
+            ctx = rmt.build_kernel_ctx(n_a, n - 2 * n_a)
+            calls = {
+                "rmt.build_kernel_ctx": lambda: rmt.build_kernel_ctx(n_a, n - 2 * n_a),
+                "rmt.average_entropy_quadrature": lambda: rmt.average_entropy_quadrature(ctx),
+                "formulas.variance_finite_N": lambda: formulas.variance_finite_N(n, n_a),
+            }
+            for name, call in calls.items():
+                measure(f"{name}.{n}x{n_a}.ms", call, lambda: [call() for _ in range(ANALYTIC_CALLS)],
+                        1e-3 * ANALYTIC_CALLS)
     finally:
         probe.close()
     return out, slow
@@ -239,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     metrics = summarize(runs, units)
     metrics["tier1.seconds"] = {"value": tier1["seconds"], "unit": "s"}
     metrics.update({name: {"value": s, "unit": "s"} for name, s in time_cli().items()})
-    print("samplers and chains", file=sys.stderr)
+    print("samplers, chains and analytic layers", file=sys.stderr)
     layers, layer_slowness = time_layers()
     metrics.update({name: {"value": v, "unit": "us" if name.endswith(".us_per_sample") else "ms"}
                     for name, v in layers.items()})

@@ -125,7 +125,7 @@ def _smaller_side(N: int, n_a: int) -> int:
 
 # (value, std) of each analytic (mode, ensemble) at N and 1 <= k <= N/2; mode mc serves every ensemble.
 _ANALYTIC = {
-    ("exact", "gaussian"): lambda N, k: (formulas.gaussian_average_exact(N, k), math.sqrt(rmt.variance_finite_N(N, k))),
+    ("exact", "gaussian"): lambda N, k: (formulas.gaussian_average_exact(N, k), math.sqrt(formulas.variance_finite_N(N, k))),
     ("exact", "haar-pure"): lambda N, k: (formulas.page_average_exact(N, k), math.nan),
     ("quadrature", "gaussian"): lambda N, k: (rmt.average_entropy_quadrature(rmt.build_kernel_ctx(k, N - 2 * k)), math.nan),
     ("limit", "gaussian"): lambda N, k: (formulas.gaussian_thermo(N, k / N), formulas.gaussian_std_limit(k / N)),
@@ -178,7 +178,7 @@ def run_variance(config: argparse.Namespace) -> None:
     k = _smaller_side(N, n_a)
     var_exact = var_limit = math.nan
     if config.ensemble in _GAUSSIAN_LAW:
-        var_exact = rmt.variance_finite_N(N, k)
+        var_exact = formulas.variance_finite_N(N, k)
         var_limit = formulas.gaussian_std_limit(k / N) ** 2 if k else 0.0
     if config.samples > 0:
         est = stats.mc_estimate(_mc_sampler(config, n_a), config.samples, config.seed, config.workers)

@@ -3,19 +3,27 @@
 Two families of exact results: the classic Page curve for Haar pure states
 (digamma closed form, exponential asymptotics) and its Gaussian-state
 analogue (digamma closed form, algebraic asymptotics, order-one variance).
-Every factorial ratio is evaluated in log space.
+Every factorial ratio is evaluated in log space.  The finite-N Gaussian
+variance is the series of the closed-form terms s^2_ij over i < N_A <= j,
+summed as arrays, every row until its geometric tail estimate is small.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from gausspage.gstates import ConsistencyError
 from gausspage.linalg import InvalidArgument
 from gausspage.special import digamma
 
 # Above this N the digamma arguments 2^N are replaced by their (machine
 # exact) asymptotics Psi(2^N + 1) = N log 2 + O(2^-N).
 _PAGE_ASYMPT_N = 50
+VARIANCE_TAIL_TOL = 1e-10  # bound on the truncated tails of the variance series, summed over rows
+_MAX_COLUMNS = 4096  # columns of one variance row before its tail counts as not decreasing
+_ROW_BLOCK = (1 << 20) // _MAX_COLUMNS  # rows per variance block, so no array exceeds 2^20 words
 
 
 def _digamma_pow2_plus1(k: int) -> float:
@@ -117,36 +125,74 @@ def sbar_lk(l: int, k: int, f: float) -> float:
     return ratio ** (-2.0 * m) * num / den
 
 
-def s2_closed_form(i: int, j: int, delta: int) -> float:
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """math.lgamma of each element, one call per element of x as given (not as broadcast)."""
+    return np.asarray(np.frompyfunc(math.lgamma, 1, 1)(x), dtype=float)
+
+
+def s2_closed_form(i, j, delta: int) -> float | np.ndarray:
     """Closed form of the squared entropy matrix element s^2_ij, for i < j.
 
-    Evaluated as a sum of log-gamma terms; the raw factorials reach order
-    (4N)! and would overflow immediately.
+    i and j are integers or broadcastable integer arrays, and the result has
+    their broadcast shape (a float for two scalars).  Evaluated as a sum of
+    log-gamma terms, each on its own index array, so an (i, j) grid costs
+    O(rows + columns) lgamma calls; the raw factorials reach order (4N)!
+    and would overflow immediately.
     """
-    if i >= j:
+    i, j = np.asarray(i), np.asarray(j)
+    if np.any(i >= j):
         raise InvalidArgument(f"closed form requires i < j, got i={i}, j={j}")
-    if i < 0 or delta < 0:
+    if np.any(i < 0) or delta < 0:
         raise InvalidArgument("indices must be non-negative")
     d = float(delta)
-    poly = (1.0 + d - 2.0 * d * d) * i - 2.0 * (d - 1.0) * i * i + (d + 1.0) * (2 * j + 1) * (d + j)
+    i, j = i.astype(float), j.astype(float)
+    k = j - i  # |2i - 2j + 1| = 2k - 1
+    poly = (1.0 + d - 2.0 * d * d) * i - 2.0 * (d - 1.0) * i * i + (d + 1.0) * (2.0 * j + 1.0) * (d + j)
     log_num = (
-        math.lgamma(2.0 * j + 1.0)
-        + math.log(2.0 * d + 4.0 * i + 1.0)
-        + math.log(d + j + 1.0)
-        + math.log(2.0 * d + 2.0 * j + 1.0)
-        + math.log(2.0 * d + 4.0 * j + 1.0)
-        + math.lgamma(2.0 * (d + i) + 1.0)
-        + 2.0 * math.log(abs(poly))
+        _lgamma(2.0 * j + 1.0) + np.log(2.0 * d + 4.0 * i + 1.0) + np.log(d + j + 1.0) + np.log(2.0 * d + 2.0 * j + 1.0)
+        + np.log(2.0 * d + 4.0 * j + 1.0) + _lgamma(2.0 * (d + i) + 1.0) + 2.0 * np.log(np.abs(poly))
     )
     log_den = (
-        math.log(2.0)
-        + math.lgamma(2.0 * i + 1.0)
-        + 2.0 * math.log(abs(2.0 * i - 2.0 * j + 1.0))
-        + 2.0 * math.log(float(j - i))
-        + 2.0 * math.log(abs(2.0 * j - 2.0 * i + 1.0))
-        + math.lgamma(2.0 * (d + j + 1.0) + 1.0)
-        + 2.0 * math.log(d + i + j)
-        + 2.0 * math.log(d + i + j + 1.0)
-        + 2.0 * math.log(2.0 * d + 2.0 * i + 2.0 * j + 1.0)
+        math.log(2.0) + _lgamma(2.0 * i + 1.0) + 2.0 * np.log(2.0 * k - 1.0) + 2.0 * np.log(k)
+        + 2.0 * np.log(2.0 * k + 1.0) + _lgamma(2.0 * (d + j + 1.0) + 1.0) + 2.0 * np.log(d + i + j)
+        + 2.0 * np.log(d + i + j + 1.0) + 2.0 * np.log(2.0 * d + 2.0 * i + 2.0 * j + 1.0)
     )
-    return math.exp(log_num - log_den)
+    s2 = np.exp(log_num - log_den)
+    return float(s2) if s2.ndim == 0 else s2
+
+
+def _block_sum(i: np.ndarray, n_a: int, delta: int, per_row_tol: float) -> float:
+    """sum_{N_A<=j<N_A+K} s^2_ij over the rows i, each row with the first K from 32, 64, ... that bounds its tail.
+
+    A row's tail estimate is its last term times r/(1 - r), r the ratio of its
+    last two terms (0 where the earlier one underflowed).  K depends on the row
+    alone, so the sum does not depend on how rows are grouped.
+    """
+    total, columns = 0.0, 32
+    while i.size:
+        if columns > _MAX_COLUMNS:
+            raise ConsistencyError("variance tail is not decreasing")
+        terms = s2_closed_form(i[:, None], n_a + np.arange(columns), delta)
+        last, prev = terms[:, -1], terms[:, -2]
+        ratio = np.divide(last, prev, out=np.zeros_like(last), where=prev > 0.0)
+        done = last * ratio < per_row_tol * (1.0 - ratio)  # r < 1 and last * r / (1 - r) < tol
+        total += terms[done].sum()
+        i = i[~done]
+        columns *= 2
+    return total
+
+
+def variance_finite_N(N: int, N_A: int) -> float:
+    """Finite-N entropy variance of the Gaussian ensemble: sum_{i<N_A<=j} of the closed-form s^2_ij.
+
+    S_A = S_B, so N_A > N/2 is taken as N - N_A and N_A in {0, N} gives 0.
+    Every row i < N_A is summed over its first K columns, K the first power of
+    two from 32 at which the row's geometric tail estimate is below
+    VARIANCE_TAIL_TOL / N_A; a row that needs more than _MAX_COLUMNS raises.
+    Rows go in blocks of _ROW_BLOCK, so no array exceeds 2^20 words.
+    """
+    if not 0 <= N_A <= N:
+        raise InvalidArgument(f"need 0 <= N_A <= N, got N_A={N_A}, N={N}")
+    n_a = min(N_A, N - N_A)
+    blocks = (np.arange(start, min(start + _ROW_BLOCK, n_a)) for start in range(0, n_a, _ROW_BLOCK))
+    return float(sum(_block_sum(i, n_a, N - 2 * n_a, VARIANCE_TAIL_TOL / n_a) for i in blocks))

@@ -41,18 +41,6 @@ class SystemSplit:
         if not (0 <= self.N_A <= self.N):
             raise InvalidArgument(f"need 0 <= N_A <= N, got N_A={self.N_A}, N={self.N}")
 
-    @property
-    def N_B(self) -> int:
-        return self.N - self.N_A
-
-    @property
-    def delta(self) -> int:
-        return self.N_B - self.N_A
-
-    @property
-    def f(self) -> float:
-        return self.N_A / self.N
-
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
     """p log p elementwise, with 0 log 0 = 0."""

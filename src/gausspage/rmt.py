@@ -24,6 +24,9 @@ s(x) psi_i psi_j use 2 j_max + Delta + 16 nodes per graded panel (rounded up
 to a multiple of 32 so cached rules are shared) and check n against 2n.
 ``ctx.quadrature`` is one panel on [0, 1] at that order: it only meets
 polynomial integrands (Gram matrix, K(x, x), K(z, x) K(z, y)), exactly.
+
+This module holds only the kernel and its quadrature.  The finite-N variance
+needs no kernel: it is the closed-form series ``formulas.variance_finite_N``.
 """
 
 from __future__ import annotations
@@ -35,13 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from gausspage.linalg import InvalidArgument
-from gausspage.gstates import ConsistencyError, SystemSplit, mode_entropy
+from gausspage.gstates import ConsistencyError, mode_entropy
 from gausspage.special import QuadratureRule, gauss_legendre, jacobi_orthonormal, panel_rule, unit_interval_rule
-from gausspage.formulas import s2_closed_form
 
 ORTHONORMALITY_TOL = 1e-10
 QUADRATURE_TOL = 1e-10  # |integral(2n) - integral(n)| that ends the order doubling
-VARIANCE_TAIL_TOL = 1e-10  # bound on the truncated tails of the variance series, summed over rows
 _MAX_DOUBLINGS = 6
 _CHUNK_ELEMENTS = 1 << 20  # largest array of one density_cdf chunk, points x 24 nodes, in words
 
@@ -153,7 +154,7 @@ def average_entropy_quadrature(ctx: JacobiKernelCtx) -> float:
 def s_ij_quadrature(ctx: JacobiKernelCtx, i: int, j: int) -> float:
     """Matrix element s_ij = integral of s(x) psi_i(x) psi_j(x) dx.
 
-    The basis index may exceed N_A, as j >= N_A does in the variance sum.
+    The basis index may exceed N_A, as j >= N_A does in the variance series.
     """
     if i < 0 or j < 0:
         raise InvalidArgument("indices must be non-negative")
@@ -165,41 +166,3 @@ def s_ij_quadrature(ctx: JacobiKernelCtx, i: int, j: int) -> float:
         return rule.integrate(mode_entropy(rule.nodes) * psi[i] * psi[j])
 
     return _converged(integral, _panel_order(jmax, ctx.delta), "matrix-element")
-
-
-def variance_finite_N(N: int, N_A: int) -> float:
-    """Finite-N entropy variance of the Gaussian ensemble: sum_{i<N_A<=j} of the closed-form s^2_ij.
-
-    S_A = S_B, so N_A > N/2 is taken as N - N_A and N_A in {0, N} gives 0.
-    Each row is truncated once the geometric extrapolation of the running
-    term falls below VARIANCE_TAIL_TOL / N_A, after the observed decay ratio
-    is checked; the sum stops at the first row below that, with no bound.
-    """
-    split = SystemSplit(N, N_A)
-    n_a = min(split.N_A, split.N_B)
-    if n_a == 0:
-        return 0.0
-    delta = N - 2 * n_a
-    per_row_tol = VARIANCE_TAIL_TOL / n_a
-    total = 0.0
-    for i in range(n_a - 1, -1, -1):
-        row = 0.0
-        prev = math.inf
-        j = n_a
-        while True:
-            term = s2_closed_form(i, j, delta)
-            row += term
-            ratio = term / prev if prev > 0 else 0.0
-            if j > n_a + 4 and ratio < 1.0:
-                tail_bound = term * ratio / (1.0 - ratio)
-                if tail_bound < per_row_tol:
-                    break
-            if j - n_a > 100_000:
-                raise ConsistencyError("variance tail is not decreasing")
-            prev = term
-            j += 1
-        total += row
-        if row < per_row_tol and i < n_a - 4:
-            # rows decay away from the i = N_A - 1 edge; remaining ones are dust
-            break
-    return total

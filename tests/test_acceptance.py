@@ -88,7 +88,7 @@ def test_criterion_4_hamiltonian_eigenstate_equivalence():
 
 def test_criterion_5_variance_chain():
     t0 = time.perf_counter()
-    finite = rmt.variance_finite_N(8, 4)
+    finite = formulas.variance_finite_N(8, 4)
     est = stats.mc_estimate(
         lambda gen, count: ensembles.gaussian_entropies(8, 4, count, gen),
         1_000_000,
@@ -100,7 +100,7 @@ def test_criterion_5_variance_chain():
     target = (0.75 - math.log(2.0)) / 2.0
     gaps = []
     for n in (32, 64, 128, 256):
-        gaps.append(rmt.variance_finite_N(n, n // 2) - target)
+        gaps.append(formulas.variance_finite_N(n, n // 2) - target)
     assert all(g > 0 for g in gaps)
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 0.03 * target
@@ -196,7 +196,7 @@ def test_criterion_10_fig2_reproduction():
     exact = formulas.gaussian_average_exact(10, 5)
     se = gaussian.std(ddof=1) / math.sqrt(n_samples)
     assert abs(gaussian.mean() - exact) <= 3 * se
-    predicted_std = math.sqrt(rmt.variance_finite_N(10, 5))
+    predicted_std = math.sqrt(formulas.variance_finite_N(10, 5))
     assert abs(gaussian.std(ddof=1) - predicted_std) <= 0.10 * predicted_std
     gen_p = RngStream(1010, 0).generator()
     pure = ensembles.haar_pure_entropies(10, 5, n_samples, gen_p)

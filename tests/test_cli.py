@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gausspage
-from gausspage import ensembles, rmt
+from gausspage import ensembles, formulas, rmt
 from gausspage.cli import (
     _COMMANDS,
     _OPTIONS,
@@ -155,7 +155,7 @@ class TestVariance:
         limit = float(row[header.index("variance_limit")])
         assert 0.0 < float(row[header.index("variance_mc")]) < (3 * math.log(2.0)) ** 2
         if ensemble in ("gaussian", "hamiltonian"):
-            assert finite == rmt.variance_finite_N(6, 3)
+            assert finite == formulas.variance_finite_N(6, 3)
             assert abs(limit - (0.75 - math.log(2.0)) / 2.0) <= 1e-12
         else:
             assert math.isnan(finite) and math.isnan(limit)
@@ -338,7 +338,9 @@ class TestErrorPaths:
         assert "did not converge" in capsys.readouterr().err
 
     def test_series_failure_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setattr(rmt, "s2_closed_form", lambda i, j, delta: 1.0)  # a tail that does not decrease
+        # a tail that does not decrease, in the broadcast shape of the indices
+        ones = lambda i, j, delta: np.ones(np.broadcast_shapes(np.shape(i), np.shape(j)))  # noqa: E731
+        monkeypatch.setattr(formulas, "s2_closed_form", ones)
         code = main(["variance", "--N", "4", "--NA", "2", "--samples", "0"])
         assert code == EXIT_NUMERICAL
         assert "not decreasing" in capsys.readouterr().err

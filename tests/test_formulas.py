@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,93 @@ class TestS2ClosedForm:
         n_a = 100
         val = F.s2_closed_form(n_a - 1, n_a, 400 - 2 * n_a)
         assert abs(val - F.sbar_lk(0, 0, 0.25)) <= 0.02 * F.sbar_lk(0, 0, 0.25)
+
+    def test_array_call_matches_scalar_calls(self):
+        # one log-gamma per index of each array, broadcast to the (i, j) grid
+        i, j = np.arange(5)[:, None], 5 + np.arange(7)
+        for delta in (0, 3, 17):
+            grid = F.s2_closed_form(i, j, delta)
+            assert grid.shape == (5, 7)
+            for a in range(5):
+                for b in range(7):
+                    assert grid[a, b] == F.s2_closed_form(a, 5 + b, delta)
+        assert isinstance(F.s2_closed_form(0, 1, 0), float)
+
+    def test_array_call_rejects_any_upper_triangle_violation(self):
+        with pytest.raises(InvalidArgument):
+            F.s2_closed_form(np.array([0, 5]), 5, 0)
+        with pytest.raises(InvalidArgument):
+            F.s2_closed_form(np.arange(3)[:, None], np.arange(1, 4), 0)
+
+
+def fsum_variance(N, N_A, columns):
+    """math.fsum of s^2_ij over i < N_A and the first `columns` j >= N_A, 16 array rows at a time."""
+    n_a = min(N_A, N - N_A)
+    j = n_a + np.arange(columns)
+    blocks = [F.s2_closed_form(np.arange(r, min(r + 16, n_a))[:, None], j, N - 2 * n_a) for r in range(0, n_a, 16)]
+    return math.fsum(np.concatenate([b.ravel() for b in blocks])) if blocks else 0.0
+
+
+class TestVariance:
+    def test_non_negative(self):
+        for n_a, delta in [(1, 0), (2, 3), (5, 0)]:
+            assert F.variance_finite_N(2 * n_a + delta, n_a) >= 0.0
+
+    def test_limit_sequence(self):
+        target = (0.75 - math.log(2.0)) / 2.0
+        gaps = []
+        for n in (32, 64, 128, 256):
+            gaps.append(F.variance_finite_N(n, n // 2) - target)
+        gaps = np.array(gaps)
+        assert np.all(gaps > 0)
+        assert np.all(np.diff(gaps) < 0)
+        assert gaps[-1] < 0.03 * target
+
+    def test_trivial_bipartitions_and_complement(self):
+        for n in (1, 2, 7, 12):
+            assert F.variance_finite_N(n, 0) == F.variance_finite_N(n, n) == 0.0
+            for n_a in range(n + 1):
+                assert F.variance_finite_N(n, n_a) == F.variance_finite_N(n, n - n_a)
+        for n, n_a in ((4, -1), (4, 5)):
+            with pytest.raises(InvalidArgument):
+                F.variance_finite_N(n, n_a)
+
+    def test_within_the_tail_tolerance_of_an_exact_sum(self):
+        # every row is summed until its tail estimate is below VARIANCE_TAIL_TOL / N_A; the oracle is a
+        # correctly rounded sum over 4000 columns (20000 at the two large sizes), far past any truncation
+        sizes = [(n, n_a, 4000) for n in range(1, 41) for n_a in range(n // 2 + 1)]
+        for n, n_a, columns in sizes + [(192, 96, 20000), (256, 128, 20000)]:
+            gap = F.variance_finite_N(n, n_a) - fsum_variance(n, n_a, columns)
+            assert abs(gap) <= F.VARIANCE_TAIL_TOL, (n, n_a, gap)
+
+    @pytest.mark.parametrize(
+        "N, N_A, before",
+        # values of the term-by-term series this sum replaced; far rows underflow to 0
+        [(1024, 100, 0.0022080649092545137), (400, 3, 1.1693917797103197e-05), (256, 1, 1.911069020206546e-06)],
+    )
+    def test_underflowing_terms(self, N, N_A, before):
+        value = F.variance_finite_N(N, N_A)
+        assert value > 0.0
+        assert abs(value - before) <= 1e-15
+
+    def test_uneven_row_blocks_give_the_same_sum(self, monkeypatch):
+        sizes = [(64, 32), (40, 13), (256, 128)]
+        whole = [F.variance_finite_N(n, n_a) for n, n_a in sizes]
+        monkeypatch.setattr(F, "_ROW_BLOCK", 7)  # 32 = 4 * 7 + 4, 13 = 7 + 6, 128 = 18 * 7 + 2 rows
+        for (n, n_a), value in zip(sizes, whole):
+            assert abs(F.variance_finite_N(n, n_a) - value) <= 1e-15
+
+    def test_memory_does_not_grow_with_N(self):
+        # rows go in blocks, so the largest array is one block of rows by the columns the block needs
+        peaks = []
+        for n in (8192, 16384):
+            tracemalloc.start()
+            try:
+                F.variance_finite_N(n, n // 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
 
 class TestLrvDensity:

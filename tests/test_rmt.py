@@ -15,7 +15,6 @@ from gausspage.rmt import (
     level_density,
     average_entropy_quadrature,
     s_ij_quadrature,
-    variance_finite_N,
     wavefunctions,
 )
 from gausspage.special import gauss_legendre
@@ -265,52 +264,3 @@ class TestMatrixElements:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
-
-
-def full_variance_series(N, N_A):
-    """sum_{i<N_A<=j} s^2_ij with every row summed: no break at the first row below the row tolerance."""
-    n_a = min(N_A, N - N_A)
-    per_row_tol = rmt.VARIANCE_TAIL_TOL / max(n_a, 1)
-    total = 0.0
-    for i in range(n_a):
-        row, prev, j = 0.0, math.inf, n_a
-        while True:
-            term = formulas.s2_closed_form(i, j, N - 2 * n_a)
-            row += term
-            ratio = term / prev if prev > 0 else 0.0
-            if j > n_a + 4 and ratio < 1.0 and term * ratio / (1.0 - ratio) < per_row_tol:
-                break
-            prev, j = term, j + 1
-        total += row
-    return total
-
-
-class TestVariance:
-    def test_non_negative(self):
-        for n_a, delta in [(1, 0), (2, 3), (5, 0)]:
-            assert variance_finite_N(2 * n_a + delta, n_a) >= 0.0
-
-    def test_limit_sequence(self):
-        target = (0.75 - math.log(2.0)) / 2.0
-        gaps = []
-        for n in (32, 64, 128, 256):
-            gaps.append(variance_finite_N(n, n // 2) - target)
-        gaps = np.array(gaps)
-        assert np.all(gaps > 0)
-        assert np.all(np.diff(gaps) < 0)
-        assert gaps[-1] < 0.03 * target
-
-    def test_trivial_bipartitions_and_complement(self):
-        for n in (1, 2, 7, 12):
-            assert variance_finite_N(n, 0) == variance_finite_N(n, n) == 0.0
-            for n_a in range(n + 1):
-                assert variance_finite_N(n, n_a) == variance_finite_N(n, n - n_a)
-        for n, n_a in ((4, -1), (4, 5)):
-            with pytest.raises(InvalidArgument):
-                variance_finite_N(n, n_a)
-
-    def test_early_row_break_stays_below_the_tail_tolerance(self):
-        # the series stops at the first row below VARIANCE_TAIL_TOL / N_A, with no bound on the rows it drops
-        sizes = [(n, n_a) for n in range(1, 41) for n_a in range(n // 2 + 1)]
-        for n, n_a in sizes + [(192, 96), (256, 128)]:
-            assert abs(variance_finite_N(n, n_a) - full_variance_series(n, n_a)) <= 1e-10, (n, n_a)

@@ -72,6 +72,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@functools.lru_cache(maxsize=64)
+def _row_template(types: tuple[type, ...]) -> str:
+    """One ``str.format`` template for a CSV row of these field types: the ``_fmt`` of each field."""
+    return ",".join("{:.17g}" if issubclass(t, float) else "{}" for t in types)
+
+
+def _csv_lines(rows: list[list]) -> list[str]:
+    """Each row as ``_fmt`` joins it, by one template per row, shared by all rows where no column changes type."""
+    columns = [set(map(type, column)) for column in zip(*rows)]
+    if len(set(map(len, rows))) == 1 and all(len(types) == 1 for types in columns):
+        template = _row_template(tuple(types.pop() for types in columns))
+        return [template.format(*row) for row in rows]
+    return [_row_template(tuple(map(type, row))).format(*row) for row in rows]
+
+
 def _emit(config: argparse.Namespace, columns: list[str], rows: list[list]) -> None:
     if config.fmt == "json":
         payload = {
@@ -82,7 +97,7 @@ def _emit(config: argparse.Namespace, columns: list[str], rows: list[list]) -> N
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [HEADER, ",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        lines += _csv_lines(rows)
         text = "\n".join(lines) + "\n"
     if config.out:
         try:
@@ -169,7 +184,7 @@ def run_density(config: argparse.Namespace) -> None:
     ctx = rmt.build_kernel_ctx(n_a, delta)
     grid = np.linspace(0.0, 1.0, config.points)
     rho = np.atleast_1d(rmt.level_density(ctx, grid))
-    _emit(config, ["x", "rho"], [[float(x), float(r)] for x, r in zip(grid, rho)])
+    _emit(config, ["x", "rho"], np.column_stack([grid, rho]).tolist())
 
 
 def run_variance(config: argparse.Namespace) -> None:

@@ -20,8 +20,10 @@ a running sum in O(len(x)) memory and no degree x nodes table is built.
 
 psi_i psi_j (i, j < j_max) is a polynomial of degree 4(j_max-1) + 2 Delta,
 exact under n Gauss-Legendre nodes once 2n - 1 reaches it.  Integrals of
-s(x) psi_i psi_j use 2 j_max + Delta + 16 nodes per graded panel (rounded up
-to a multiple of 32 so cached rules are shared) and check n against 2n.
+s(x) psi_i psi_j use ``special.unit_interval_rule(n)`` with n = 2 j_max +
+Delta + 16 (rounded up to a multiple of 32 so cached rules are shared): n
+nodes on the two panels below x = 3/4 and n/2 on each graded panel above,
+where the polynomial varies more slowly.  They check n against 2n.
 ``ctx.quadrature`` is one panel on [0, 1] at that order: it only meets
 polynomial integrands (Gram matrix, K(x, x), K(z, x) K(z, y)), exactly.
 
@@ -74,7 +76,7 @@ def wavefunctions(ctx: JacobiKernelCtx, x: np.ndarray, jmax: int | None = None) 
 
 
 def _panel_order(jmax: int, delta: int) -> int:
-    """Nodes per panel for s(x) psi_i psi_j, i, j < jmax (see the module docstring)."""
+    """Order n of the graded rule for s(x) psi_i psi_j, i, j < jmax (see the module docstring)."""
     return 32 * math.ceil((2 * jmax + delta + 16) / 32)
 
 
@@ -104,7 +106,13 @@ def kernel(ctx: JacobiKernelCtx, x, y) -> float | np.ndarray:
 def level_density(ctx: JacobiKernelCtx, x) -> float | np.ndarray:
     """Level density rho(x) = K(x, x)/N_A, normalized to unit integral."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    val = sum(row * row for row in _rows(ctx.delta, x, ctx.n_a)) / ctx.n_a  # K(x, x), summed row by row
+    rows = _rows(ctx.delta, x, ctx.n_a)
+    row = next(rows)
+    val = row * row  # K(x, x), summed row by row in place
+    square = np.empty_like(val)  # not the row itself: the recurrence reads it for two more steps
+    for row in rows:
+        val += np.multiply(row, row, out=square)
+    val /= ctx.n_a
     return float(val[0]) if val.size == 1 else val
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +57,7 @@ def jacobi_orthonormal(count: int, a: float, b: float, t: np.ndarray, row0: np.n
     t p_n = sqrt(beta_{n+1}) p_{n+1} + alpha_n p_n + sqrt(beta_n) p_{n-1}.
     """
     t = np.asarray(t, dtype=float)
-    prev, row, sqrt_beta = 0.0, np.asarray(row0, dtype=float), 0.0
+    prev, row, sqrt_beta = None, np.asarray(row0, dtype=float), 0.0
     for n in range(count):
         yield row
         if n + 1 == count:
@@ -68,9 +68,14 @@ def jacobi_orthonormal(count: int, a: float, b: float, t: np.ndarray, row0: np.n
         else:
             alpha = (b * b - a * a) / (s * (s + 2.0))
             beta = 4.0 * m * (m + a) * (m + b) * (m + a + b) / ((s + 2.0) ** 2 * (s + 3.0) * (s + 1.0))
-        nxt = (t - alpha) * row - sqrt_beta * prev
+        # ((t - alpha) row - sqrt(beta_n) prev) / sqrt(beta_{n+1}), built in place in a new array
+        nxt = np.subtract(t, alpha)
+        nxt *= row
+        if prev is not None:  # p_{-1} = 0
+            nxt -= sqrt_beta * prev
         sqrt_beta = math.sqrt(beta)
-        prev, row = row, nxt / sqrt_beta
+        nxt /= sqrt_beta
+        prev, row = row, nxt
 
 
 @dataclass(frozen=True)
@@ -100,12 +105,16 @@ def _gauss_legendre(n: int) -> QuadratureRule:
     return QuadratureRule(*leggauss(n))
 
 
-def panel_rule(n: int, panels: list[tuple[float, float]]) -> QuadratureRule:
+def panel_rule(n: int, panels: Sequence[tuple[float, float]]) -> QuadratureRule:
     """Composite Gauss-Legendre rule with n nodes on each given panel."""
     base = gauss_legendre(n)
     a, b = np.asarray(panels, dtype=float).T[:, :, None]
     half = 0.5 * (b - a)
     return QuadratureRule((half * base.nodes + 0.5 * (a + b)).ravel(), (half * base.weights).ravel())
+
+
+# [0, 1/2], then [1 - 2^-k, 1 - 2^-(k+1)] for k = 1..47: two panels below x = 3/4 and 46 above
+UNIT_INTERVAL_PANELS = ((0.0, 0.5),) + tuple((1.0 - 2.0 ** (-k), 1.0 - 2.0 ** (-(k + 1))) for k in range(1, 48))
 
 
 def unit_interval_rule(n: int) -> QuadratureRule:
@@ -117,12 +126,23 @@ def unit_interval_rule(n: int) -> QuadratureRule:
     1 - 2^-48: pushing panels closer to 1 would round nodes onto the
     endpoint itself, and the omitted mass is below double rounding error for
     any integrand with at worst a logarithmic singularity there.
-    A polynomial factor of degree d needs n of about d/2 per panel (``rmt``
-    uses 2 j_max + Delta + 16, rounded up to 32).  Cached and read-only.
+
+    A polynomial factor of degree d needs about d/2 nodes on [0, 1/2]
+    (``rmt`` takes n = 2 j_max + Delta + 16, rounded up to 32).  Near x = 1
+    it varies more slowly: in theta = arccos(x) it is a cosine polynomial of
+    degree d, and as 1 - x is about theta^2 / 2 there, a panel of width w
+    next to x = 1 spans a theta range of order sqrt(2 w), so it varies like
+    a polynomial of degree about d sqrt(2 w).  [0, 1/2] spans 0.52 of theta,
+    [1/2, 3/4] 0.32 and each panel above 3/4 at most 0.22, less than half
+    of 0.52: the first two panels get n nodes and the 46 above 3/4 get
+    ceil(n/2), 25n in all for even n rather than 48n.  Every panel's order
+    still doubles from n to 2n (n even), so a caller that checks n against
+    2n refines them all.  Cached and read-only.
     """
     return _unit_interval_rule(n)
 
 
 @functools.lru_cache(maxsize=16)
 def _unit_interval_rule(n: int) -> QuadratureRule:
-    return panel_rule(n, [(0.0, 0.5)] + [(1.0 - 2.0 ** (-k), 1.0 - 2.0 ** (-(k + 1))) for k in range(1, 48)])
+    low, high = panel_rule(n, UNIT_INTERVAL_PANELS[:2]), panel_rule(-(-n // 2), UNIT_INTERVAL_PANELS[2:])
+    return QuadratureRule(np.concatenate([low.nodes, high.nodes]), np.concatenate([low.weights, high.weights]))

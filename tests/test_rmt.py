@@ -17,7 +17,8 @@ from gausspage.rmt import (
     s_ij_quadrature,
     wavefunctions,
 )
-from gausspage.special import gauss_legendre
+from gausspage import special
+from gausspage.special import UNIT_INTERVAL_PANELS, gauss_legendre, panel_rule, unit_interval_rule
 from gausspage.stats import ks_one_sample_critical, ks_statistic_one_sample
 
 
@@ -153,6 +154,22 @@ class TestLevelDensity:
         assert np.all(np.abs(n_a * level_density(ctx, x) - squares) <= 1e-13 * scale)
 
 
+    def test_running_sum_is_bit_for_bit_the_sum_of_squares(self):
+        # summing in place keeps the order of the additions: the same bits as Python's sum of the squared rows
+        for n_a, delta in [(1, 0), (7, 3), (40, 0)]:
+            ctx = build_kernel_ctx(n_a, delta)
+            x = np.linspace(0.0, 1.0, 301)
+            expected = sum(row * row for row in rmt._rows(delta, x, n_a)) / n_a
+            assert np.array_equal(level_density(ctx, x), expected)
+
+    def test_cdf_is_bit_for_bit_the_cdf_of_the_sum_of_squares(self, monkeypatch):
+        ctx = build_kernel_ctx(6, 4)
+        grid = np.linspace(0.0, 1.0, 201)[1:]
+        cdf = density_cdf(ctx, grid)
+        monkeypatch.setattr(rmt, "level_density", lambda c, x: sum(r * r for r in rmt._rows(c.delta, x, c.n_a)) / c.n_a)
+        assert np.array_equal(cdf, density_cdf(ctx, grid))
+
+
 class TestCorrelations:
     def test_one_point_is_density(self):
         ctx = build_kernel_ctx(3, 1)
@@ -221,6 +238,39 @@ class TestAverageEntropy:
         with pytest.raises(ConsistencyError, match="did not converge"):
             average_entropy_quadrature(build_kernel_ctx(2, 0))
         assert len(orders) > 2 and all(b == 2 * a for a, b in zip(orders, orders[1:]))
+
+    @pytest.mark.parametrize("n_a,delta", [(96, 0), (40, 112), (200, 0)])
+    def test_gram_matrix_on_the_graded_rule(self, n_a, delta):
+        # n/2 nodes per panel above x = 3/4 still integrate psi_i psi_j exactly
+        rule = unit_interval_rule(rmt._panel_order(n_a, delta))
+        psi = wavefunctions(build_kernel_ctx(n_a, delta), rule.nodes)
+        assert np.max(np.abs((psi * rule.weights) @ psi.T - np.eye(n_a))) <= 1e-11
+
+    @pytest.mark.parametrize("n,n_a", [(12, 2), (40, 10), (192, 96), (400, 200)])
+    def test_matches_the_uniform_order_rule(self, n, n_a, monkeypatch):
+        # the same n nodes on all 48 panels, as the rule had before its panels above 3/4 took n/2
+        ctx = build_kernel_ctx(n_a, n - 2 * n_a)
+        graded = average_entropy_quadrature(ctx)
+        monkeypatch.setattr(rmt, "unit_interval_rule", lambda order: panel_rule(order, UNIT_INTERVAL_PANELS))
+        assert abs(graded - average_entropy_quadrature(ctx)) <= 1e-12
+
+    def test_a_second_sweep_builds_no_legendre_rule(self, monkeypatch):
+        # every order of N = 16..192 and its half fit in the 32 cached Gauss-Legendre rules: the graded rules
+        # of a second sweep are built anew from them
+        calls = []
+        leggauss = special.leggauss
+        monkeypatch.setattr(special, "leggauss", lambda n: calls.append(n) or leggauss(n))
+
+        def sweep():
+            for n in range(16, 193, 16):
+                for n_a in (1, n // 4, n // 2):
+                    average_entropy_quadrature(build_kernel_ctx(n_a, n - 2 * n_a))
+
+        sweep()
+        first = len(calls)
+        special._unit_interval_rule.cache_clear()
+        sweep()
+        assert len(calls) == first
 
     def test_order_covers_the_polynomial_degree(self):
         # n nodes are exact to degree 2n - 1; psi_i psi_j has degree 4(jmax-1) + 2 Delta

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from gausspage.linalg import InvalidArgument
 from gausspage.special import (
+    UNIT_INTERVAL_PANELS,
     digamma,
     gauss_legendre,
     jacobi_orthonormal,
+    panel_rule,
     unit_interval_rule,
 )
 
@@ -80,6 +82,35 @@ class TestJacobi:
     def test_rows_are_new_arrays(self):
         rows = list(jacobi_orthonormal(4, 1.0, -0.5, np.array([0.1, 0.7]), np.ones(2)))
         assert not any(np.shares_memory(r, s) for r, s in zip(rows, rows[1:]))
+
+    @pytest.mark.parametrize("a,b", [(0.0, -0.5), (3.0, -0.5), (2.5, 1.0)])
+    def test_rows_are_the_three_term_recurrence_bit_for_bit(self, a, b):
+        # the recurrence of the docstring written out, one new array per operation
+        t = np.concatenate([np.linspace(-1.0, 1.0, 101), np.random.default_rng(7).uniform(-1.0, 1.0, 50)])
+        row0 = np.linspace(0.5, 2.0, t.size)
+        expected, prev, sqrt_beta = [row0], 0.0, 0.0
+        for n in range(39):
+            s, m = 2.0 * n + a + b, n + 1.0
+            if n == 0:
+                alpha, beta = (b - a) / (s + 2.0), 4.0 * (a + 1.0) * (b + 1.0) / ((s + 2.0) ** 2 * (s + 3.0))
+            else:
+                alpha = (b * b - a * a) / (s * (s + 2.0))
+                beta = 4.0 * m * (m + a) * (m + b) * (m + a + b) / ((s + 2.0) ** 2 * (s + 3.0) * (s + 1.0))
+            nxt = (t - alpha) * expected[-1] - sqrt_beta * prev
+            sqrt_beta = math.sqrt(beta)
+            prev = expected[-1]
+            expected.append(nxt / sqrt_beta)
+        rows = list(jacobi_orthonormal(40, a, b, t, row0))
+        assert len(rows) == 40 and all(np.array_equal(r, e) for r, e in zip(rows, expected))
+
+    def test_later_steps_leave_yielded_rows_unchanged(self):
+        t = np.linspace(-1.0, 1.0, 33)
+        rows, copies = [], []
+        for row in jacobi_orthonormal(12, 3.0, -0.5, t, np.ones(t.size)):
+            rows.append(row)
+            copies.append(row.copy())
+        assert all(np.array_equal(r, c) for r, c in zip(rows, copies))
+        assert not any(np.shares_memory(r, s) for i, r in enumerate(rows) for s in rows[i + 1 :])
 
     def test_factor_carried_by_every_row(self):
         t, f = np.linspace(-1, 1, 7), np.linspace(0.5, 2.0, 7)
@@ -153,6 +184,21 @@ class TestUnitIntervalRule:
         # integral of -log(1-x) over [0,1] is exactly 1
         rule = unit_interval_rule(24)
         assert abs(rule.integrate(-np.log1p(-rule.nodes)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [24, 32, 224])
+    def test_every_panel_doubles_with_the_order(self, n):
+        # n nodes on [0, 1/2] and [1/2, 3/4], n/2 on each of the 46 panels above, panel by panel: the nodes
+        # are matched exactly, as near x = 1 a panel spans few doubles and its end nodes round onto its edges
+        def orders(m):
+            return [m, m] + [m // 2] * 46
+
+        for m in (n, 2 * n):
+            parts = [panel_rule(k, [panel]) for k, panel in zip(orders(m), UNIT_INTERVAL_PANELS)]
+            rule = unit_interval_rule(m)
+            assert np.array_equal(rule.nodes, np.concatenate([part.nodes for part in parts]))
+            assert np.array_equal(rule.weights, np.concatenate([part.weights for part in parts]))
+        assert orders(2 * n) == [2 * k for k in orders(n)]
+        assert unit_interval_rule(n).nodes.size <= 25 * n + 1
 
 
 class TestCachedRules:

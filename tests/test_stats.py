@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -296,7 +297,11 @@ def test_moment_merge_matches_two_pass(chunks, seed):
     for part in parts:
         moments.add_chunk(part)
     data = np.concatenate(parts)
-    d = data - data.mean()
+    # deviations from the exact mean: removing the rounding of data.mean() keeps the reference central sums
+    # accurate where the data sit far from 0 (two draws at 512 +- 1e-4 have m3 = 0 exactly, but the rounded
+    # mean made np.sum(d**3) = -4.2e-21 against a bound of 2.8e-21)
+    mean = data.mean()
+    d = (data - mean) - float(sum(map(Fraction, data.tolist())) / data.size - Fraction(mean))
     assert moments.n == data.size
     assert moments.m2 == pytest.approx(np.sum(d**2), rel=1e-9)
     assert abs(moments.m3 - np.sum(d**3)) <= 1e-9 * np.sum(np.abs(d) ** 3)

@@ -72,21 +72,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-@functools.lru_cache(maxsize=64)
-def _row_template(types: tuple[type, ...]) -> str:
-    """One ``str.format`` template for a CSV row of these field types: the ``_fmt`` of each field."""
-    return ",".join("{:.17g}" if issubclass(t, float) else "{}" for t in types)
-
-
-def _csv_lines(rows: list[list]) -> list[str]:
-    """Each row as ``_fmt`` joins it, by one template per row, shared by all rows where no column changes type."""
-    columns = [set(map(type, column)) for column in zip(*rows)]
-    if len(set(map(len, rows))) == 1 and all(len(types) == 1 for types in columns):
-        template = _row_template(tuple(types.pop() for types in columns))
-        return [template.format(*row) for row in rows]
-    return [_row_template(tuple(map(type, row))).format(*row) for row in rows]
-
-
 def _emit(config: argparse.Namespace, columns: list[str], rows: list[list]) -> None:
     if config.fmt == "json":
         payload = {
@@ -97,7 +82,7 @@ def _emit(config: argparse.Namespace, columns: list[str], rows: list[list]) -> N
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [HEADER, ",".join(columns)]
-        lines += _csv_lines(rows)
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
     if config.out:
         try:

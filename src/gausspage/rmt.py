@@ -21,9 +21,12 @@ a running sum in O(len(x)) memory and no degree x nodes table is built.
 psi_i psi_j (i, j < j_max) is a polynomial of degree 4(j_max-1) + 2 Delta,
 exact under n Gauss-Legendre nodes once 2n - 1 reaches it.  Integrals of
 s(x) psi_i psi_j use ``special.unit_interval_rule(n)`` with n = 2 j_max +
-Delta + 16 (rounded up to a multiple of 32 so cached rules are shared): n
-nodes on the two panels below x = 3/4 and n/2 on each graded panel above,
-where the polynomial varies more slowly.  They check n against 2n.
+Delta + 16 (rounded up to a multiple of 32 so cached rules are shared).
+Only its n nodes on each of the two panels below x = 3/4 are exact for the
+polynomial part; the n/2 nodes on each graded panel above are not (they are
+exact to degree n - 1), and are accurate there only because the polynomial
+varies slowly near x = 1.  So every s(x) integral rests on the check of n
+against 2n, not on exactness.
 ``ctx.quadrature`` is one panel on [0, 1] at that order: it only meets
 polynomial integrands (Gram matrix, K(x, x), K(z, x) K(z, y)), exactly.
 
@@ -106,13 +109,7 @@ def kernel(ctx: JacobiKernelCtx, x, y) -> float | np.ndarray:
 def level_density(ctx: JacobiKernelCtx, x) -> float | np.ndarray:
     """Level density rho(x) = K(x, x)/N_A, normalized to unit integral."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    rows = _rows(ctx.delta, x, ctx.n_a)
-    row = next(rows)
-    val = row * row  # K(x, x), summed row by row in place
-    square = np.empty_like(val)  # not the row itself: the recurrence reads it for two more steps
-    for row in rows:
-        val += np.multiply(row, row, out=square)
-    val /= ctx.n_a
+    val = sum(row * row for row in _rows(ctx.delta, x, ctx.n_a)) / ctx.n_a  # K(x, x), summed row by row
     return float(val[0]) if val.size == 1 else val
 
 

@@ -57,7 +57,7 @@ def jacobi_orthonormal(count: int, a: float, b: float, t: np.ndarray, row0: np.n
     t p_n = sqrt(beta_{n+1}) p_{n+1} + alpha_n p_n + sqrt(beta_n) p_{n-1}.
     """
     t = np.asarray(t, dtype=float)
-    prev, row, sqrt_beta = None, np.asarray(row0, dtype=float), 0.0
+    prev, row, sqrt_beta = 0.0, np.asarray(row0, dtype=float), 0.0
     for n in range(count):
         yield row
         if n + 1 == count:
@@ -68,14 +68,9 @@ def jacobi_orthonormal(count: int, a: float, b: float, t: np.ndarray, row0: np.n
         else:
             alpha = (b * b - a * a) / (s * (s + 2.0))
             beta = 4.0 * m * (m + a) * (m + b) * (m + a + b) / ((s + 2.0) ** 2 * (s + 3.0) * (s + 1.0))
-        # ((t - alpha) row - sqrt(beta_n) prev) / sqrt(beta_{n+1}), built in place in a new array
-        nxt = np.subtract(t, alpha)
-        nxt *= row
-        if prev is not None:  # p_{-1} = 0
-            nxt -= sqrt_beta * prev
+        nxt = (t - alpha) * row - sqrt_beta * prev
         sqrt_beta = math.sqrt(beta)
-        nxt /= sqrt_beta
-        prev, row = row, nxt
+        prev, row = row, nxt / sqrt_beta
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,3 @@
-import argparse
 import io
 import json
 import math
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gausspage
-from gausspage import cli, ensembles, formulas, rmt
+from gausspage import ensembles, formulas, rmt
 from gausspage.cli import (
     _COMMANDS,
     _OPTIONS,
@@ -22,10 +21,7 @@ from gausspage.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_RESOURCE,
-    HEADER,
     MODES,
-    _emit,
-    _fmt,
     main,
 )
 from gausspage.gstates import ConsistencyError
@@ -116,6 +112,12 @@ class TestPageCurve:
 
 
 class TestDensity:
+    def test_rows_are_the_level_density(self, capsys):
+        assert main(["density", "--N", "9", "--NA", "3", "--points", "257"]) == EXIT_OK
+        grid = np.linspace(0.0, 1.0, 257)
+        rho = rmt.level_density(rmt.build_kernel_ctx(3, 3), grid)
+        assert capsys.readouterr().out.splitlines()[2:] == [f"{x:.17g},{r:.17g}" for x, r in zip(grid, rho)]
+
     def test_uniform_density(self, tmp_path):
         code, path = run_cli(["density", "--N", "2", "--NA", "1", "--points", "11"], tmp_path)
         assert code == 0
@@ -363,70 +365,6 @@ class TestErrorPaths:
         code = main(["page-curve", "--N", "4", "--NA", "2", "--ensemble", ensemble, "--mode", "mc", "--samples", "10"])
         assert code == EXIT_NUMERICAL
         assert "escapes [0,1]" in capsys.readouterr().err
-
-
-def reference_text(fmt, columns, rows):
-    """The output of ``_emit`` as each field's ``_fmt`` makes it, field by field."""
-    if fmt == "json":
-        rows = [[_fmt(v) if isinstance(v, float) else v for v in row] for row in rows]
-        return json.dumps({"version": HEADER.lstrip("# "), "columns": columns, "rows": rows}, indent=2) + "\n"
-    return "\n".join([HEADER, ",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
-
-
-def reference_emit(config, columns, rows):
-    sys.stdout.write(reference_text(config.fmt, columns, rows))
-
-
-class TestEmit:
-    # one type per column, the fields _fmt writes in full: nan, inf, -0.0, the least subnormal, np.float64
-    TYPED = [
-        [0, 0.1, np.float64(np.nan), "gaussian", 1.0 / 3.0],
-        [1, math.inf, np.float64(-np.inf), "haar-pure", -0.0],
-        [2, 5e-324, np.float64(-0.0), "x", 1e300],
-        [3, 2.0, np.float64(1.0) / 3.0, "", -1.5],
-    ]
-    # every column changes type from one row to the next
-    MIXED = [[1, 2.0, "s"], [1.5, "t", 3], [np.float64(4.25), True, None], [-0.0, 5e-324, math.nan]]
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("rows", [TYPED, MIXED, []], ids=["typed-columns", "mixed-columns", "no-rows"])
-    def test_each_field_is_its_fmt(self, fmt, rows, capsys):
-        columns = ["i", "a", "b", "name", "c"][: len(rows[0]) if rows else 2]
-        _emit(argparse.Namespace(fmt=fmt, out=None), columns, rows)
-        assert capsys.readouterr().out == reference_text(fmt, columns, rows)
-
-    def test_rows_of_unequal_length(self, capsys):
-        rows = self.MIXED + [[np.int64(8), "u"], [0.5]]
-        _emit(argparse.Namespace(fmt="csv", out=None), ["p", "q", "r"], rows)
-        assert capsys.readouterr().out == reference_text("csv", ["p", "q", "r"], rows)
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["density", "--N", "9", "--NA", "3", "--points", "257"],
-            ["dist", "--N", "8", "--NA", "3", "--samples", "300", "--bins", "13"],
-            ["sample", "--N", "6", "--NA", "2", "--samples", "40", "--ensemble", "hamiltonian"],
-            ["variance", "--N", "8", "--NA", "3", "--samples", "200"],
-            ["page-curve", "--N", "12", "--mode", "quadrature"],
-            ["page-curve", "--N", "10", "--mode", "mc", "--samples", "64", "--ensemble", "number-conserving"],
-        ],
-        ids=["density", "dist", "sample", "variance", "page-curve-quadrature", "page-curve-mc"],
-    )
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_command_output_is_the_field_by_field_join(self, args, fmt, monkeypatch, capsys):
-        argv = args + ["--format", fmt]
-        assert main(argv) == EXIT_OK
-        out = capsys.readouterr().out
-        monkeypatch.setattr(cli, "_emit", reference_emit)
-        assert main(argv) == EXIT_OK
-        assert out == capsys.readouterr().out
-
-    def test_density_rows_are_the_level_density(self, capsys):
-        assert main(["density", "--N", "9", "--NA", "3", "--points", "257"]) == EXIT_OK
-        grid = np.linspace(0.0, 1.0, 257)
-        rho = rmt.level_density(rmt.build_kernel_ctx(3, 3), grid)
-        rows = [[float(x), float(r)] for x, r in zip(grid, rho)]
-        assert capsys.readouterr().out == reference_text("csv", ["x", "rho"], rows)
 
 
 class TestSeedHandling:

@@ -80,7 +80,7 @@ class TestJacobi:
         assert abs(orthonormal_rows(1, 2.0, 2.0, [0.3])[1, 0] - 0.9 / math.sqrt(h1)) <= 1e-12
 
     def test_rows_are_new_arrays(self):
-        # each row is built in place, in an array of its own that later steps leave unchanged
+        # each row is an array of its own that later steps leave unchanged
         rows, copies = [], []
         for row in jacobi_orthonormal(12, 3.0, -0.5, np.linspace(-1.0, 1.0, 33), np.ones(33)):
             rows.append(row)

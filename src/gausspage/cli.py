@@ -49,8 +49,6 @@ _SAMPLERS = {
     "number-conserving": "number_conserving_entropies",
 }
 ENSEMBLES = tuple(_SAMPLERS)
-# Ensembles whose entropy follows the Haar Gaussian law: the analytic variance columns apply.
-_GAUSSIAN_LAW = ("gaussian", "hamiltonian")
 MODES = ("exact", "quadrature", "mc", "limit")
 _WORKERS_HELP = ("split samples into this many RNG streams, which fix the result; up to one stream per available"
                  " core runs at a time, and each batch's linear algebra runs on the available cores; the output"
@@ -111,8 +109,6 @@ def _mc_sampler(config: argparse.Namespace, n_a: int):
 
 def _stream0_samples(config: argparse.Namespace) -> np.ndarray:
     """``--samples`` entropies at ``--NA`` from RNG stream 0 (``sample`` and ``dist``)."""
-    if config.N_A is None:
-        raise InvalidArgument(f"{config.command} requires --NA")
     return _mc_sampler(config, config.N_A)(RngStream(config.seed, 0).generator(), config.samples)
 
 
@@ -123,15 +119,10 @@ def _smaller_side(N: int, n_a: int) -> int:
     return min(n_a, N - n_a)
 
 
-# (value, std) of each analytic (mode, ensemble) at N and 1 <= k <= N/2; mode mc serves every ensemble.
-_ANALYTIC = {
-    ("exact", "gaussian"): lambda N, k: (formulas.gaussian_average_exact(N, k), math.sqrt(formulas.variance_finite_N(N, k))),
-    ("exact", "haar-pure"): lambda N, k: (formulas.page_average_exact(N, k), math.nan),
-    ("quadrature", "gaussian"): lambda N, k: (rmt.average_entropy_quadrature(rmt.build_kernel_ctx(k, N - 2 * k)), math.nan),
-    ("limit", "gaussian"): lambda N, k: (formulas.gaussian_thermo(N, k / N), formulas.gaussian_std_limit(k / N)),
-    ("limit", "haar-pure"): lambda N, k: (formulas.page_thermo(N, k / N), formulas.page_std_thermo(N, k / N)),
-    ("limit", "number-conserving"): lambda N, k: (N * formulas.lrv_density(k / N), math.nan),
-}
+def _variance(route: str, ens: str, N: int, k: int) -> float:
+    """Variance of a ``formulas.ROUTES`` cell at 0 <= k <= N/2: 0 at k = 0, where S_A = 0; nan where there is none."""
+    cell = formulas.ROUTES.get((route, ens))
+    return math.nan if cell is None else 0.0 if k == 0 else cell[1](N, k) if cell[1] else math.nan
 
 
 def _curve_row(config: argparse.Namespace, n_a: int) -> list:
@@ -144,11 +135,11 @@ def _curve_row(config: argparse.Namespace, n_a: int) -> list:
         else:
             est = stats.mc_estimate(_mc_sampler(config, n_a), config.samples, config.seed, config.workers)
             value, std, std_error, samples = est.mean, math.sqrt(est.variance), est.std_error, est.n
-    elif (mode, ens) in _ANALYTIC:
-        # S_A = 0 at k = 0; the exact formulas give it (with std 0 for the Gaussian law), the others take no f = 0
-        value, std = _ANALYTIC[mode, ens](N, k) if k or mode == "exact" else (0.0, math.nan)
+    elif (mode, ens) in formulas.ROUTES:
+        value, std = formulas.ROUTES[mode, ens][0](N, k) if k else 0.0, math.sqrt(_variance(mode, ens, N, k))
     else:
-        raise InvalidArgument(f"mode {mode!r} is not available for ensemble {ens!r}")
+        available = [route for route in MODES if (route, ens) in formulas.ROUTES] + ["mc"]
+        raise InvalidArgument(f"mode {mode!r} is not available for ensemble {ens!r} (available: {', '.join(available)})")
     return [N, n_a, n_a / N, value, std, std_error, samples, mode, ens]
 
 
@@ -160,8 +151,6 @@ def run_page_curve(config: argparse.Namespace) -> None:
 
 
 def run_density(config: argparse.Namespace) -> None:
-    if config.N_A is None:
-        raise InvalidArgument("density requires --NA")
     n_a = config.N_A
     delta = config.N - 2 * n_a
     if n_a < 1 or delta < 0:
@@ -176,10 +165,7 @@ def run_variance(config: argparse.Namespace) -> None:
     N = config.N
     n_a = config.N_A if config.N_A is not None else N // 2
     k = _smaller_side(N, n_a)
-    var_exact = var_limit = math.nan
-    if config.ensemble in _GAUSSIAN_LAW:
-        var_exact = formulas.variance_finite_N(N, k)
-        var_limit = formulas.gaussian_std_limit(k / N) ** 2 if k else 0.0
+    var_exact, var_limit = (_variance(route, config.ensemble, N, k) for route in ("exact", "limit"))
     if config.samples > 0:
         est = stats.mc_estimate(_mc_sampler(config, n_a), config.samples, config.seed, config.workers)
         var_mc, n = est.variance, est.n
@@ -198,15 +184,15 @@ def run_sample(config: argparse.Namespace) -> None:
 
 
 def run_dist(config: argparse.Namespace) -> None:
+    k = _smaller_side(config.N, config.N_A)
+    if k == 0:
+        raise InvalidArgument(f"dist needs 0 < --NA < --N, got --NA {config.N_A}: S_A = 0 leaves no range to bin")
     values = _stream0_samples(config)
-    hist = stats.histogram(values, config.bins, (0.0, config.N_A * math.log(2.0)))
+    hist = stats.histogram(values, config.bins, (0.0, k * math.log(2.0)))
     if hist.underflow or hist.overflow:
-        msg = f"{hist.underflow} samples below and {hist.overflow} above [0, N_A log 2] are not counted"
+        msg = f"{hist.underflow} samples below and {hist.overflow} above [0, {k} log 2] are not counted"
         print(f"warning: {msg}", file=sys.stderr)
-    rows = [
-        [float(lo), float(hi), int(c)]
-        for lo, hi, c in zip(hist.edges[:-1], hist.edges[1:], hist.counts)
-    ]
+    rows = [[float(lo), float(hi), int(c)] for lo, hi, c in zip(hist.edges[:-1], hist.edges[1:], hist.counts)]
     _emit(config, ["bin_lo", "bin_hi", "count"], rows)
 
 
@@ -232,6 +218,8 @@ def run(config: argparse.Namespace) -> int:
             raise InvalidArgument("need --samples >= 0, --points >= 1 and --workers >= 1")
         if (given.get("mode") == "mc" or config.command == "variance" and config.samples) and config.samples < 2:
             raise InvalidArgument("a Monte Carlo mean and variance need --samples >= 2")
+        if config.N_A is None and config.command not in _NA_HELP:
+            raise InvalidArgument(f"{config.command} requires --NA")
         if config.out:
             _check_out(config.out)
         _COMMANDS[config.command][0](config)

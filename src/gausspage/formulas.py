@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from gausspage import rmt
 from gausspage.gstates import ConsistencyError
 from gausspage.linalg import InvalidArgument
 from gausspage.special import digamma
@@ -43,8 +44,6 @@ def page_average_exact(N: int, N_A: int) -> float:
         raise InvalidArgument(f"need 0 <= N_A <= N/2, got N_A={N_A}, N={N}")
     if N > 1024:
         raise InvalidArgument(f"N is limited to 1024, got {N}")
-    if N_A == 0:
-        return 0.0
     correction = 2.0 ** (2 * N_A - N - 1) - 2.0 ** (N_A - N - 1)
     return _digamma_pow2_plus1(N) - _digamma_pow2_plus1(N - N_A) - correction
 
@@ -73,9 +72,7 @@ def gaussian_average_exact(N: int, N_A: int) -> float:
     """
     if not (0 <= N_A <= N):
         raise InvalidArgument(f"need 0 <= N_A <= N, got N_A={N_A}, N={N}")
-    N_A = min(N_A, N - N_A)  # S_A = S_B for pure states; the form holds for N_A <= N/2
-    if N_A == 0:
-        return 0.0
+    N_A = min(N_A, N - N_A)  # S_A = S_B for pure states; the form holds for N_A <= N/2, and gives exactly 0 at 0
     return (
         (N - 0.5) * digamma(2.0 * N)
         + (0.5 + N_A - N) * digamma(2.0 * (N - N_A))
@@ -96,11 +93,11 @@ def gaussian_thermo(N: int, f: float) -> float:
     )
 
 
-def gaussian_std_limit(f: float) -> float:
-    """Large-N standard deviation of the Gaussian ensemble (a constant)."""
+def gaussian_variance_limit(f: float) -> float:
+    """Large-N entropy variance of the Gaussian ensemble (a constant), (f + f^2 + log(1 - f)) / 2."""
     if not (0.0 < f <= 0.5):
         raise InvalidArgument(f"need 0 < f <= 1/2, got {f}")
-    return math.sqrt(0.5 * (f + f * f + math.log(1.0 - f)))
+    return 0.5 * (f + f * f + math.log(1.0 - f))
 
 
 def lrv_density(f: float) -> float:
@@ -196,3 +193,17 @@ def variance_finite_N(N: int, N_A: int) -> float:
     n_a = min(N_A, N - N_A)
     blocks = (np.arange(start, min(start + _ROW_BLOCK, n_a)) for start in range(0, n_a, _ROW_BLOCK))
     return float(sum(_block_sum(i, n_a, N - 2 * n_a, VARIANCE_TAIL_TOL / n_a) for i in blocks))
+
+
+# The routes to S_A by (route, ensemble): (mean(N, k), variance(N, k)) at 1 <= k <= N/2, variance None where the route
+# has none yet; Monte Carlo serves every ensemble.  Lambdas look names up when called, so a patched one is called.
+ROUTES = {
+    ("exact", "gaussian"): (lambda N, k: gaussian_average_exact(N, k), lambda N, k: variance_finite_N(N, k)),
+    ("exact", "haar-pure"): (lambda N, k: page_average_exact(N, k), None),
+    ("quadrature", "gaussian"): (lambda N, k: rmt.average_entropy_quadrature(rmt.build_kernel_ctx(k, N - 2 * k)), None),
+    ("limit", "gaussian"): (lambda N, k: gaussian_thermo(N, k / N), lambda N, k: gaussian_variance_limit(k / N)),
+    ("limit", "haar-pure"): (lambda N, k: page_thermo(N, k / N), lambda N, k: page_std_thermo(N, k / N) ** 2),
+    ("limit", "number-conserving"): (lambda N, k: N * lrv_density(k / N), None),
+}
+# Eigenstates of random quadratic Hamiltonians follow the Haar Gaussian law (acceptance criterion 4).
+ROUTES.update({(route, "hamiltonian"): cell for (route, ens), cell in list(ROUTES.items()) if ens == "gaussian"})

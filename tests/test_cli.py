@@ -76,18 +76,7 @@ class TestPageCurve:
         _, b = run_cli(args, tmp_path, "b.csv")
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize(
-        "mode, ensemble",
-        [
-            ("exact", "gaussian"),
-            ("quadrature", "gaussian"),
-            ("limit", "gaussian"),
-            ("limit", "haar-pure"),
-            ("limit", "number-conserving"),
-            ("exact", "haar-pure"),
-        ],
-        ids=["exact", "quadrature", "limit", "limit-haar-pure", "limit-number-conserving", "exact-haar-pure"],
-    )
+    @pytest.mark.parametrize("mode, ensemble", sorted(formulas.ROUTES))
     def test_complement_equals_smaller_side(self, mode, ensemble, tmp_path):
         # S_A = S_B for a pure state: N_A = 3 of N = 4 is the N_A = 1 row
         rows = {}
@@ -100,6 +89,15 @@ class TestPageCurve:
         for column in ("value", "std"):
             i = header.index(column)
             assert rows["3"][i] == rows["1"][i]
+
+    @pytest.mark.parametrize("mode, ensemble", sorted(formulas.ROUTES))
+    @pytest.mark.parametrize("n_a", ["0", "5"])
+    def test_every_served_cell_is_zero_without_a_subsystem(self, mode, ensemble, n_a, capsys):
+        # S_A = 0 at N_A in {0, N}: mean 0 and std 0 whether or not the cell has a variance
+        assert main(["page-curve", "--N", "5", "--NA", n_a, "--mode", mode, "--ensemble", ensemble]) == EXIT_OK
+        header, row = capsys.readouterr().out.splitlines()[1:]
+        row = dict(zip(header.split(","), row.split(",")))
+        assert (row["value"], row["std"]) == ("0", "0")
 
     def test_json_format(self, tmp_path):
         code, path = run_cli(
@@ -151,20 +149,27 @@ class TestVariance:
         assert float(rows["3"][header.index("f")]) == 0.75
 
     @pytest.mark.parametrize("ensemble", ENSEMBLES)
-    def test_analytic_columns_only_for_the_gaussian_law(self, ensemble, tmp_path):
-        # gaussian and hamiltonian share the Gaussian entropy law; the others have no such columns
+    def test_analytic_columns_are_the_variances_of_the_route_table(self, ensemble, tmp_path):
+        # variance_finite is the variance of the exact cell and variance_limit that of the limit cell, nan without one
         args = ["variance", "--N", "6", "--NA", "3", "--samples", "200", "--ensemble", ensemble]
         code, path = run_cli(args, tmp_path)
         assert code == 0
         header, (row,) = read_rows(path)
-        finite = float(row[header.index("variance_finite")])
-        limit = float(row[header.index("variance_limit")])
         assert 0.0 < float(row[header.index("variance_mc")]) < (3 * math.log(2.0)) ** 2
+        for route, column in (("exact", "variance_finite"), ("limit", "variance_limit")):
+            _, variance = formulas.ROUTES.get((route, ensemble), (None, None))
+            value = float(row[header.index(column)])
+            assert value == variance(6, 3) if variance else math.isnan(value)
         if ensemble in ("gaussian", "hamiltonian"):
-            assert finite == formulas.variance_finite_N(6, 3)
-            assert abs(limit - (0.75 - math.log(2.0)) / 2.0) <= 1e-12
-        else:
-            assert math.isnan(finite) and math.isnan(limit)
+            assert float(row[header.index("variance_finite")]) == formulas.variance_finite_N(6, 3)
+            assert abs(float(row[header.index("variance_limit")]) - (0.75 - math.log(2.0)) / 2.0) <= 1e-12
+
+    def test_page_limit_without_the_exact_page_route(self, capsys):
+        # the exact Page route stops at N = 1024; variance never asks it for a mean
+        assert main(["variance", "--ensemble", "haar-pure", "--N", "2000", "--samples", "0"]) == EXIT_OK
+        header, row = capsys.readouterr().out.splitlines()[1:]
+        row = dict(zip(header.split(","), row.split(",")))
+        assert row["variance_finite"] == "nan" and float(row["variance_limit"]) == 0.0
 
     def test_whole_system_is_zero(self, tmp_path):
         code, path = run_cli(["variance", "--N", "4", "--NA", "4", "--samples", "0"], tmp_path)
@@ -219,15 +224,39 @@ class TestSampleAndDist:
         run_cli(["dist", "--N", "4", "--NA", "2", "--samples", "50", "--seed", "1"], tmp_path)
         assert capsys.readouterr().err == ""
 
+    def test_dist_bins_the_smaller_side(self, tmp_path, capsys):
+        # S_A = S_B <= min(N_A, N - N_A) log 2: N_A = 8 of N = 10 bins on [0, 2 log 2]
+        code, path = run_cli(["dist", "--N", "10", "--NA", "8", "--samples", "300", "--bins", "6"], tmp_path)
+        assert code == 0
+        _, rows = read_rows(path)
+        assert float(rows[0][0]) == 0.0 and float(rows[-1][1]) == 2 * math.log(2.0)
+        assert sum(int(r[2]) for r in rows) == 300 and capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("n_a", ["0", "6"])
+    def test_dist_refuses_an_empty_range(self, n_a, capsys):
+        assert main(["dist", "--N", "6", "--NA", n_a, "--samples", "10"]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: dist needs 0 < --NA < --N") and len(err.splitlines()) == 1
+
 
 class TestErrorPaths:
-    @pytest.mark.parametrize("mode", ["exact", "quadrature", "limit"])
+    @pytest.mark.parametrize(
+        "mode, ensemble", [(m, e) for m in MODES if m != "mc" for e in ENSEMBLES if (m, e) not in formulas.ROUTES]
+    )
     @pytest.mark.parametrize("n_a", ["0", "1", "4"])
-    def test_invalid_combination(self, mode, n_a, capsys):
-        # the answer does not depend on N_A, also where N_A in {0, N} has a zero shortcut
-        code = main(["page-curve", "--N", "4", "--NA", n_a, "--ensemble", "hamiltonian", "--mode", mode])
+    def test_invalid_combination(self, mode, ensemble, n_a, capsys):
+        # the answer does not depend on N_A, also where N_A in {0, N} has a zero shortcut; the message names the
+        # routes that serve the ensemble
+        code = main(["page-curve", "--N", "4", "--NA", n_a, "--ensemble", ensemble, "--mode", mode])
         assert code == 2
-        assert capsys.readouterr().err == f"error: mode {mode!r} is not available for ensemble 'hamiltonian'\n"
+        available = ", ".join([m for m in MODES if (m, ensemble) in formulas.ROUTES] + ["mc"])
+        expected = f"error: mode {mode!r} is not available for ensemble {ensemble!r} (available: {available})\n"
+        assert capsys.readouterr().err == expected
+
+    def test_invalid_combination_message(self, capsys):
+        assert main(["page-curve", "--N", "4", "--ensemble", "number-conserving", "--mode", "exact"]) == EXIT_INVALID
+        err = "error: mode 'exact' is not available for ensemble 'number-conserving' (available: limit, mc)\n"
+        assert capsys.readouterr().err == err
 
     def test_unopenable_out_path(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.csv"

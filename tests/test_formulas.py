@@ -113,16 +113,16 @@ class TestGaussianThermo:
 
 class TestGaussianStdLimit:
     def test_half_fraction(self):
-        assert abs(F.gaussian_std_limit(0.5) - 0.16860133368401137) <= 1e-7
+        assert abs(math.sqrt(F.gaussian_variance_limit(0.5)) - 0.16860133368401137) <= 1e-7
 
     def test_small_fraction_leading_behavior(self):
         f = 1e-5
-        assert abs(F.gaussian_std_limit(f) / (f / 2.0) - 1.0) < 1e-2
+        assert abs(math.sqrt(F.gaussian_variance_limit(f)) / (f / 2.0) - 1.0) < 1e-2
 
     def test_squared_equals_double_sum(self):
         f = 0.3
         total = sum(F.sbar_lk(l, k, f) for l in range(40) for k in range(40))
-        assert abs(F.gaussian_std_limit(f) ** 2 - total) <= 1e-8
+        assert abs(F.gaussian_variance_limit(f) - total) <= 1e-8
 
 
 class TestSbar:

@@ -18,8 +18,9 @@ A BENCH file records, for the checkout this script lives in:
   hamiltonian, gaussian: ``perfbench/worker.py`` runs them) in milliseconds
   per chain at N = 64 and 128 with N_A = N/2, and the analytic layers in
   milliseconds per call at (N, N_A) = (64, 32), (192, 96) and (256, 128):
-  ``rmt.build_kernel_ctx``, ``rmt.average_entropy_quadrature`` (the context
-  built outside the timing) and ``formulas.variance_finite_N``; all in this
+  ``rmt.build_kernel_ctx``, ``rmt.average_entropy_quadrature`` and
+  ``rmt.gram(ctx, mode_entropy)`` (the context built outside the timing) and
+  ``formulas.variance_finite_N``; all in this
   process, with one BLAS thread, at reference speed as run.py reports its
   latencies;
 * the wall time of one tier-1 run (the command of ROADMAP.md), and the median
@@ -136,6 +137,7 @@ def time_layers() -> tuple[dict, list[float]]:
     import run as perfbench
     import worker
     from gausspage import ensembles, formulas, rmt, stats
+    from gausspage.gstates import mode_entropy
     from gausspage.linalg import RngStream
 
     out, slow = {}, []
@@ -177,6 +179,7 @@ def time_layers() -> tuple[dict, list[float]]:
             calls = {
                 "rmt.build_kernel_ctx": lambda: rmt.build_kernel_ctx(n_a, n - 2 * n_a),
                 "rmt.average_entropy_quadrature": lambda: rmt.average_entropy_quadrature(ctx),
+                "rmt.gram": lambda: rmt.gram(ctx, mode_entropy),
                 "formulas.variance_finite_N": lambda: formulas.variance_finite_N(n, n_a),
             }
             for name, call in calls.items():

@@ -130,7 +130,7 @@ def _curve_row(config: argparse.Namespace, n_a: int) -> list:
     k = _smaller_side(N, n_a)
     std_error, samples = math.nan, 0
     if mode == "mc":
-        if n_a == 0:
+        if k == 0:  # S_A = 0: no sampler runs
             value, std, std_error = 0.0, 0.0, 0.0
         else:
             est = stats.mc_estimate(_mc_sampler(config, n_a), config.samples, config.seed, config.workers)
@@ -166,11 +166,10 @@ def run_variance(config: argparse.Namespace) -> None:
     n_a = config.N_A if config.N_A is not None else N // 2
     k = _smaller_side(N, n_a)
     var_exact, var_limit = (_variance(route, config.ensemble, N, k) for route in ("exact", "limit"))
-    if config.samples > 0:
+    var_mc, n = (math.nan if config.samples == 0 else 0.0), 0  # nan: none asked for; 0: S_A = 0 at k = 0
+    if config.samples > 0 and k > 0:
         est = stats.mc_estimate(_mc_sampler(config, n_a), config.samples, config.seed, config.workers)
         var_mc, n = est.variance, est.n
-    else:
-        var_mc, n = math.nan, 0
     _emit(
         config,
         ["N", "N_A", "f", "variance_finite", "variance_mc", "variance_limit", "samples", "seed"],
@@ -196,13 +195,14 @@ def run_dist(config: argparse.Namespace) -> None:
     _emit(config, ["bin_lo", "bin_hi", "count"], rows)
 
 
-# Each command's run function and the options it reads beyond the common ones.
+# Each command's run function, by its name in this module, and the options it reads beyond the common ones.
+# The name is looked up at call time, as ``_SAMPLERS``' are, so a patched module attribute is the one called.
 _COMMANDS = {
-    "page-curve": (run_page_curve, ("ensemble", "mode", "samples", "workers")),
-    "density": (run_density, ("points",)),
-    "variance": (run_variance, ("ensemble", "samples", "workers")),
-    "sample": (run_sample, ("ensemble", "samples")),
-    "dist": (run_dist, ("ensemble", "samples", "bins")),
+    "page-curve": ("run_page_curve", ("ensemble", "mode", "samples", "workers")),
+    "density": ("run_density", ("points",)),
+    "variance": ("run_variance", ("ensemble", "samples", "workers")),
+    "sample": ("run_sample", ("ensemble", "samples")),
+    "dist": ("run_dist", ("ensemble", "samples", "bins")),
 }
 _NA_HELP = {"page-curve": "subsystem size, or 'sweep' (the default): every N_A from 0 to N/2",
             "variance": "subsystem size (default N/2)"}
@@ -222,7 +222,7 @@ def run(config: argparse.Namespace) -> int:
             raise InvalidArgument(f"{config.command} requires --NA")
         if config.out:
             _check_out(config.out)
-        _COMMANDS[config.command][0](config)
+        globals()[_COMMANDS[config.command][0]](config)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))

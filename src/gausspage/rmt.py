@@ -8,30 +8,32 @@ polynomials with symmetric weight exponent Delta = N_B - N_A:
     psi_j(x) = (1 - x^2)^{Delta/2} / sqrt(c_j) * P^{(Delta,Delta)}_{2j}(x),
     c_j = 2^{2 Delta} [(2j+Delta)!]^2 / ((2j)! (2j+2Delta)! (4j+2Delta+1)).
 
-The psi_j are orthonormal on [0, 1] directly (verified at context build; no
-interval rescaling is needed).  Averages of sum_i s(x_i) reduce to
-one-dimensional integrals against the level density rho = K(x,x)/N_A.
-
 By the quadratic transformation P^{(Delta,Delta)}_{2j}(x) ~ P^{(Delta,-1/2)}_j(t),
 t = 2x^2 - 1 (Szego, Orthogonal Polynomials, 4.1), psi_j = 2^{Delta/2 + 3/4}
 (1 - x^2)^{Delta/2} p_j(t) with p_j orthonormal for (1 - t)^Delta (1 + t)^{-1/2}.
 One recurrence in t yields the psi_j a row at a time from psi_0, so K(x, x) is
 a running sum in O(len(x)) memory and no degree x nodes table is built.
 
+Every finite-N quantity is one matrix over this basis (``gram``),
+G(g)_ij = integral over [0, 1] of g(x) psi_i(x) psi_j(x) dx, i, j < N_A:
+G(1) = I (the psi_j are orthonormal on [0, 1] directly, checked at context
+build); <S_A> = tr G(s), s = ``mode_entropy``, which the mean takes from the
+streamed K(x, x) = N_A rho(x) with no table; Var S_A = tr G(s^2) - ||G(s)||_F^2,
+as the kernel is a projection; E exp(i t S_A) = det G(exp(i t s)) (Andreief).
+The variance served is the series ``formulas.variance_finite_N``; the Gram
+form is its independent check in the tests.
+
 psi_i psi_j (i, j < j_max) is a polynomial of degree 4(j_max-1) + 2 Delta,
 exact under n Gauss-Legendre nodes once 2n - 1 reaches it.  Integrals of
-s(x) psi_i psi_j use ``special.unit_interval_rule(n)`` with n = 2 j_max +
+g(x) psi_i psi_j use ``special.unit_interval_rule(n)`` with n = 2 j_max +
 Delta + 16 (rounded up to a multiple of 32 so cached rules are shared).
 Only its n nodes on each of the two panels below x = 3/4 are exact for the
 polynomial part; the n/2 nodes on each graded panel above are not (they are
 exact to degree n - 1), and are accurate there only because the polynomial
-varies slowly near x = 1.  So every s(x) integral rests on the check of n
-against 2n, not on exactness.
+varies slowly near x = 1.  So every such integral rests on the check of n
+against 2n (``_converged``, on the largest entry), not on exactness.
 ``ctx.quadrature`` is one panel on [0, 1] at that order: it only meets
-polynomial integrands (Gram matrix, K(x, x), K(z, x) K(z, y)), exactly.
-
-This module holds only the kernel and its quadrature.  The finite-N variance
-needs no kernel: it is the closed-form series ``formulas.variance_finite_N``.
+polynomial integrands (G(1), K(x, x), K(z, x) K(z, y)), exactly.
 """
 
 from __future__ import annotations
@@ -88,9 +90,7 @@ def build_kernel_ctx(n_a: int, delta: int) -> JacobiKernelCtx:
     if n_a < 1 or delta < 0:
         raise InvalidArgument(f"need N_A >= 1 and Delta >= 0, got ({n_a}, {delta})")
     ctx = JacobiKernelCtx(n_a=n_a, delta=delta, quadrature=panel_rule(_panel_order(n_a, delta), [(0.0, 1.0)]))
-    psi = wavefunctions(ctx, ctx.quadrature.nodes)
-    gram = (psi * ctx.quadrature.weights) @ psi.T
-    err = np.max(np.abs(gram - np.eye(n_a)))
+    err = np.max(np.abs(_gram_on(ctx, ctx.quadrature, np.ones_like, n_a) - np.eye(n_a)))
     if err > ORTHONORMALITY_TOL:
         raise ConsistencyError(f"wavefunction orthonormality violated: {err:.3e}")
     return ctx
@@ -133,41 +133,40 @@ def density_cdf(ctx: JacobiKernelCtx, grid: np.ndarray) -> np.ndarray:
     return np.cumsum(pieces)
 
 
-def _entropy_integral(ctx: JacobiKernelCtx, order: int) -> float:
-    rule = unit_interval_rule(order)
-    return ctx.n_a * rule.integrate(mode_entropy(rule.nodes) * level_density(ctx, rule.nodes))
-
-
-def _converged(integral, order: int, what: str) -> float:
-    """integral(2n) once it is within QUADRATURE_TOL of integral(n), doubling n from order."""
+def _converged(integral, order: int, what: str):
+    """integral(2n) once its largest entry is within QUADRATURE_TOL of integral(n)'s, doubling n from order."""
     value = integral(order)
     for _ in range(_MAX_DOUBLINGS):
         order *= 2
         refined = integral(order)
-        if abs(refined - value) < QUADRATURE_TOL:
+        if np.max(np.abs(refined - value)) < QUADRATURE_TOL:
             return refined
         value = refined
     raise ConsistencyError(f"{what} quadrature did not converge")
 
 
-def average_entropy_quadrature(ctx: JacobiKernelCtx) -> float:
-    """Ensemble-average entropy N_A * integral of s(x) rho(x) dx."""
-    order = _panel_order(ctx.n_a, ctx.delta)
-    return _converged(lambda n: _entropy_integral(ctx, n), order, "entropy")
+def _gram_on(ctx: JacobiKernelCtx, rule: QuadratureRule, g, jmax: int) -> np.ndarray:
+    """G(g)_ij = sum over the rule's nodes of w g psi_i psi_j, i, j < jmax."""
+    psi = wavefunctions(ctx, rule.nodes, jmax)
+    return (psi * (rule.weights * g(rule.nodes))) @ psi.T
 
 
-def s_ij_quadrature(ctx: JacobiKernelCtx, i: int, j: int) -> float:
-    """Matrix element s_ij = integral of s(x) psi_i(x) psi_j(x) dx.
+def gram(ctx: JacobiKernelCtx, g, jmax: int | None = None) -> np.ndarray:
+    """The converged jmax x jmax matrix G(g)_ij = integral of g psi_i psi_j on [0, 1] (a jmax x nodes table).
 
-    The basis index may exceed N_A, as j >= N_A does in the variance series.
+    g maps an array of nodes to its values there; jmax (default N_A) may exceed N_A.
     """
-    if i < 0 or j < 0:
-        raise InvalidArgument("indices must be non-negative")
-    jmax = max(i, j) + 1
+    jmax = ctx.n_a if jmax is None else jmax
+    if jmax < 1:
+        raise InvalidArgument(f"need jmax >= 1, got {jmax}")
+    return _converged(lambda n: _gram_on(ctx, unit_interval_rule(n), g, jmax), _panel_order(jmax, ctx.delta), "Gram")
 
-    def integral(order: int) -> float:
+
+def average_entropy_quadrature(ctx: JacobiKernelCtx) -> float:
+    """Ensemble-average entropy tr G(s) = N_A * integral of s(x) rho(x) dx, from the streamed K(x, x)."""
+
+    def trace(order: int) -> float:
         rule = unit_interval_rule(order)
-        psi = {k: row for k, row in enumerate(_rows(ctx.delta, rule.nodes, jmax)) if k in (i, j)}  # two rows held
-        return rule.integrate(mode_entropy(rule.nodes) * psi[i] * psi[j])
+        return ctx.n_a * rule.integrate(mode_entropy(rule.nodes) * level_density(ctx, rule.nodes))
 
-    return _converged(integral, _panel_order(jmax, ctx.delta), "matrix-element")
+    return _converged(trace, _panel_order(ctx.n_a, ctx.delta), "entropy")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gausspage
-from gausspage import ensembles, formulas, rmt
+from gausspage import cli, ensembles, formulas, rmt, stats
 from gausspage.cli import (
     _COMMANDS,
     _OPTIONS,
@@ -25,6 +25,7 @@ from gausspage.cli import (
     main,
 )
 from gausspage.gstates import ConsistencyError
+from gausspage.special import QuadratureRule
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -170,6 +171,21 @@ class TestVariance:
         header, row = capsys.readouterr().out.splitlines()[1:]
         row = dict(zip(header.split(","), row.split(",")))
         assert row["variance_finite"] == "nan" and float(row["variance_limit"]) == 0.0
+
+    @pytest.mark.parametrize("ensemble", ENSEMBLES)
+    @pytest.mark.parametrize("n_a", ["0", "6"])
+    def test_no_subsystem_draws_no_sample(self, ensemble, n_a, monkeypatch, capsys):
+        # S_A = 0 at N_A in {0, N}: no sampler runs, the Monte Carlo columns read 0 with samples 0
+        monkeypatch.setattr(stats, "mc_estimate", lambda *args: pytest.fail("sampled a known zero"))
+        assert main(["variance", "--N", "6", "--NA", n_a, "--samples", "300", "--ensemble", ensemble]) == EXIT_OK
+        header, row = capsys.readouterr().out.splitlines()[1:]
+        row = dict(zip(header.split(","), row.split(",")))
+        assert (row["variance_mc"], row["samples"]) == ("0", "0")
+        args = ["page-curve", "--N", "6", "--NA", n_a, "--mode", "mc", "--samples", "300", "--ensemble", ensemble]
+        assert main(args) == EXIT_OK
+        header, row = capsys.readouterr().out.splitlines()[1:]
+        row = dict(zip(header.split(","), row.split(",")))
+        assert [row[c] for c in ("value", "std", "std_error", "samples")] == ["0", "0", "0", "0"]
 
     def test_whole_system_is_zero(self, tmp_path):
         code, path = run_cli(["variance", "--N", "4", "--NA", "4", "--samples", "0"], tmp_path)
@@ -367,7 +383,8 @@ class TestErrorPaths:
         assert "do not pair up" in capsys.readouterr().err
 
     def test_accuracy_failure_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setattr(rmt, "_entropy_integral", lambda ctx, order: float(order))  # never settles
+        # a one-node rule whose weight is its order: the integral never settles
+        monkeypatch.setattr(rmt, "unit_interval_rule", lambda order: QuadratureRule(np.array([0.5]), np.array([order])))
         code = main(["page-curve", "--N", "4", "--NA", "2", "--mode", "quadrature"])
         assert code == EXIT_NUMERICAL
         assert "did not converge" in capsys.readouterr().err
@@ -462,6 +479,14 @@ def test_only_page_curve_sweeps_the_subsystem(command, capsys):
         main([command, "--N", "4", "--NA", "sweep"])
     assert exc.value.code == EXIT_INVALID
     assert "error: argument --NA: invalid int value: 'sweep'" in capsys.readouterr().err
+
+
+def test_the_run_function_is_looked_up_when_called(monkeypatch):
+    # a patched module attribute is the run function main calls, as a tracer that wraps it needs
+    calls = []
+    monkeypatch.setattr(cli, "run_variance", calls.append)
+    assert main(["variance", "--N", "4", "--samples", "0"]) == EXIT_OK
+    assert [config.command for config in calls] == ["variance"]
 
 
 def run_fresh(code):

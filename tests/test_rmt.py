@@ -6,7 +6,7 @@ import pytest
 import scipy.special
 
 from gausspage.linalg import InvalidArgument, RngStream, haar_orthogonal_batch
-from gausspage.gstates import ConsistencyError, reference_structure
+from gausspage.gstates import ConsistencyError, mode_entropy, reference_structure
 from gausspage import formulas, rmt
 from gausspage.rmt import (
     build_kernel_ctx,
@@ -14,11 +14,11 @@ from gausspage.rmt import (
     kernel,
     level_density,
     average_entropy_quadrature,
-    s_ij_quadrature,
+    gram,
     wavefunctions,
 )
 from gausspage import special
-from gausspage.special import UNIT_INTERVAL_PANELS, gauss_legendre, panel_rule, unit_interval_rule
+from gausspage.special import UNIT_INTERVAL_PANELS, QuadratureRule, gauss_legendre, panel_rule, unit_interval_rule
 from gausspage.stats import ks_one_sample_critical, ks_statistic_one_sample
 
 
@@ -220,16 +220,18 @@ class TestAverageEntropy:
             tracemalloc.stop()
         assert peak < 8e6
 
-    def test_unsettled_quadrature_raises(self, monkeypatch):
+    @pytest.mark.parametrize("integral", [average_entropy_quadrature, lambda ctx: gram(ctx, mode_entropy)],
+                             ids=["mean", "gram"])
+    def test_unsettled_quadrature_raises(self, integral, monkeypatch):
         orders = []
 
-        def never_settles(ctx, order):
+        def never_settles(order):  # a one-node rule whose weight is the order: every integral grows with it
             orders.append(order)
-            return float(len(orders))
+            return QuadratureRule(np.array([0.5]), np.array([float(order)]))
 
-        monkeypatch.setattr(rmt, "_entropy_integral", never_settles)
+        monkeypatch.setattr(rmt, "unit_interval_rule", never_settles)
         with pytest.raises(ConsistencyError, match="did not converge"):
-            average_entropy_quadrature(build_kernel_ctx(2, 0))
+            integral(build_kernel_ctx(2, 0))
         assert len(orders) > 2 and all(b == 2 * a for a, b in zip(orders, orders[1:]))
 
     @pytest.mark.parametrize("n_a,delta", [(96, 0), (40, 112), (200, 0)])
@@ -273,37 +275,46 @@ class TestAverageEntropy:
 
 
 class TestMatrixElements:
+    # s_ij = G(s)_ij, entries of the Gram matrix of s = mode_entropy
     def test_symmetry(self):
-        ctx = build_kernel_ctx(2, 1)
-        assert abs(s_ij_quadrature(ctx, 0, 1) - s_ij_quadrature(ctx, 1, 0)) <= 1e-12
+        s = gram(build_kernel_ctx(2, 1), mode_entropy)
+        assert s.shape == (2, 2) and abs(s[0, 1] - s[1, 0]) <= 1e-12
 
     def test_against_closed_form(self):
-        ctx = build_kernel_ctx(1, 0)
-        s01 = s_ij_quadrature(ctx, 0, 1)
+        s01 = gram(build_kernel_ctx(1, 0), mode_entropy, 2)[0, 1]
         assert abs(s01**2 - formulas.s2_closed_form(0, 1, 0)) <= 1e-8
 
     def test_closed_form_grid(self):
         for delta in range(0, 7, 2):
-            ctx = build_kernel_ctx(1, delta)
+            s = gram(build_kernel_ctx(1, delta), mode_entropy, 7)
             for i in range(0, 3):
                 for j in range(i + 1, 7):
-                    quad = s_ij_quadrature(ctx, i, j) ** 2
-                    closed = formulas.s2_closed_form(i, j, delta)
-                    assert abs(quad - closed) <= 1e-8
+                    assert abs(s[i, j] ** 2 - formulas.s2_closed_form(i, j, delta)) <= 1e-8
 
     def test_large_n_limit(self):
         # s_{N_A-1, N_A}^2 at f = 1/2, N = 200 approaches 1/36 within 2%
-        ctx = build_kernel_ctx(100, 0)
-        val = s_ij_quadrature(ctx, 99, 100) ** 2
+        val = gram(build_kernel_ctx(100, 0), mode_entropy, 101)[99, 100] ** 2
         assert abs(val - 1.0 / 36.0) <= 0.02 / 36.0
 
-    def test_holds_two_rows_not_all_rows(self):
-        # only rows i and j are kept as the recurrence streams; a table of all 101 rows at 21504 nodes peaked at 18.8 MB
-        ctx = build_kernel_ctx(100, 0)
-        tracemalloc.start()
-        try:
-            s_ij_quadrature(ctx, 99, 100)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+    def test_identity_is_the_orthonormality_check(self):
+        for n_a, delta in [(1, 0), (5, 5), (20, 20)]:
+            assert np.max(np.abs(gram(build_kernel_ctx(n_a, delta), np.ones_like) - np.eye(n_a))) <= 1e-10
+
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(InvalidArgument):
+            gram(build_kernel_ctx(2, 0), mode_entropy, 0)
+
+
+def gram_variance(N, n_a):
+    """Var S_A = tr G(s^2) - ||G(s)||_F^2 over i, j < N_A: finite, as the kernel is a projection."""
+    ctx = build_kernel_ctx(n_a, N - 2 * n_a)
+    return np.trace(gram(ctx, lambda x: mode_entropy(x) ** 2)) - np.sum(gram(ctx, mode_entropy) ** 2)
+
+
+class TestGramVariance:
+    # certifies the series formulas.variance_finite_N, whose per-row tail is an estimate, not a bound
+    def test_series_within_its_tolerance_of_the_gram_variance(self):
+        sizes = [(n, n_a) for n in range(2, 41) for n_a in range(1, n // 2 + 1)] + [(192, 96), (256, 128)]
+        for n, n_a in sizes:
+            gap = abs(formulas.variance_finite_N(n, n_a) - gram_variance(n, n_a))
+            assert gap <= formulas.VARIANCE_TAIL_TOL, (n, n_a, gap)

@@ -196,7 +196,7 @@ def run_dist(config: argparse.Namespace) -> None:
 
 
 # Each command's run function, by its name in this module, and the options it reads beyond the common ones.
-# The name is looked up at call time, as ``_SAMPLERS``' are, so a patched module attribute is the one called.
+# Names are looked up at call time, like those of ``_SAMPLERS``, so a patched module attribute is the one called.
 _COMMANDS = {
     "page-curve": ("run_page_curve", ("ensemble", "mode", "samples", "workers")),
     "density": ("run_density", ("points",)),

@@ -30,7 +30,7 @@ import numpy as np
 
 from gausspage import ensembles, formulas, rmt, stats
 from gausspage.gstates import ConsistencyError
-from gausspage.linalg import InvalidArgument, RngStream
+from gausspage.linalg import InvalidArgument
 
 HEADER = "# gaussian-page v1"
 DEFAULT_SEED = 20210701
@@ -107,11 +107,6 @@ def _mc_sampler(config: argparse.Namespace, n_a: int):
     return lambda gen, count: sampler(config.N, n_a, count, gen)
 
 
-def _stream0_samples(config: argparse.Namespace) -> np.ndarray:
-    """``--samples`` entropies at ``--NA`` from RNG stream 0 (``sample`` and ``dist``)."""
-    return _mc_sampler(config, config.N_A)(RngStream(config.seed, 0).generator(), config.samples)
-
-
 def _smaller_side(N: int, n_a: int) -> int:
     """min(N_A, N - N_A): S_A = S_B for a pure state, and the analytics take N_A <= N/2."""
     if not 0 <= n_a <= N:
@@ -178,7 +173,7 @@ def run_variance(config: argparse.Namespace) -> None:
 
 
 def run_sample(config: argparse.Namespace) -> None:
-    values = _stream0_samples(config)
+    values = stats.draw_streams(_mc_sampler(config, config.N_A), config.samples, config.seed, workers=1)
     _emit(config, ["index", "entropy"], [[i, float(v)] for i, v in enumerate(values)])
 
 
@@ -186,7 +181,7 @@ def run_dist(config: argparse.Namespace) -> None:
     k = _smaller_side(config.N, config.N_A)
     if k == 0:
         raise InvalidArgument(f"dist needs 0 < --NA < --N, got --NA {config.N_A}: S_A = 0 leaves no range to bin")
-    values = _stream0_samples(config)
+    values = stats.draw_streams(_mc_sampler(config, config.N_A), config.samples, config.seed, workers=1)
     hist = stats.histogram(values, config.bins, (0.0, k * math.log(2.0)))
     if hist.underflow or hist.overflow:
         msg = f"{hist.underflow} samples below and {hist.overflow} above [0, {k} log 2] are not counted"
@@ -209,8 +204,19 @@ _NA_HELP = {"page-curve": "subsystem size, or 'sweep' (the default): every N_A f
 _EXIT_CODES = {InvalidArgument: EXIT_INVALID, ensembles.ResourceLimit: EXIT_RESOURCE, ConsistencyError: EXIT_NUMERICAL}
 
 
+def _environment_seed() -> int:
+    """GAUSSIAN_PAGE_SEED, or DEFAULT_SEED where it is unset."""
+    text = os.environ.get("GAUSSIAN_PAGE_SEED", str(DEFAULT_SEED))
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidArgument(f"GAUSSIAN_PAGE_SEED must be an integer, got {text!r}") from None
+
+
 def run(config: argparse.Namespace) -> int:
     try:
+        if config.seed is None:
+            config.seed = _environment_seed()
         if config.N < 1:
             raise InvalidArgument(f"need N >= 1, got {config.N}")
         given = vars(config)
@@ -258,10 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = _build_parser().parse_args(argv)
-    if config.seed is None:
-        config.seed = int(os.environ.get("GAUSSIAN_PAGE_SEED", DEFAULT_SEED))
-    return run(config)
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -102,6 +102,8 @@ def restrict(j: np.ndarray, split: SystemSplit) -> np.ndarray:
     """Spectrum x_1 >= ... >= x_{N_A} of the sub-block [J]_A, in [0, 1]."""
     if split.N_A < 1:
         raise InvalidArgument("restriction requires N_A >= 1")
+    if np.shape(j) != (2 * split.N, 2 * split.N):
+        raise InvalidArgument(f"need a {2 * split.N}x{2 * split.N} J for N={split.N}, got shape {np.shape(j)}")
     idx = subsystem_indices(split)
     return restrict_blocks(j[np.ix_(idx, idx)][None])[0]
 

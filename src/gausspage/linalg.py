@@ -33,6 +33,10 @@ class RngStream:
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0 or self.stream < 0:
+            raise InvalidArgument(f"need a seed and a stream >= 0, got seed={self.seed}, stream={self.stream}")
+
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence((self.seed, self.stream))))
 

@@ -1,12 +1,13 @@
-"""Monte Carlo harness: streaming moments, KS statistics, histograms.
+"""Monte Carlo harness: sample streams, their moments, KS statistics, histograms.
 
-``mc_estimate`` partitions the sample budget across RNG streams derived
-from (seed, stream id), runs up to one stream per core at a time and merges
-moments in fixed stream order, so a run is bit-reproducible for a given
-(seed, workers).  The streams fix the result; which thread runs a stream,
-how many run at once and the cores each batch's linear algebra runs on do
-not change it.  A sampler may therefore be called concurrently, once per
-stream, each time on a distinct generator.
+``draw_streams`` partitions the sample budget across RNG streams derived
+from (seed, stream id), runs up to one stream per core at a time and
+concatenates their samples in stream order, so a draw is bit-reproducible
+for a given (seed, workers).  The streams fix the result; which thread runs
+a stream, how many run at once and the cores each batch's linear algebra
+runs on do not change it.  A sampler may therefore be called concurrently,
+once per stream, each time on a distinct generator.  ``mc_estimate`` takes
+the mean and the central moments of those samples in two passes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from gausspage.linalg import InvalidArgument, RngStream
 # Entropy-producing procedure: maps (generator, count) to `count` samples.
 Sampler = Callable[[np.random.Generator, int], np.ndarray]
 
-_CHUNK = 50_000
 KS_ALPHA = 0.01  # significance level of the KS critical values
 _KS_C = np.sqrt(-0.5 * np.log(KS_ALPHA / 2.0))
 
@@ -48,44 +48,6 @@ class MCEstimate:
         return float(np.sqrt(max(var_of_var, 0.0)))
 
 
-@dataclass
-class _Moments:
-    """Count, mean and central sums M_k = sum (x - mean)^k for k = 2, 3, 4."""
-
-    n: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-    m3: float = 0.0
-    m4: float = 0.0
-
-    def add_chunk(self, x: np.ndarray) -> None:
-        mean = float(np.mean(x))
-        d = x - mean
-        self.merge(_Moments(x.size, mean, *(float(np.sum(d**k)) for k in (2, 3, 4))))
-
-    def merge(self, o: "_Moments") -> None:
-        """Exact pairwise update of all central sums (Pebay 2008, eqs. 2.1-2.3)."""
-        if o.n == 0:
-            return
-        if self.n == 0:
-            self.n, self.mean, self.m2, self.m3, self.m4 = o.n, o.mean, o.m2, o.m3, o.m4
-            return
-        na, nb = self.n, o.n
-        n = na + nb
-        d = o.mean - self.mean
-        m2 = self.m2 + o.m2 + d * d * na * nb / n
-        m3 = self.m3 + o.m3 + d**3 * na * nb * (na - nb) / n**2 + 3.0 * d * (na * o.m2 - nb * self.m2) / n
-        m4 = (
-            self.m4
-            + o.m4
-            + d**4 * na * nb * (na * na - na * nb + nb * nb) / n**3
-            + 6.0 * d * d * (na * na * o.m2 + nb * nb * self.m2) / n**2
-            + 4.0 * d * (na * o.m3 - nb * self.m3) / n
-        )
-        self.mean += d * nb / n
-        self.n, self.m2, self.m3, self.m4 = n, m2, m3, m4
-
-
 @functools.cache
 def _stream_pool():
     """One stream thread per core beyond the caller's; None on one core.
@@ -106,20 +68,18 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's s
 class _Streams:
     """Streams 0..count-1, started in increasing id by each thread that calls :meth:`work`.
 
-    A finished stream's moments are merged in increasing stream id, so the
-    sum does not depend on which thread ran which stream.  Once a stream has
+    Each finished stream's samples are kept in its own slot, so their order
+    does not depend on which thread ran which stream.  Once a stream has
     failed no further stream starts; every stream below it has started by
     then, so the lowest failing stream is the one a serial run would report.
     """
 
-    def __init__(self, run: Callable[[int], _Moments], count: int):
+    def __init__(self, run: Callable[[int], np.ndarray], count: int):
         self._run, self._count = run, count
         self._changed = threading.Condition()
         self._next = 0  # the next stream to start
         self._running = 0
-        self._done: dict[int, _Moments] = {}  # finished streams waiting for a lower one
-        self.moments = _Moments()  # streams 0..merged-1
-        self._merged = 0
+        self.samples: list[np.ndarray | None] = [None] * count
         self.errors: dict[int, BaseException] = {}
 
     def work(self) -> None:
@@ -131,20 +91,15 @@ class _Streams:
                 w = self._next
                 self._next += 1
                 self._running += 1
-            result = error = None
+            error = None
             try:
-                result = self._run(w)
-            except BaseException as e:  # re-raised by mc_estimate once every started stream has ended
+                self.samples[w] = self._run(w)
+            except BaseException as e:  # re-raised by draw_streams once every started stream has ended
                 error = e
             with self._changed:
                 self._running -= 1
                 if error is not None:
                     self.errors[w] = error
-                else:
-                    self._done[w] = result
-                while self._merged in self._done:
-                    self.moments.merge(self._done.pop(self._merged))
-                    self._merged += 1
                 self._changed.notify_all()
 
     def join(self) -> None:
@@ -154,37 +109,29 @@ class _Streams:
             self._changed.wait_for(lambda: self._running == 0)
 
 
-def mc_estimate(sampler: Sampler, n: int, seed: int, workers: int = 1) -> MCEstimate:
-    """Streaming Monte Carlo estimate of mean and variance.
+def draw_streams(sampler: Sampler, n: int, seed: int, workers: int = 1) -> np.ndarray:
+    """The n samples of streams 0..workers-1, concatenated in stream order.
 
-    The sampler is called with a per-stream generator and a count and must
-    return that many samples.  Stream w receives n//workers samples plus one
-    of the remainder; streams are merged in increasing stream id.  Streams
-    past the n-th would draw nothing, so at most n are visited.  Up to one
+    Stream w is one ``sampler(RngStream(seed, w).generator(), count)`` call,
+    with n//workers samples plus one of the remainder.  Streams past the
+    n-th would draw nothing, so at most n are visited, and stream 0 always
+    is, so that a sampler refuses its arguments even at n = 0.  Up to one
     stream per core runs at a time, one on the calling thread and the rest
     on stream threads, so the sampler may be called concurrently, once per
     stream, on distinct generators.  Every stream started has ended when
     this returns or raises; a failure raises the error of the lowest
     failing stream.
     """
-    if n < 2:
-        raise InvalidArgument(f"need n >= 2 samples, got {n}")
+    if n < 0:
+        raise InvalidArgument(f"need n >= 0 samples, got {n}")
     if workers < 1:
         raise InvalidArgument("need at least one worker")
     base, rem = divmod(n, workers)
 
-    def stream(w: int) -> _Moments:
-        count = base + (1 if w < rem else 0)
-        gen = RngStream(seed, w).generator()
-        done = 0
-        moments = _Moments()
-        while done < count:
-            b = min(_CHUNK, count - done)
-            moments.add_chunk(np.asarray(sampler(gen, b), dtype=float))
-            done += b
-        return moments
+    def stream(w: int) -> np.ndarray:
+        return np.asarray(sampler(RngStream(seed, w).generator(), base + (1 if w < rem else 0)), dtype=float)
 
-    visited = min(workers, n)
+    visited = max(1, min(workers, n))
     streams = _Streams(stream, visited)
     pool = _stream_pool() if visited > 1 else None
     for _ in range(min(visited, _cores()) - 1 if pool else 0):
@@ -196,14 +143,29 @@ def mc_estimate(sampler: Sampler, n: int, seed: int, workers: int = 1) -> MCEsti
         streams.join()
     if streams.errors:
         raise streams.errors[min(streams.errors)]
-    moments = streams.moments
-    variance = moments.m2 / (moments.n - 1)
+    return streams.samples[0] if visited == 1 else np.concatenate(streams.samples)  # one stream: no copy
+
+
+def mc_estimate(sampler: Sampler, n: int, seed: int, workers: int = 1) -> MCEstimate:
+    """Monte Carlo estimate of mean and variance from the n samples of :func:`draw_streams`.
+
+    The mean and the central sums of the second and fourth powers are
+    two-pass sums over the drawn array, which holds 8 bytes per sample; its
+    deviations from the mean take as much again while they are summed.
+    """
+    if n < 2:
+        raise InvalidArgument(f"need n >= 2 samples, got {n}")
+    x = draw_streams(sampler, n, seed, workers)
+    mean = float(np.mean(x))
+    d = x - mean
+    del x  # so that at most two arrays of n samples are held at once
+    variance = float(np.sum(d**2)) / (n - 1)
     return MCEstimate(
-        mean=moments.mean,
+        mean=mean,
         variance=variance,
-        std_error=float(np.sqrt(variance / moments.n)),
-        n=moments.n,
-        fourth_central=moments.m4 / moments.n,
+        std_error=float(np.sqrt(variance / n)),
+        n=n,
+        fourth_central=float(np.sum(d**4)) / n,
     )
 
 

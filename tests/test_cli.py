@@ -248,6 +248,25 @@ class TestSampleAndDist:
         assert float(rows[0][0]) == 0.0 and float(rows[-1][1]) == 2 * math.log(2.0)
         assert sum(int(r[2]) for r in rows) == 300 and capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("ensemble", ENSEMBLES)
+    def test_rows_are_the_draw_of_stream_zero(self, ensemble, capsys):
+        sampler = getattr(ensembles, cli._SAMPLERS[ensemble])
+        values = stats.draw_streams(lambda gen, count: sampler(6, 2, count, gen), 300, 4, workers=1)
+        common = ["--ensemble", ensemble, "--N", "6", "--NA", "2", "--samples", "300", "--seed", "4"]
+        assert main(["sample"] + common) == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [float(entropy) for _, entropy in rows] == values.tolist()
+        assert main(["dist", "--bins", "7"] + common) == EXIT_OK
+        counts = [int(row.split(",")[2]) for row in capsys.readouterr().out.splitlines()[2:]]
+        assert counts == np.histogram(values, bins=7, range=(0.0, 2 * math.log(2.0)))[0].tolist()
+
+    @pytest.mark.parametrize("command", ["sample", "dist"])
+    @pytest.mark.parametrize("N, n_a, code", [("15", "5", EXIT_RESOURCE), ("3", "5", EXIT_INVALID)])
+    def test_no_sample_still_checks_the_arguments(self, command, N, n_a, code, capsys):
+        # --samples 0 draws nothing, but the sampler still refuses haar-pure above 14 modes and N_A > N
+        assert main([command, "--ensemble", "haar-pure", "--N", N, "--NA", n_a, "--samples", "0"]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("n_a", ["0", "6"])
     def test_dist_refuses_an_empty_range(self, n_a, capsys):
         assert main(["dist", "--N", "6", "--NA", n_a, "--samples", "10"]) == EXIT_INVALID
@@ -426,6 +445,19 @@ class TestSeedHandling:
         header, rows = read_rows(a)
         assert int(rows[0][header.index("seed")]) == 5
 
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @pytest.mark.parametrize("seed", ["abc", "1.5", "", "-3"])
+    def test_a_bad_environment_seed_exits_2(self, command, seed, monkeypatch, capsys):
+        # a seed that is not an integer exits 2 on every command; a negative one wherever a stream is drawn
+        monkeypatch.setenv("GAUSSIAN_PAGE_SEED", seed)
+        argv = [command, "--N", "4", "--NA", "2"] + (["--mode", "mc"] if command == "page-curve" else [])
+        if seed == "-3" and command == "density":  # density draws no stream
+            assert main(argv) == EXIT_OK and capsys.readouterr().err == ""
+        else:
+            assert main(argv) == EXIT_INVALID
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_default_seed_constant(self, tmp_path):
         _, a = run_cli(["variance", "--N", "4", "--NA", "2", "--samples", "100"], tmp_path, "a.csv")
         header, rows = read_rows(a)
@@ -445,8 +477,9 @@ def test_arguments_reach_documented_exit_codes(command, mode, ensemble, N, data)
     samples = data.draw(st.integers(-1, 32), label="samples")
     workers = data.draw(st.integers(1, 2), label="workers")
     bins = data.draw(st.integers(0, 8), label="bins")
+    seed = data.draw(st.integers(-3, 2**64), label="seed")
     values = {"mode": mode, "ensemble": ensemble, "samples": samples, "workers": workers, "points": 11, "bins": bins}
-    argv = [command, "--N", str(N), "--NA", str(n_a)]
+    argv = [command, "--N", str(N), "--NA", str(n_a), "--seed", str(seed)]
     for option in _COMMANDS[command][1]:  # only the options the command reads
         argv += [f"--{option}", str(values[option])]
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:

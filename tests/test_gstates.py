@@ -68,6 +68,12 @@ class TestRestrict:
             x = restrict(j0, SystemSplit(4, n_a))
             assert np.allclose(x, np.ones(n_a))
 
+    @pytest.mark.parametrize("N, N_A", [(3, 1), (1, 1), (5, 2)])
+    def test_rejects_a_structure_of_another_size(self, N, N_A):
+        # a 4x4 J has N = 2: a split of 3 or 1 modes would read the wrong block, one of 5 would index past it
+        with pytest.raises(InvalidArgument, match="4, 4"):
+            restrict(reference_structure(2), SystemSplit(N, N_A))
+
     def test_full_system_is_pure(self):
         j = sample_gaussian_state(3, RngStream(5))
         x = restrict(j, SystemSplit(3, 3))

@@ -55,6 +55,11 @@ class TestHaarOrthogonal:
         with pytest.raises(InvalidArgument):
             haar_orthogonal(0, RngStream(0))
 
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1), (-3, -3)])
+    def test_rejects_a_negative_seed_or_stream(self, seed, stream):
+        with pytest.raises(InvalidArgument, match="seed and a stream >= 0"):
+            RngStream(seed, stream)
+
     def test_reproducible(self):
         a = haar_orthogonal(8, RngStream(11, 2))
         b = haar_orthogonal(8, RngStream(11, 2))

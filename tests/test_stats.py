@@ -3,7 +3,6 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from gausspage import ensembles, stats
 from gausspage.gstates import ConsistencyError
 from gausspage.linalg import InvalidArgument, RngStream
 from gausspage.stats import (
-    _Moments,
+    draw_streams,
     histogram,
     ks_statistic,
     ks_two_sample_critical,
@@ -84,6 +83,47 @@ class TestMcEstimate:
         with pytest.raises(InvalidArgument):
             mc_estimate(uniform_sampler, 1, seed=0)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "run", [uniform_sampler, lambda gen, n: ensembles.gaussian_entropies(6, 3, n, gen)], ids=["uniform", "gaussian"]
+    )
+    def test_estimate_is_the_two_pass_moments_of_the_drawn_samples(self, run, workers):
+        est = mc_estimate(run, 1001, 8, workers)
+        x = draw_streams(run, 1001, 8, workers)
+        d = x - np.mean(x)
+        assert est.n == x.size == 1001
+        assert est.mean == np.mean(x)
+        assert est.variance == np.sum(d**2) / 1000
+        assert est.fourth_central == np.sum(d**4) / 1001
+
+
+class TestDrawStreams:
+    @pytest.mark.parametrize("n, workers", [(9999, 3), (10, 4), (7, 1), (3, 5)])
+    def test_streams_are_concatenated_in_stream_order(self, n, workers):
+        # stream w draws n//workers samples, plus one of the remainder, in one call on RngStream(seed, w)
+        base, rem = divmod(n, workers)
+        expected = [RngStream(6, w).generator().random(base + (w < rem)) for w in range(min(workers, n))]
+        assert np.array_equal(draw_streams(uniform_sampler, n, 6, workers), np.concatenate(expected))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_no_sample_still_calls_stream_zero(self, workers):
+        # the sampler sees its arguments even when nothing is drawn, so it can refuse them
+        calls = []
+
+        def counting(gen, n):
+            calls.append((gen.random(), n))
+            return gen.random(n)
+
+        assert draw_streams(counting, 0, 9, workers).shape == (0,)
+        assert calls == [(RngStream(9, 0).generator().random(), 0)]
+        with pytest.raises(ensembles.ResourceLimit):
+            draw_streams(bind(ensembles.haar_pure_entropies, 15, 5), 0, 9, workers)
+
+    @pytest.mark.parametrize("n, workers", [(-1, 1), (10, 0)])
+    def test_rejects_bad_counts(self, n, workers):
+        with pytest.raises(InvalidArgument):
+            draw_streams(uniform_sampler, n, 0, workers)
+
 
 # (sampler, N, N_A) of each batched sampler; batches of 64 samples give each stream several batches
 BATCHED = [
@@ -124,7 +164,7 @@ class RecordingBudget(ensembles._Budget):
 
 
 class TestConcurrentStreams:
-    """Up to one stream per core runs at a time; the moments are merged in stream order."""
+    """Up to one stream per core runs at a time; the samples are concatenated in stream order."""
 
     @staticmethod
     def serial(monkeypatch, sampler, n, seed, workers):
@@ -274,35 +314,3 @@ class TestHistogram:
 def test_histogram_conservation_property(values, bins):
     h = histogram(np.array(values), bins, (-5.0, 5.0))
     assert h.counts.sum() + h.underflow + h.overflow == len(values)
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=400),
-            st.floats(min_value=-1e3, max_value=1e3),
-            st.floats(min_value=1e-3, max_value=1e2),
-        ),
-        min_size=2,
-        max_size=8,
-    ),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-@settings(max_examples=100, deadline=None)
-def test_moment_merge_matches_two_pass(chunks, seed):
-    # uneven, mean-shifted chunks merged pairwise vs central sums of the whole
-    gen = np.random.default_rng(seed)
-    parts = [shift + scale * gen.standard_normal(size) for size, shift, scale in chunks]
-    moments = _Moments()
-    for part in parts:
-        moments.add_chunk(part)
-    data = np.concatenate(parts)
-    # deviations from the exact mean: removing the rounding of data.mean() keeps the reference central sums
-    # accurate where the data sit far from 0 (two draws at 512 +- 1e-4 have m3 = 0 exactly, but the rounded
-    # mean made np.sum(d**3) = -4.2e-21 against a bound of 2.8e-21)
-    mean = data.mean()
-    d = (data - mean) - float(sum(map(Fraction, data.tolist())) / data.size - Fraction(mean))
-    assert moments.n == data.size
-    assert moments.m2 == pytest.approx(np.sum(d**2), rel=1e-9)
-    assert abs(moments.m3 - np.sum(d**3)) <= 1e-9 * np.sum(np.abs(d) ** 3)
-    assert moments.m4 == pytest.approx(np.sum(d**4), rel=1e-9)

@@ -23,6 +23,9 @@ A BENCH file records, for the checkout this script lives in:
   ``formulas.variance_finite_N``; all in this
   process, with one BLAS thread, at reference speed as run.py reports its
   latencies;
+* the node count of the graded rule ``special.unit_interval_rule`` at the
+  first order n of ``rmt``'s doubling and at 2n, at each of those (N, N_A)
+  (the perfbench counter ``special.unit_interval_rule.nodes`` holds n);
 * the wall time of one tier-1 run (the command of ROADMAP.md), and the median
   wall time of three runs of each fixed CLI command in ``CLI_RUNS``, each a new
   process with one BLAS thread (these times are raw);
@@ -190,6 +193,24 @@ def time_layers() -> tuple[dict, list[float]]:
     return out, slow
 
 
+def rule_nodes() -> dict[str, int]:
+    """Nodes of ``unit_interval_rule`` at the first order n of ``rmt``'s doubling and at 2n, per analytic size.
+
+    Imports ``gausspage`` from this checkout; after ``time_layers``, so numpy
+    is first imported there.
+    """
+    sys.path[:0] = [str(ROOT / "src")]
+    from gausspage import rmt
+    from gausspage.special import unit_interval_rule
+
+    out = {}
+    for n, n_a in ANALYTIC_SIZES:
+        order = rmt._panel_order(n_a, n - 2 * n_a)
+        for label, m in (("n", order), ("2n", 2 * order)):
+            out[f"special.unit_interval_rule.{n}x{n_a}.nodes_{label}"] = int(unit_interval_rule(m).nodes.size)
+    return out
+
+
 def summarize(runs: list[dict], units: dict[str, str]) -> dict:
     """Per workload, the median of each metric over its runs and the summed failures, named workload.metric."""
     out = {}
@@ -264,6 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     layers, layer_slowness = time_layers()
     metrics.update({name: {"value": v, "unit": "us" if name.endswith(".us_per_sample") else "ms"}
                     for name, v in layers.items()})
+    metrics.update({name: {"value": v, "unit": "count"} for name, v in rule_nodes().items()})
     status = _git("status", "--porcelain", "--untracked-files=no")
     record = {
         "label": args.pr,

@@ -7,7 +7,8 @@ Emits CSV (default) or JSON.  The first CSV line is the versioned header
 ``# gaussian-page v1``; every numeric field uses 17 significant digits so
 values round-trip exactly.  The default seed is a fixed constant
 (overridable via ``--seed`` or the GAUSSIAN_PAGE_SEED environment
-variable): this is a reproducibility-first tool, never time-seeded.
+variable, by an integer >= 0): this is a reproducibility-first tool,
+never time-seeded.
 
 Exit codes: 0 success; 2 invalid arguments or option combinations, or an
 ``--out`` path that cannot be opened; 3 a resource limit (Haar-pure sampling
@@ -217,6 +218,8 @@ def run(config: argparse.Namespace) -> int:
     try:
         if config.seed is None:
             config.seed = _environment_seed()
+        if config.seed < 0:
+            raise InvalidArgument(f"need a seed >= 0, got {config.seed}")
         if config.N < 1:
             raise InvalidArgument(f"need N >= 1, got {config.N}")
         given = vars(config)

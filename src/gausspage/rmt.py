@@ -28,10 +28,12 @@ exact under n Gauss-Legendre nodes once 2n - 1 reaches it.  Integrals of
 g(x) psi_i psi_j use ``special.unit_interval_rule(n)`` with n = 2 j_max +
 Delta + 16 (rounded up to a multiple of 32 so cached rules are shared).
 Only its n nodes on each of the two panels below x = 3/4 are exact for the
-polynomial part; the n/2 nodes on each graded panel above are not (they are
-exact to degree n - 1), and are accurate there only because the polynomial
-varies slowly near x = 1.  So every such integral rests on the check of n
-against 2n (``_converged``, on the largest entry), not on exactness.
+polynomial part; the graded panels above are not, as panel k gets
+n >> (k // 2) nodes (halved every two panels, at least 8), and are accurate
+there only because the polynomial varies ever more slowly toward x = 1.  So
+every such integral rests on the check of n against 2n (``_converged``, on
+the largest entry), not on exactness; the panels held at 8 nodes, which that
+check does not refine, carry only the logarithmic factor of s (tested at 16).
 ``ctx.quadrature`` is one panel on [0, 1] at that order: it only meets
 polynomial integrands (G(1), K(x, x), K(z, x) K(z, y)), exactly.
 """

@@ -95,7 +95,7 @@ def gauss_legendre(n: int) -> QuadratureRule:
     return _gauss_legendre(n)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=64)  # a page-curve sweep of N = 16..192 touches 24 orders, with their doubles
 def _gauss_legendre(n: int) -> QuadratureRule:
     return QuadratureRule(*leggauss(n))
 
@@ -110,6 +110,7 @@ def panel_rule(n: int, panels: Sequence[tuple[float, float]]) -> QuadratureRule:
 
 # [0, 1/2], then [1 - 2^-k, 1 - 2^-(k+1)] for k = 1..47: two panels below x = 3/4 and 46 above
 UNIT_INTERVAL_PANELS = ((0.0, 0.5),) + tuple((1.0 - 2.0 ** (-k), 1.0 - 2.0 ** (-(k + 1))) for k in range(1, 48))
+_FLOOR_NODES = 8  # fewest nodes on a panel: enough for a logarithmic end-point factor on a dyadic panel
 
 
 def unit_interval_rule(n: int) -> QuadratureRule:
@@ -128,16 +129,21 @@ def unit_interval_rule(n: int) -> QuadratureRule:
     degree d, and as 1 - x is about theta^2 / 2 there, a panel of width w
     next to x = 1 spans a theta range of order sqrt(2 w), so it varies like
     a polynomial of degree about d sqrt(2 w).  [0, 1/2] spans 0.52 of theta,
-    [1/2, 3/4] 0.32 and each panel above 3/4 at most 0.22, less than half
-    of 0.52: the first two panels get n nodes and the 46 above 3/4 get
-    ceil(n/2), 25n in all for even n rather than 48n.  Every panel's order
-    still doubles from n to 2n (n even), so a caller that checks n against
-    2n refines them all.  Cached and read-only.
+    [1/2, 3/4] 0.32, and panel k >= 2 of ``UNIT_INTERVAL_PANELS`` (from
+    [3/4, 7/8] on) 0.22 / sqrt(2)^(k-2), which asks for about
+    0.83 n / 2^(k/2) nodes.  So the first two panels get n nodes and panel
+    k >= 2 gets n >> (k // 2), never fewer than that need, nor than 8:
+    about 4n nodes plus 8 per floor panel, 1,172 at n = 224 (48n with n on
+    every panel).  Every panel above the floor of 8 doubles from n to 2n,
+    so a caller that checks n against 2n refines them; the floor panels,
+    where only the logarithmic factor is left to resolve, do not.
+    Cached and read-only.
     """
     return _unit_interval_rule(n)
 
 
 @functools.lru_cache(maxsize=16)
 def _unit_interval_rule(n: int) -> QuadratureRule:
-    low, high = panel_rule(n, UNIT_INTERVAL_PANELS[:2]), panel_rule(-(-n // 2), UNIT_INTERVAL_PANELS[2:])
-    return QuadratureRule(np.concatenate([low.nodes, high.nodes]), np.concatenate([low.weights, high.weights]))
+    orders = [n, n] + [max(_FLOOR_NODES, n >> (k // 2)) for k in range(2, len(UNIT_INTERVAL_PANELS))]
+    parts = [panel_rule(order, [panel]) for order, panel in zip(orders, UNIT_INTERVAL_PANELS)]
+    return QuadratureRule(np.concatenate([p.nodes for p in parts]), np.concatenate([p.weights for p in parts]))

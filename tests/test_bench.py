@@ -72,3 +72,12 @@ def test_summarize_takes_medians_and_sums_failures(bench):
     ]
     out = bench.summarize(runs, {"wall_s": "s"})
     assert out == {"mc.wall_s": {"value": 2.0, "unit": "s"}, "mc.failed": {"value": 1, "unit": "count"}}
+
+
+def test_rule_nodes_counts_both_orders_of_each_analytic_size(bench):
+    nodes = bench.rule_nodes()
+    assert set(nodes) == {f"special.unit_interval_rule.{n}x{k}.nodes_{m}" for n, k in bench.ANALYTIC_SIZES
+                          for m in ("n", "2n")}
+    # (192, 96) takes n = 224: 2 x 224 nodes below x = 3/4, then 112, 112, 56, 56, 28, 28, 14, 14 and 38 x 8
+    assert nodes["special.unit_interval_rule.192x96.nodes_n"] == 1172
+    assert nodes["special.unit_interval_rule.192x96.nodes_2n"] == 2052

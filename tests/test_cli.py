@@ -448,15 +448,23 @@ class TestSeedHandling:
     @pytest.mark.parametrize("command", sorted(_COMMANDS))
     @pytest.mark.parametrize("seed", ["abc", "1.5", "", "-3"])
     def test_a_bad_environment_seed_exits_2(self, command, seed, monkeypatch, capsys):
-        # a seed that is not an integer exits 2 on every command; a negative one wherever a stream is drawn
+        # a seed that is not an integer, or is negative, exits 2 on every command, whether it draws or not
         monkeypatch.setenv("GAUSSIAN_PAGE_SEED", seed)
         argv = [command, "--N", "4", "--NA", "2"] + (["--mode", "mc"] if command == "page-curve" else [])
-        if seed == "-3" and command == "density":  # density draws no stream
-            assert main(argv) == EXIT_OK and capsys.readouterr().err == ""
-        else:
-            assert main(argv) == EXIT_INVALID
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert main(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["page-curve", "--N", "8", "--mode", "quadrature"], ["page-curve", "--N", "8", "--mode", "exact"],
+         ["variance", "--N", "8", "--samples", "0"], ["density", "--N", "8", "--NA", "2"]],
+    )
+    def test_a_negative_seed_flag_exits_2_where_nothing_is_drawn(self, argv, capsys):
+        assert main(argv + ["--seed", "3"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(argv + ["--seed", "-3"]) == EXIT_INVALID
+        assert capsys.readouterr() == ("", "error: need a seed >= 0, got -3\n")
 
     def test_default_seed_constant(self, tmp_path):
         _, a = run_cli(["variance", "--N", "4", "--NA", "2", "--samples", "100"], tmp_path, "a.csv")

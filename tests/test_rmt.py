@@ -236,22 +236,22 @@ class TestAverageEntropy:
 
     @pytest.mark.parametrize("n_a,delta", [(96, 0), (40, 112), (200, 0)])
     def test_gram_matrix_on_the_graded_rule(self, n_a, delta):
-        # n/2 nodes per panel above x = 3/4 still integrate psi_i psi_j exactly
+        # n >> (k // 2) nodes, at least 8, on panel k above x = 3/4 still integrate psi_i psi_j exactly
         rule = unit_interval_rule(rmt._panel_order(n_a, delta))
         psi = wavefunctions(build_kernel_ctx(n_a, delta), rule.nodes)
         assert np.max(np.abs((psi * rule.weights) @ psi.T - np.eye(n_a))) <= 1e-11
 
     @pytest.mark.parametrize("n,n_a", [(12, 2), (40, 10), (192, 96), (400, 200)])
     def test_matches_the_uniform_order_rule(self, n, n_a, monkeypatch):
-        # the same n nodes on all 48 panels, as the rule had before its panels above 3/4 took n/2
+        # the same n nodes on all 48 panels, as the rule had before its orders fell toward x = 1
         ctx = build_kernel_ctx(n_a, n - 2 * n_a)
         graded = average_entropy_quadrature(ctx)
         monkeypatch.setattr(rmt, "unit_interval_rule", lambda order: panel_rule(order, UNIT_INTERVAL_PANELS))
         assert abs(graded - average_entropy_quadrature(ctx)) <= 1e-12
 
     def test_a_second_sweep_builds_no_legendre_rule(self, monkeypatch):
-        # every order of N = 16..192 and its half fit in the 32 cached Gauss-Legendre rules: the graded rules
-        # of a second sweep are built anew from them
+        # the 24 Gauss-Legendre orders of the graded rules of N = 16..192 and of their doubles fit in the 64
+        # cached ones: the graded rules of a second sweep are built anew from them
         calls = []
         leggauss = special.leggauss
         monkeypatch.setattr(special, "leggauss", lambda n: calls.append(n) or leggauss(n))
@@ -266,6 +266,26 @@ class TestAverageEntropy:
         special._unit_interval_rule.cache_clear()
         sweep()
         assert len(calls) == first
+
+    def test_the_floor_of_8_nodes_is_exact(self, monkeypatch):
+        # the panels near x = 1 that keep 8 nodes at every order are not refined by the check of n against 2n:
+        # 16 nodes there must give the same integrals
+        sizes = [(n, n_a) for n in range(2, 41) for n_a in range(1, n // 2 + 1)] + [(192, 96), (256, 128), (400, 200)]
+        ctxs = [build_kernel_ctx(n_a, n - 2 * n_a) for n, n_a in sizes]
+        big = build_kernel_ctx(96, 0)
+
+        def integrals():
+            special._unit_interval_rule.cache_clear()
+            return np.array([average_entropy_quadrature(ctx) for ctx in ctxs]), gram(big, mode_entropy)
+
+        means, matrix = integrals()
+        monkeypatch.setattr(special, "_FLOOR_NODES", 16)
+        try:
+            floor16 = integrals()
+        finally:
+            special._unit_interval_rule.cache_clear()
+        assert np.max(np.abs(floor16[0] - means)) <= 1e-13
+        assert np.max(np.abs(floor16[1] - matrix)) <= 1e-13
 
     def test_order_covers_the_polynomial_degree(self):
         # n nodes are exact to degree 2n - 1; psi_i psi_j has degree 4(jmax-1) + 2 Delta

@@ -182,19 +182,20 @@ class TestUnitIntervalRule:
         assert abs(rule.integrate(-np.log1p(-rule.nodes)) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [24, 32, 224])
-    def test_every_panel_doubles_with_the_order(self, n):
-        # n nodes on [0, 1/2] and [1/2, 3/4], n/2 on each of the 46 panels above, panel by panel: the nodes
-        # are matched exactly, as near x = 1 a panel spans few doubles and its end nodes round onto its edges
+    def test_panel_orders_halve_every_two_panels(self, n):
+        # n nodes on [0, 1/2] and [1/2, 3/4], then max(8, n >> (k // 2)) on panel k >= 2, panel by panel: the
+        # nodes are matched exactly, as near x = 1 a panel spans few doubles and its end nodes round onto its edges
         def orders(m):
-            return [m, m] + [m // 2] * 46
+            return [m, m] + [max(8, m >> (k // 2)) for k in range(2, 48)]
 
         for m in (n, 2 * n):
             parts = [panel_rule(k, [panel]) for k, panel in zip(orders(m), UNIT_INTERVAL_PANELS)]
             rule = unit_interval_rule(m)
             assert np.array_equal(rule.nodes, np.concatenate([part.nodes for part in parts]))
             assert np.array_equal(rule.weights, np.concatenate([part.weights for part in parts]))
-        assert orders(2 * n) == [2 * k for k in orders(n)]
-        assert unit_interval_rule(n).nodes.size <= 25 * n + 1
+        # every panel above the floor doubles with the order, so a check of n against 2n refines it
+        assert all(b == 2 * a for a, b in zip(orders(n), orders(2 * n)) if a > 8)
+        assert unit_interval_rule(n).nodes.size <= 4 * n + 8 * 46
 
 
 class TestCachedRules:

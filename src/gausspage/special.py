@@ -134,9 +134,9 @@ def unit_interval_rule(n: int) -> QuadratureRule:
     0.83 n / 2^(k/2) nodes.  So the first two panels get n nodes and panel
     k >= 2 gets n >> (k // 2), never fewer than that need, nor than 8:
     about 4n nodes plus 8 per floor panel, 1,172 at n = 224 (48n with n on
-    every panel).  Every panel above the floor of 8 doubles from n to 2n,
-    so a caller that checks n against 2n refines them; the floor panels,
-    where only the logarithmic factor is left to resolve, do not.
+    every panel).  Every panel above the floor of 8 at least doubles from n
+    to 2n, so a caller that checks n against 2n refines them; the floor
+    panels, where only the logarithmic factor is left to resolve, do not.
     Cached and read-only.
     """
     return _unit_interval_rule(n)

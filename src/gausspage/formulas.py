@@ -3,9 +3,8 @@
 Two families of exact results: the classic Page curve for Haar pure states
 (digamma closed form, exponential asymptotics) and its Gaussian-state
 analogue (digamma closed form, algebraic asymptotics, order-one variance).
-Every factorial ratio is evaluated in log space.  The finite-N Gaussian
-variance is the series of the closed-form terms s^2_ij over i < N_A <= j,
-summed as arrays, every row until its geometric tail estimate is small.
+Every factorial ratio is evaluated in log space.  The finite-N Gaussian mean
+and variance (a closed form found by fitting) sum digamma and trigamma differences.
 """
 
 from __future__ import annotations
@@ -15,16 +14,11 @@ import math
 import numpy as np
 
 from gausspage import rmt
-from gausspage.gstates import ConsistencyError
 from gausspage.linalg import InvalidArgument
-from gausspage.special import digamma
+from gausspage.special import digamma, digamma_difference, trigamma, trigamma_difference
 
-# Above this N the digamma arguments 2^N are replaced by their (machine
-# exact) asymptotics Psi(2^N + 1) = N log 2 + O(2^-N).
+# Above this N, Psi(2^N + 1) is replaced by its (machine exact) asymptotics N log 2 + O(2^-N).
 _PAGE_ASYMPT_N = 50
-VARIANCE_TAIL_TOL = 1e-10  # bound on the truncated tails of the variance series, summed over rows
-_MAX_COLUMNS = 4096  # columns of one variance row before its tail counts as not decreasing
-_ROW_BLOCK = (1 << 20) // _MAX_COLUMNS  # rows per variance block, so no array exceeds 2^20 words
 
 
 def _digamma_pow2_plus1(k: int) -> float:
@@ -67,18 +61,15 @@ def page_std_thermo(N: int, f: float) -> float:
 def gaussian_average_exact(N: int, N_A: int) -> float:
     """Average entanglement entropy over Haar fermionic Gaussian states (nats).
 
-    (N-1/2)Psi(2N) + (1/2+N_A-N)Psi(2N-2N_A) + (1/4-N_A)Psi(N)
-      - (1/4)Psi(N-N_A) - N_A.
+    (N-1/2)Psi(2N) + (1/2+N_A-N)Psi(2N-2N_A) + (1/4-N_A)Psi(N) - (1/4)Psi(N-N_A) - N_A, taken for
+    k = min(N_A, N - N_A) as (N-1/2) D(2N-2k; 2k) + k D(N; N-2k) + D(N-k; k)/4 - k, D(a; n) = Psi(a+n) - Psi(a).
     """
     if not (0 <= N_A <= N):
         raise InvalidArgument(f"need 0 <= N_A <= N, got N_A={N_A}, N={N}")
-    N_A = min(N_A, N - N_A)  # S_A = S_B for pure states; the form holds for N_A <= N/2, and gives exactly 0 at 0
+    k = min(N_A, N - N_A)  # S_A = S_B for pure states; the form holds for N_A <= N/2, and gives exactly 0 at 0
     return (
-        (N - 0.5) * digamma(2.0 * N)
-        + (0.5 + N_A - N) * digamma(2.0 * (N - N_A))
-        + (0.25 - N_A) * digamma(float(N))
-        - 0.25 * digamma(float(N - N_A))
-        - N_A
+        (N - 0.5) * digamma_difference(2 * (N - k), 2 * k) + k * digamma_difference(N, N - 2 * k)
+        + 0.25 * digamma_difference(N - k, k) - k
     )
 
 
@@ -158,41 +149,23 @@ def s2_closed_form(i, j, delta: int) -> float | np.ndarray:
     return float(s2) if s2.ndim == 0 else s2
 
 
-def _block_sum(i: np.ndarray, n_a: int, delta: int, per_row_tol: float) -> float:
-    """sum_{N_A<=j<N_A+K} s^2_ij over the rows i, each row with the first K from 32, 64, ... that bounds its tail.
-
-    A row's tail estimate is its last term times r/(1 - r), r the ratio of its
-    last two terms (0 where the earlier one underflowed).  K depends on the row
-    alone, so the sum does not depend on how rows are grouped.
-    """
-    total, columns = 0.0, 32
-    while i.size:
-        if columns > _MAX_COLUMNS:
-            raise ConsistencyError("variance tail is not decreasing")
-        terms = s2_closed_form(i[:, None], n_a + np.arange(columns), delta)
-        last, prev = terms[:, -1], terms[:, -2]
-        ratio = np.divide(last, prev, out=np.zeros_like(last), where=prev > 0.0)
-        done = last * ratio < per_row_tol * (1.0 - ratio)  # r < 1 and last * r / (1 - r) < tol
-        total += terms[done].sum()
-        i = i[~done]
-        columns *= 2
-    return total
-
-
 def variance_finite_N(N: int, N_A: int) -> float:
-    """Finite-N entropy variance of the Gaussian ensemble: sum_{i<N_A<=j} of the closed-form s^2_ij.
+    """Finite-N entropy variance of the Gaussian ensemble, at O(1) cost; with k = min(N_A, N - N_A) it is
 
-    S_A = S_B, so N_A > N/2 is taken as N - N_A and N_A in {0, N} gives 0.
-    Every row i < N_A is summed over its first K columns, K the first power of
-    two from 32 at which the row's geometric tail estimate is below
-    VARIANCE_TAIL_TOL / N_A; a row that needs more than _MAX_COLUMNS raises.
-    Rows go in blocks of _ROW_BLOCK, so no array exceeds 2^20 words.
+    -(N - 1/2) Psi_1(2N) + (N - k - 1/2) Psi_1(2N - 2k) + (k/2 - 1/8 + k(k - 1/2)/(2N - 1)) Psi_1(N)
+      + Psi_1(N - k)/8 - [Psi(2N) - Psi(2N - 2k)]/2, 0 at k = 0: found by fitting and verified, not derived
+    (the tests hold it to the series sum_{i<N_A<=j} s^2_ij of ``s2_closed_form``, the Gram variance and mpmath).
+    Summed from ``special``'s differences, with Psi_1(N)/2 - Psi_1(2N) = [Psi_1(N) - Psi_1(N + 1/2)]/4; its
+    first and last terms, both near k/(2N), leave an error of a few ulps of k/(2N) on a result near k^2/(4N^2).
     """
     if not 0 <= N_A <= N:
         raise InvalidArgument(f"need 0 <= N_A <= N, got N_A={N_A}, N={N}")
-    n_a = min(N_A, N - N_A)
-    blocks = (np.arange(start, min(start + _ROW_BLOCK, n_a)) for start in range(0, n_a, _ROW_BLOCK))
-    return float(sum(_block_sum(i, n_a, N - 2 * n_a, VARIANCE_TAIL_TOL / n_a) for i in blocks))
+    k = min(N_A, N - N_A)
+    return (
+        (N - k - 0.5) * trigamma_difference(2 * (N - k), 2 * k) - 0.5 * digamma_difference(2 * (N - k), 2 * k)
+        + 0.125 * trigamma_difference(N - k, k) + 0.25 * k * trigamma_difference(N, 0.5)
+        + k * (k - 0.5) / (2 * N - 1) * trigamma(N)
+    )
 
 
 # The routes to S_A by (route, ensemble): (mean(N, k), variance(N, k)) at 1 <= k <= N/2, variance None where the route

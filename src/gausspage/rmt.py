@@ -20,8 +20,8 @@ G(1) = I (the psi_j are orthonormal on [0, 1] directly, checked at context
 build); <S_A> = tr G(s), s = ``mode_entropy``, which the mean takes from the
 streamed K(x, x) = N_A rho(x) with no table; Var S_A = tr G(s^2) - ||G(s)||_F^2,
 as the kernel is a projection; E exp(i t S_A) = det G(exp(i t s)) (Andreief).
-The variance served is the series ``formulas.variance_finite_N``; the Gram
-form is its independent check in the tests.
+The variance served is the closed form ``formulas.variance_finite_N``; the
+Gram form is its independent check in the tests.
 
 psi_i psi_j (i, j < j_max) is a polynomial of degree 4(j_max-1) + 2 Delta,
 exact under n Gauss-Legendre nodes once 2n - 1 reaches it.  Integrals of

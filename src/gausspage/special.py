@@ -1,10 +1,12 @@
-"""Special functions: digamma, Jacobi polynomials, quadrature.
+"""Special functions: digamma, trigamma, Jacobi polynomials, quadrature.
 
-The digamma implementation follows the classic recipe (upward recurrence to
-argument >= 10, then the Bernoulli asymptotic series through B14), which is
-uniformly accurate to ~1e-12 on (0, 1e6] and keeps improving for larger
-arguments.  Orthonormal Jacobi polynomials for any weight (a, b) come from
-their recurrence a row at a time, with no degree x points table (``rmt`` uses
+Digamma and trigamma shift up to argument >= 10, then sum the Bernoulli
+asymptotic series (through B14 and B16); digamma is accurate to ~1e-12 on
+(0, 1e6].  Their differences Psi(a + n) - Psi(a) and Psi_1(a) - Psi_1(a + n)
+are summed term by term, each asymptotic term c x^-p as c a^-p (1 - (a /
+(a + n))^p) = -c a^-p expm1(-p log1p(n / a)), so nothing cancels where n << a.
+Orthonormal Jacobi polynomials for any weight (a, b) come from their
+recurrence a row at a time, with no degree x points table (``rmt`` uses
 (Delta, -1/2) in t = 2x^2 - 1); factorial-ratio closed forms are unstable.
 """
 
@@ -20,33 +22,58 @@ from numpy.polynomial.legendre import leggauss
 
 from gausspage.linalg import InvalidArgument
 
-# -B_{2n}/(2n) for 2n = 2..14
-_DIGAMMA_ASYMPT = (
-    -1.0 / 12.0,
-    1.0 / 120.0,
-    -1.0 / 252.0,
-    1.0 / 240.0,
-    -1.0 / 132.0,
-    691.0 / 32760.0,
-    -1.0 / 12.0,
-)
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)  # B_2, B_4, ..., B_16
+# (p, c): the terms c x^-p of the asymptotic series of Psi(x) - log(x) through B_14, and of Psi_1(x) through B_16
+_DIGAMMA_TERMS = ((1, -0.5),) + tuple((2 * j, -b / (2 * j)) for j, b in enumerate(_BERNOULLI[:7], 1))
+_TRIGAMMA_TERMS = ((1, 1.0), (2, 0.5)) + tuple((2 * j + 1, b) for j, b in enumerate(_BERNOULLI, 1))
+
+
+def _positive(name: str, z: float) -> float:
+    if not z > 0:
+        raise InvalidArgument(f"{name} requires a positive argument, got {z}")
+    return float(z)
 
 
 def digamma(z: float) -> float:
     """Digamma function Psi(z) = Gamma'(z)/Gamma(z) for z > 0."""
-    if not z > 0:
-        raise InvalidArgument(f"digamma requires z > 0, got {z}")
+    z = _positive("digamma", z)
     acc = 0.0
     while z < 10.0:
         acc -= 1.0 / z
         z += 1.0
-    inv2 = 1.0 / (z * z)
-    series = 0.0
-    power = inv2
-    for coeff in _DIGAMMA_ASYMPT:
-        series += coeff * power
-        power *= inv2
-    return acc + math.log(z) - 0.5 / z + series
+    return acc + math.log(z) + sum(c * z**-p for p, c in _DIGAMMA_TERMS)
+
+
+def trigamma(z: float) -> float:
+    """Trigamma function Psi_1(z) = Psi'(z) for z > 0."""
+    z = _positive("trigamma", z)
+    acc = 0.0
+    while z < 10.0:
+        acc += 1.0 / (z * z)
+        z += 1.0
+    return acc + sum(c * z**-p for p, c in _TRIGAMMA_TERMS)
+
+
+def digamma_difference(a: float, n: float) -> float:
+    """Psi(a + n) - Psi(a) for a > 0 and n >= 0, to a few ulps of itself even where n << a."""
+    a = _positive("digamma_difference", a)
+    acc = 0.0
+    while a < 10.0:
+        acc += n / (a * (a + n))  # 1/a - 1/(a + n)
+        a += 1.0
+    u = math.log1p(n / a)
+    return acc + u + sum(c * a**-p * math.expm1(-p * u) for p, c in _DIGAMMA_TERMS)
+
+
+def trigamma_difference(a: float, n: float) -> float:
+    """Psi_1(a) - Psi_1(a + n) for a > 0 and n >= 0, to a few ulps of itself even where n << a."""
+    a = _positive("trigamma_difference", a)
+    acc = 0.0
+    while a < 10.0:
+        acc += n * (2.0 * a + n) / (a * (a + n)) ** 2  # 1/a^2 - 1/(a + n)^2
+        a += 1.0
+    u = math.log1p(n / a)
+    return acc - sum(c * a**-p * math.expm1(-p * u) for p, c in _TRIGAMMA_TERMS)
 
 
 def jacobi_orthonormal(count: int, a: float, b: float, t: np.ndarray, row0: np.ndarray) -> Iterator[np.ndarray]:

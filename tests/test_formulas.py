@@ -1,11 +1,17 @@
 import math
+import timeit
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from gausspage.linalg import InvalidArgument
 from gausspage import formulas as F
+
+# N_A in {1, 2, 3, 7, 64, N/8, N/4, N/2}, for N from 2 to 10^8
+MPMATH_GRID = [(n, n_a) for n in (2, 3, 5, 8, 13, 40, 64, 100, 256, 1000, 10**4, 10**5, 10**6, 10**7, 10**8)
+               for n_a in sorted({1, 2, 3, 7, 64, n // 8, n // 4, n // 2}) if 1 <= n_a <= n // 2]
 
 
 class TestPageAverage:
@@ -84,6 +90,16 @@ class TestGaussianAverage:
     def test_monotone_in_subsystem_size(self):
         vals = [F.gaussian_average_exact(40, k) for k in range(21)]
         assert np.all(np.diff(vals) >= 0)
+
+    def test_against_mpmath(self):
+        # the digamma differences leave no cancellation of digamma values of order log N
+        with mpmath.workdps(40):
+            for n, n_a in MPMATH_GRID:
+                N, k, psi = mpmath.mpf(n), mpmath.mpf(n_a), (lambda x: mpmath.psi(0, x))
+                exact = ((N - 0.5) * psi(2 * N) + (0.5 + k - N) * psi(2 * N - 2 * k) + (0.25 - k) * psi(N)
+                         - psi(N - k) / 4 - k)
+                value = F.gaussian_average_exact(n, n_a)
+                assert float(abs(value - exact) / exact) <= 1e-14, (n, n_a, value)
 
     def test_crossover_with_page(self):
         # small systems: Gaussian average above Page; large: below
@@ -191,6 +207,16 @@ def fsum_variance(N, N_A, columns):
     return math.fsum(np.concatenate([b.ravel() for b in blocks])) if blocks else 0.0
 
 
+def mp_variance(N, N_A):
+    """The closed form of ``variance_finite_N`` in 40-digit mpmath, from the digamma and trigamma values themselves."""
+    with mpmath.workdps(40):
+        n, k = mpmath.mpf(N), mpmath.mpf(min(N_A, N - N_A))
+        psi, psi1 = (lambda x: mpmath.psi(0, x)), (lambda x: mpmath.psi(1, x))
+        return (-(n - 0.5) * psi1(2 * n) + (n - k - 0.5) * psi1(2 * n - 2 * k)
+                + (k / 2 - mpmath.mpf(1) / 8 + k * (k - 0.5) / (2 * n - 1)) * psi1(n) + psi1(n - k) / 8
+                - (psi(2 * n) - psi(2 * n - 2 * k)) / 2)
+
+
 class TestVariance:
     def test_non_negative(self):
         for n_a, delta in [(1, 0), (2, 3), (5, 0)]:
@@ -215,33 +241,37 @@ class TestVariance:
             with pytest.raises(InvalidArgument):
                 F.variance_finite_N(n, n_a)
 
-    def test_within_the_tail_tolerance_of_an_exact_sum(self):
-        # every row is summed until its tail estimate is below VARIANCE_TAIL_TOL / N_A; the oracle is a
-        # correctly rounded sum over 4000 columns (20000 at the two large sizes), far past any truncation
+    def test_within_1e_13_of_an_exact_sum_of_the_series(self):
+        # the closed form against a correctly rounded sum of the series of s^2_ij over 4000 columns (20000 at the
+        # two large sizes), whose terms are below 1e-30 by then
         sizes = [(n, n_a, 4000) for n in range(1, 41) for n_a in range(n // 2 + 1)]
         for n, n_a, columns in sizes + [(192, 96, 20000), (256, 128, 20000)]:
             gap = F.variance_finite_N(n, n_a) - fsum_variance(n, n_a, columns)
-            assert abs(gap) <= F.VARIANCE_TAIL_TOL, (n, n_a, gap)
+            assert abs(gap) <= 1e-13, (n, n_a, gap)
 
-    @pytest.mark.parametrize(
-        "N, N_A, before",
-        # values of the term-by-term series this sum replaced; far rows underflow to 0
-        [(1024, 100, 0.0022080649092545137), (400, 3, 1.1693917797103197e-05), (256, 1, 1.911069020206546e-06)],
-    )
-    def test_underflowing_terms(self, N, N_A, before):
+    @pytest.mark.parametrize("N, N_A", [(1024, 100), (400, 3), (256, 1)])
+    def test_underflowing_terms(self, N, N_A):
+        # sizes where the far terms s^2_ij of the series underflow to 0
         value = F.variance_finite_N(N, N_A)
         assert value > 0.0
-        assert abs(value - before) <= 1e-15
+        assert abs(value - float(mp_variance(N, N_A))) <= 1e-15
 
-    def test_uneven_row_blocks_give_the_same_sum(self, monkeypatch):
-        sizes = [(64, 32), (40, 13), (256, 128)]
-        whole = [F.variance_finite_N(n, n_a) for n, n_a in sizes]
-        monkeypatch.setattr(F, "_ROW_BLOCK", 7)  # 32 = 4 * 7 + 4, 13 = 7 + 6, 128 = 18 * 7 + 2 rows
-        for (n, n_a), value in zip(sizes, whole):
-            assert abs(F.variance_finite_N(n, n_a) - value) <= 1e-15
+    def test_against_mpmath(self):
+        # within 1e-15 everywhere; the first and last of the summed differences are both near N_A/(2N), so the
+        # relative error grows like N/N_A and is held to 1e-8 at N <= 10^6 only
+        for n, n_a in MPMATH_GRID:
+            value, exact = F.variance_finite_N(n, n_a), mp_variance(n, n_a)
+            assert abs(value - float(exact)) <= 1e-15, (n, n_a, value)
+            if n <= 10**6:
+                assert float(abs(value - exact) / exact) <= 1e-8, (n, n_a, value)
+
+    def test_cost_does_not_grow_with_N_A(self):
+        # a handful of digamma and trigamma differences, at any N and N_A: well under 1 ms a call
+        best = min(timeit.repeat(lambda: F.variance_finite_N(10**8, 5 * 10**7), number=100, repeat=5)) / 100
+        assert best < 1e-3, best
 
     def test_memory_does_not_grow_with_N(self):
-        # rows go in blocks, so the largest array is one block of rows by the columns the block needs
+        # a closed form: no array at all
         peaks = []
         for n in (8192, 16384):
             tracemalloc.start()

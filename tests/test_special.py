@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -9,9 +10,12 @@ from gausspage.linalg import InvalidArgument
 from gausspage.special import (
     UNIT_INTERVAL_PANELS,
     digamma,
+    digamma_difference,
     gauss_legendre,
     jacobi_orthonormal,
     panel_rule,
+    trigamma,
+    trigamma_difference,
     unit_interval_rule,
 )
 
@@ -46,6 +50,44 @@ class TestDigamma:
             digamma(0.0)
         with pytest.raises(InvalidArgument):
             digamma(-1.5)
+
+
+# a < 10 (shifted up before the asymptotic series) and above; n from far below a to far above it
+ARGUMENTS = (0.25, 0.5, 1.0, 2.5, 9.5, 9.999, 10.0, 17.0, 1e3, 1e6, 2e8 - 2.0)
+STEPS = (1e-9, 1e-3, 0.5, 1.0, 7.0, 64.0, 1e4, 1e8)
+
+
+def relative_error(value, exact):
+    return float(abs(mpmath.mpf(value) - exact) / abs(exact))
+
+
+class TestTrigamma:
+    @pytest.mark.parametrize("z", ARGUMENTS)
+    def test_against_mpmath(self, z):
+        with mpmath.workdps(40):
+            assert relative_error(trigamma(z), mpmath.psi(1, z)) <= 1e-14
+
+    def test_rejects_nonpositive(self):
+        for f in (trigamma, lambda z: digamma_difference(z, 1.0), lambda z: trigamma_difference(z, 1.0)):
+            for z in (0.0, -1.5, math.nan):
+                with pytest.raises(InvalidArgument):
+                    f(z)
+
+
+class TestDifferences:
+    # Psi(a + n) - Psi(a) and Psi_1(a) - Psi_1(a + n), each to 1e-14 of itself, n << a included
+    @pytest.mark.parametrize("a", ARGUMENTS)
+    def test_against_mpmath(self, a):
+        with mpmath.workdps(40):
+            for n in STEPS:
+                digamma_exact = mpmath.psi(0, mpmath.mpf(a) + n) - mpmath.psi(0, a)
+                trigamma_exact = mpmath.psi(1, a) - mpmath.psi(1, mpmath.mpf(a) + n)
+                assert relative_error(digamma_difference(a, n), digamma_exact) <= 1e-14, (a, n)
+                assert relative_error(trigamma_difference(a, n), trigamma_exact) <= 1e-14, (a, n)
+
+    def test_zero_step(self):
+        for a in ARGUMENTS:
+            assert digamma_difference(a, 0.0) == trigamma_difference(a, 0.0) == 0.0
 
 
 def jacobi_norm(n, a, b):

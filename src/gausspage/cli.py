@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -65,23 +66,20 @@ _OPTIONS = {
 }
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
 def _emit(config: argparse.Namespace, columns: list[str], rows: list[list]) -> None:
     if config.fmt == "json":
         payload = {
             "version": HEADER.lstrip("# "),
             "columns": columns,
-            "rows": [[_fmt(v) if isinstance(v, float) else v for v in row] for row in rows],
+            "rows": [["%.17g" % v if isinstance(v, float) else v for v in row] for row in rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
-    else:
+    else:  # one % template per run of rows whose fields have the same types
         lines = [HEADER, ",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        for types, run in itertools.groupby(rows, key=lambda row: tuple(map(type, row))):
+            run = list(run)
+            template = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
+            lines.append("\n".join([template] * len(run)) % tuple(itertools.chain.from_iterable(run)))
         text = "\n".join(lines) + "\n"
     if config.out:
         try:
@@ -108,13 +106,6 @@ def _mc_sampler(config: argparse.Namespace, n_a: int):
     return lambda gen, count: sampler(config.N, n_a, count, gen)
 
 
-def _smaller_side(N: int, n_a: int) -> int:
-    """min(N_A, N - N_A): S_A = S_B for a pure state, and the analytics take N_A <= N/2."""
-    if not 0 <= n_a <= N:
-        raise InvalidArgument(f"need 0 <= N_A <= N, got N_A={n_a}, N={N}")
-    return min(n_a, N - n_a)
-
-
 def _variance(route: str, ens: str, N: int, k: int) -> float:
     """Variance of a ``formulas.ROUTES`` cell at 0 <= k <= N/2: 0 at k = 0, where S_A = 0; nan where there is none."""
     cell = formulas.ROUTES.get((route, ens))
@@ -123,7 +114,7 @@ def _variance(route: str, ens: str, N: int, k: int) -> float:
 
 def _curve_row(config: argparse.Namespace, n_a: int) -> list:
     N, mode, ens = config.N, config.mode, config.ensemble
-    k = _smaller_side(N, n_a)
+    k = formulas.smaller_side(N, n_a)
     std_error, samples = math.nan, 0
     if mode == "mc":
         if k == 0:  # S_A = 0: no sampler runs
@@ -160,7 +151,7 @@ def run_density(config: argparse.Namespace) -> None:
 def run_variance(config: argparse.Namespace) -> None:
     N = config.N
     n_a = config.N_A if config.N_A is not None else N // 2
-    k = _smaller_side(N, n_a)
+    k = formulas.smaller_side(N, n_a)
     var_exact, var_limit = (_variance(route, config.ensemble, N, k) for route in ("exact", "limit"))
     var_mc, n = (math.nan if config.samples == 0 else 0.0), 0  # nan: none asked for; 0: S_A = 0 at k = 0
     if config.samples > 0 and k > 0:
@@ -179,7 +170,7 @@ def run_sample(config: argparse.Namespace) -> None:
 
 
 def run_dist(config: argparse.Namespace) -> None:
-    k = _smaller_side(config.N, config.N_A)
+    k = formulas.smaller_side(config.N, config.N_A)
     if k == 0:
         raise InvalidArgument(f"dist needs 0 < --NA < --N, got --NA {config.N_A}: S_A = 0 leaves no range to bin")
     values = stats.draw_streams(_mc_sampler(config, config.N_A), config.samples, config.seed, workers=1)

@@ -11,18 +11,26 @@ to a block-diagonal reference, with the occupation signs of D absorbed into
 the frame.  The batched samplers take a live generator and are used by the
 Monte Carlo harness.  They are restriction-only: they draw or keep only the
 rows that lie in A and build the block [J]_A (or C_A) directly, never a full
-2N x 2N structure.  Each batch is drawn serially, and the draw makes only
-RNG calls: every operation on the draws, even the antisymmetric part of a
-Hamiltonian or the complex Ginibre stack, runs with the linear algebra on the
-available cores in row pieces.  A sample's entropy does not depend on its
-piece, so the output is the same for any core count.  A batched sampler may
-be called concurrently, once per Monte Carlo stream, on distinct generators:
-the piece pool is shared, its threads never wait, and the batches of all
-streams draw from one in-flight budget of ``_BATCH_ELEMENTS`` words, so
-concurrent streams hold no more batch memory than one stream at the cap.
-Each batch is freed before the next is drawn.  The single-draw
-functions are pure functions of an :class:`RngStream` and draw a batch of one
-through the same helpers.  Every h, random or a caller's (A, B) written as four
+2N x 2N structure.  Each kind of draw comes from its own generator: a sampler
+that draws one kind (the Gaussian frame) draws it from the stream's
+generator, and one that draws several (h and the occupations; real parts,
+imaginary parts and occupations) draws each from a child generator seeded by
+the stream's (:func:`_kinds`).  Each kind's draws are then sequential in one
+generator, so the entropies do not depend on how the samples are split into
+batches.  Each batch is drawn serially, and the draw makes only RNG calls:
+every operation on the draws, even the antisymmetric part of a Hamiltonian or
+the normalisation of a Haar pure state, runs with the linear algebra on the
+available cores in row pieces.  A sample's entropy depends neither on its
+piece nor on its batch, so the output is the same for any core count.  A
+batched sampler may be called concurrently, once per Monte Carlo stream, on
+distinct generators: the piece pool is shared, its threads never wait, and
+the batches of all streams draw from one in-flight budget of
+``_BATCH_ELEMENTS`` words.  A batch takes at most a core's share of that
+budget, so one batch per core fits in it at once, and concurrent streams hold
+no more batch memory than the budget.  Each batch is freed before the next is
+drawn.  The single-draw functions are pure functions of an
+:class:`RngStream` and draw a batch of one through the same helpers and the
+same child generators.  Every h, random or a caller's (A, B) written as four
 real blocks by :func:`from_particle_basis`, has its modes from the real
 eigenvectors of h h^T, in oriented planes (:func:`gausspage.linalg._mode_planes`).
 """
@@ -106,7 +114,7 @@ def sample_random_hamiltonian(N: int, rng: RngStream) -> QuadraticHamiltonian:
     """Random quadratic Hamiltonian with O(2N)-invariant Gaussian coefficients."""
     if N < 1:
         raise InvalidArgument(f"need N >= 1, got {N}")
-    h = _antisym(rng.generator().standard_normal((2 * N, 2 * N)))
+    h = _antisym(_kinds(rng.generator(), 1)[0].standard_normal((2 * N, 2 * N)))  # as the batch of one draws h
     return QuadraticHamiltonian(N, h, *antisym_canonical(h))
 
 
@@ -157,38 +165,61 @@ def many_body_spectrum(ham: QuadraticHamiltonian) -> np.ndarray:
     return np.sort(energies)
 
 
-def _haar_pure_draw(N: int, N_A: int, count: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts, each (count, 2^N_A, 2^(N - N_A)), of ``count`` unnormalised states."""
+def _kinds(gen: np.random.Generator, kinds: int) -> list[np.random.Generator]:
+    """One generator for each of ``kinds`` kinds of draw, seeded by 128 bits of ``gen``.
+
+    Kind k is child k of ``SeedSequence(entropy).spawn``, as ``Generator.spawn``
+    (numpy >= 1.25) would make it, so it does not depend on ``kinds``.  Each
+    kind's draws are then sequential in its own generator, so any split of the
+    samples into batches draws the same bits.
+    """
+    entropy = int.from_bytes(gen.bytes(16), "little")
+    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(k,)))) for k in range(kinds)]
+
+
+def _haar_pure_draw(N: int, N_A: int, gen: np.random.Generator):
+    """``draw(count)``: real and imaginary parts, each (count, 2^N_A, 2^(N - N_A)), of ``count`` unnormalised states.
+
+    The size guards come first, and draw nothing; the parts come from two
+    :func:`_kinds` of ``gen``.
+    """
     if N > HAAR_PURE_MAX_MODES:
         raise ResourceLimit(f"haar pure states limited to N <= {HAAR_PURE_MAX_MODES}")
     SystemSplit(N, N_A)
-    re, im = gen.standard_normal((2, count, 2**N_A, 2 ** (N - N_A)))
+    shape = (2**N_A, 2 ** (N - N_A))
+    re_gen, im_gen = _kinds(gen, 2)
+    return lambda count: (re_gen.standard_normal((count, *shape)), im_gen.standard_normal((count, *shape)))
+
+
+def _haar_pure_states(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Haar pure states re + i*im of a :func:`_haar_pure_draw`, normalised in place."""
+    flat_re, flat_im = re.reshape(len(re), -1), im.reshape(len(im), -1)
+    norm = np.sqrt(np.einsum("ij,ij->i", flat_re, flat_re) + np.einsum("ij,ij->i", flat_im, flat_im))[:, None, None]
+    re /= norm
+    im /= norm
     return re, im
 
 
-def _haar_pure_states(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The Haar pure states of a :func:`_haar_pure_draw`, each as a 2^N_A x 2^(N - N_A) matrix."""
-    psi = _complex(re, im)
-    psi /= np.linalg.norm(psi.reshape(len(psi), -1), axis=1)[:, None, None]
-    return psi
-
-
-def _pure_entropies(psi: np.ndarray) -> np.ndarray:
-    """Entropies -sum lambda log lambda of a stack of pure states psi (..., d_A, d_B).
+def _pure_entropies(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Entropies -sum lambda log lambda of a stack of pure states re + i*im, each (..., d_A, d_B).
 
     lambda is the spectrum of the Gram matrix on the smaller side: psi^+ psi
-    has the nonzero spectrum of psi psi^+ (S_A = S_B).  Rounding may leave
-    [0, 1], so lambda is clipped to it within ``CLAMP_TOL``.
+    has the nonzero spectrum of psi psi^+ (S_A = S_B).  It is formed in real
+    arithmetic, psi psi^+ = re re^T + im im^T + i (im re^T - re im^T), with no
+    complex copy of psi.  Rounding may leave [0, 1], so lambda is clipped to
+    it within ``CLAMP_TOL``.
     """
-    if psi.shape[-2] > psi.shape[-1]:
-        psi = np.swapaxes(psi, -2, -1)
-    lam = clip_unit(np.linalg.eigvalsh(psi @ np.swapaxes(psi.conj(), -2, -1)), "reduced density spectrum")
+    if re.shape[-2] > re.shape[-1]:
+        re, im = np.swapaxes(re, -2, -1), np.swapaxes(im, -2, -1)
+    x = im @ np.swapaxes(re, -2, -1)
+    gram = _complex(re @ np.swapaxes(re, -2, -1) + im @ np.swapaxes(im, -2, -1), x - np.swapaxes(x, -2, -1))
+    lam = clip_unit(np.linalg.eigvalsh(gram), "reduced density spectrum")
     return -np.sum(_xlogx(lam), axis=-1)
 
 
 def sample_haar_pure_state(N: int, rng: RngStream) -> np.ndarray:
     """Haar-random unit vector in the full 2^N-dimensional Hilbert space."""
-    return _haar_pure_states(*_haar_pure_draw(N, N, 1, rng.generator())).reshape(-1)
+    return _complex(*_haar_pure_states(*_haar_pure_draw(N, N, rng.generator())(1))).reshape(-1)
 
 
 def entanglement_entropy_pure(psi: np.ndarray, N_A: int) -> float:
@@ -197,7 +228,8 @@ def entanglement_entropy_pure(psi: np.ndarray, N_A: int) -> float:
     if psi.size != 2**N:  # also for size 0: 2**-1 = 0.5
         raise InvalidArgument(f"need a vector of 2^N amplitudes, got {psi.size}")
     SystemSplit(N, N_A)
-    return float(_pure_entropies(psi.reshape(1, 2**N_A, 2 ** (N - N_A)))[0])
+    re, im = (np.ascontiguousarray(part).reshape(1, 2**N_A, 2 ** (N - N_A)) for part in (psi.real, psi.imag))
+    return float(_pure_entropies(re, im)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +237,8 @@ def entanglement_entropy_pure(psi: np.ndarray, N_A: int) -> float:
 # ---------------------------------------------------------------------------
 
 _BATCH = 2048
-# Cap on the 8-byte words in the largest array of one batch (32 MB), and on those of all
-# batches in flight in the process, whichever streams they belong to.
+# Cap on the 8-byte words of all batches in flight in the process (32 MB), whichever streams
+# they belong to; one batch takes at most a core's share of it, counted in its largest array.
 _BATCH_ELEMENTS = 1 << 22
 # A batch is reduced in at most _MAX_PIECES row pieces of at least 1 MB of its largest
 # array: smaller pieces slow the cheap samplers and strand temporaries in per-thread arenas.
@@ -264,14 +296,16 @@ def _in_batches(count: int, per_sample: int, draw, reduce) -> np.ndarray:
     ``draw(b)`` makes the RNG calls of a batch and nothing else, and returns
     arrays of b rows; ``reduce`` does all the arithmetic and maps each row to
     its entropy alone, so row pieces of a batch are reduced on the pool.  A
-    piece's error is raised once every piece is done.  A batch takes its
-    b * per_sample words from the shared budget before its draw and gives
-    them back once it is reduced and freed, so the batches of concurrent
-    streams hold at most _BATCH_ELEMENTS words between them (a lone batch
-    always runs).  The batch size does not depend on the budget: for some
-    samplers it fixes the order of the RNG calls.
+    piece's error is raised once every piece is done.  Each kind of draw is
+    sequential in its own generator, so the entropies do not depend on the
+    batch size.  A batch holds at most _BATCH_ELEMENTS // _cores() words (at
+    least one sample, at most _BATCH), so one batch per core, whichever
+    streams they belong to, fits in the shared budget at once.  It takes its
+    b * per_sample words from the budget before its draw and gives them back
+    once it is reduced and freed, so concurrent streams hold at most
+    _BATCH_ELEMENTS words between them (a lone batch always runs).
     """
-    batch = max(1, min(_BATCH, _BATCH_ELEMENTS // per_sample))
+    batch = max(1, min(_BATCH, _BATCH_ELEMENTS // _cores() // per_sample))
     piece = -(-_PIECE_ELEMENTS // per_sample)  # fewest rows in a piece
     out = np.empty(count)
     for start in range(0, count, batch):
@@ -324,9 +358,10 @@ def hamiltonian_eigenstate_entropies(
     :func:`eigenstate_structure`, so [M^T D M]_A = pair_block(u1_A, u2_A, 1 - 2*occ).
     """
     idx = subsystem_indices(SystemSplit(N, N_A))
+    h_gen, occ_gen = _kinds(gen, 2)
 
     def draw(b):
-        return gen.standard_normal((b, 2 * N, 2 * N)), gen.integers(0, 2, size=(b, N))
+        return h_gen.standard_normal((b, 2 * N, 2 * N)), occ_gen.integers(0, 2, size=(b, N))
 
     def reduce(g, occ):
         u1, u2, _ = _mode_planes(_antisym(g))
@@ -337,12 +372,12 @@ def hamiltonian_eigenstate_entropies(
 
 def haar_pure_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """Entropies of Haar pure states on the full 2^N Hilbert space."""
-    _haar_pure_draw(N, N_A, 0, gen)  # the size guards, also for count = 0; draws nothing
+    draw = _haar_pure_draw(N, N_A, gen)
 
     def reduce(re, im):
-        return _pure_entropies(_haar_pure_states(re, im))
+        return _pure_entropies(*_haar_pure_states(re, im))
 
-    return _in_batches(count, 2 ** (N + 1), lambda b: _haar_pure_draw(N, N_A, b, gen), reduce)
+    return _in_batches(count, 2 ** (N + 1), draw, reduce)
 
 
 def number_conserving_entropies(
@@ -354,10 +389,11 @@ def number_conserving_entropies(
     n; the A rows of the Haar unitary U are drawn as a complex Haar frame V = U_A^+.
     """
     SystemSplit(N, N_A)
+    re_gen, im_gen, occ_gen = _kinds(gen, 3)
 
     def draw(b):
-        re, im = gen.standard_normal((2, b, N, N_A))  # all real parts, then all imaginary parts
-        return re, im, gen.integers(0, 2, size=(b, N))
+        re, im = (part.standard_normal((b, N, N_A)) for part in (re_gen, im_gen))
+        return re, im, occ_gen.integers(0, 2, size=(b, N))
 
     def reduce(re, im, occ):
         v = _haar_q(_complex(re, im))

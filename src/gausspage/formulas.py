@@ -28,6 +28,15 @@ def _digamma_pow2_plus1(k: int) -> float:
     return k * math.log(2.0)
 
 
+def smaller_side(N: int, N_A: int) -> int:
+    """k = min(N_A, N - N_A) of N >= 1 modes, 0 <= N_A <= N: S_A = S_B for a pure state, and the analytics take k."""
+    if N < 1:
+        raise InvalidArgument(f"need N >= 1, got {N}")
+    if not 0 <= N_A <= N:
+        raise InvalidArgument(f"need 0 <= N_A <= N, got N_A={N_A}, N={N}")
+    return min(N_A, N - N_A)
+
+
 def page_average_exact(N: int, N_A: int) -> float:
     """Average entanglement entropy over Haar pure states (nats).
 
@@ -64,9 +73,7 @@ def gaussian_average_exact(N: int, N_A: int) -> float:
     (N-1/2)Psi(2N) + (1/2+N_A-N)Psi(2N-2N_A) + (1/4-N_A)Psi(N) - (1/4)Psi(N-N_A) - N_A, taken for
     k = min(N_A, N - N_A) as (N-1/2) D(2N-2k; 2k) + k D(N; N-2k) + D(N-k; k)/4 - k, D(a; n) = Psi(a+n) - Psi(a).
     """
-    if not (0 <= N_A <= N):
-        raise InvalidArgument(f"need 0 <= N_A <= N, got N_A={N_A}, N={N}")
-    k = min(N_A, N - N_A)  # S_A = S_B for pure states; the form holds for N_A <= N/2, and gives exactly 0 at 0
+    k = smaller_side(N, N_A)  # the form holds for N_A <= N/2, and gives exactly 0 at 0
     return (
         (N - 0.5) * digamma_difference(2 * (N - k), 2 * k) + k * digamma_difference(N, N - 2 * k)
         + 0.25 * digamma_difference(N - k, k) - k
@@ -158,9 +165,7 @@ def variance_finite_N(N: int, N_A: int) -> float:
     Summed from ``special``'s differences, with Psi_1(N)/2 - Psi_1(2N) = [Psi_1(N) - Psi_1(N + 1/2)]/4; its
     first and last terms, both near k/(2N), leave an error of a few ulps of k/(2N) on a result near k^2/(4N^2).
     """
-    if not 0 <= N_A <= N:
-        raise InvalidArgument(f"need 0 <= N_A <= N, got N_A={N_A}, N={N}")
-    k = min(N_A, N - N_A)
+    k = smaller_side(N, N_A)
     return (
         (N - k - 0.5) * trigamma_difference(2 * (N - k), 2 * k) - 0.5 * digamma_difference(2 * (N - k), 2 * k)
         + 0.125 * trigamma_difference(N - k, k) + 0.25 * k * trigamma_difference(N, 0.5)

@@ -40,6 +40,12 @@ from gausspage import cli, ensembles, formulas
 from gausspage.stats import ks_statistic, ks_two_sample_critical
 
 
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Batches sized as on two cores, whatever this machine has: each takes at most half the budget."""
+    monkeypatch.setattr(ensembles, "_cores", lambda: 2)
+
+
 def fock_annihilation_operators(N):
     """Jordan-Wigner matrices of a_1..a_N on the 2^N Fock space."""
     lower = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -128,13 +134,13 @@ class TestRestrictionOnlyBlocks:
         assert np.max(np.abs(correlation_block(ua.conj().T, occ) - per_sample)) <= 1e-12
 
     @pytest.mark.parametrize("N, N_A", [(7, 3), (6, 5), (5, 5)])
-    def test_number_conserving_draw_order(self, N, N_A):
-        # real parts of the whole batch, then imaginary parts, then occupations
+    def test_number_conserving_draw_order(self, N, N_A, two_cores):
+        # real parts, imaginary parts and occupations, each kind from its own child of the stream's generator
         s = number_conserving_entropies(N, N_A, 6, RngStream(54, N).generator())
-        gen = RngStream(54, N).generator()
-        re = gen.standard_normal((6, N, N_A))
-        im = gen.standard_normal((6, N, N_A))
-        occ = gen.integers(0, 2, size=(6, N))
+        re_gen, im_gen, occ_gen = ensembles._kinds(RngStream(54, N).generator(), 3)
+        re = re_gen.standard_normal((6, N, N_A))
+        im = im_gen.standard_normal((6, N, N_A))
+        occ = occ_gen.integers(0, 2, size=(6, N))
         ref = []
         for g, n in zip(re + 1j * im, occ):
             lam = np.linalg.eigvalsh(correlation_block(_haar_q(g), n))
@@ -205,12 +211,13 @@ class TestRealModePlanes:
 
     @pytest.mark.parametrize("N", [2, 5, 8, 12])
     def test_sampler_against_the_complex_route(self, N):
-        # the same draws through eigh(1j * h), as in test_hamiltonian_a_rows
+        # the same draws through eigh(1j * h), as in test_hamiltonian_a_rows; h and the occupations
+        # each come from their own child of the stream's generator
         for N_A in sorted({0, 1, N // 2, N}):
             s = hamiltonian_eigenstate_entropies(N, N_A, 64, RngStream(56, N).generator())
-            gen = RngStream(56, N).generator()
-            g = gen.standard_normal((64, 2 * N, 2 * N))
-            occ = gen.integers(0, 2, size=(64, N))
+            h_gen, occ_gen = ensembles._kinds(RngStream(56, N).generator(), 2)
+            g = h_gen.standard_normal((64, 2 * N, 2 * N))
+            occ = occ_gen.integers(0, 2, size=(64, N))
             idx = subsystem_indices(SystemSplit(N, N_A))
             ref = []
             for h, n in zip(0.5 * (g - np.swapaxes(g, 1, 2)), occ):
@@ -236,12 +243,11 @@ class TestRandomHamiltonian:
 
     @pytest.mark.parametrize("N, N_A", [(1, 1), (5, 2), (12, 6), (40, 17)])
     def test_single_draw_is_a_batch_of_one(self, N, N_A):
-        # the batch draws h, then occupations by ascending omega; the single draw orders modes by descending omega
+        # the batch draws h from its first child generator and occupations, by ascending omega, from its second;
+        # the single draw takes h from the same first child, and orders modes by descending omega
         for seed in (60, 61, 62):
             s = hamiltonian_eigenstate_entropies(N, N_A, 1, RngStream(seed).generator())
-            gen = RngStream(seed).generator()
-            gen.standard_normal((1, 2 * N, 2 * N))
-            occ = gen.integers(0, 2, size=(1, N))[0, ::-1]
+            occ = ensembles._kinds(RngStream(seed).generator(), 2)[1].integers(0, 2, size=(1, N))[0, ::-1]
             j = eigenstate_structure(sample_random_hamiltonian(N, RngStream(seed)), occ)
             assert abs(entropy_from_spectrum(restrict(j, SystemSplit(N, N_A))) - s[0]) <= 1e-12
 
@@ -448,14 +454,14 @@ class TestHaarPure:
         se = s.std(ddof=1) / np.sqrt(s.size)
         assert abs(s.mean() - 1.0 / 3.0) <= 3 * se
 
-    def test_larger_side_uses_the_smaller_reduced_matrix(self):
+    def test_larger_side_uses_the_smaller_reduced_matrix(self, two_cores):
         # N_A = N is a 2^N x 1 state: its entropy needs no 2^N x 2^N matrix
         s = haar_pure_entropies(HAAR_PURE_MAX_MODES, HAAR_PURE_MAX_MODES, 3, RngStream(50).generator())
         assert np.all(np.abs(s) <= 1e-12)
         # the same draws as the A-side reduced matrix of entanglement_entropy_pure
         a = haar_pure_entropies(6, 4, 5, RngStream(51).generator())
-        gen = RngStream(51).generator()
-        psi = gen.standard_normal((5, 16, 4)) + 1j * gen.standard_normal((5, 16, 4))
+        re_gen, im_gen = ensembles._kinds(RngStream(51).generator(), 2)
+        psi = re_gen.standard_normal((5, 16, 4)) + 1j * im_gen.standard_normal((5, 16, 4))
         ref = [entanglement_entropy_pure(p.ravel() / np.linalg.norm(p), 4) for p in psi]
         assert np.max(np.abs(a - ref)) <= 1e-12
 
@@ -518,6 +524,30 @@ class TestNumberConserving:
 BATCHED = [gaussian_entropies, hamiltonian_eigenstate_entropies, number_conserving_entropies, haar_pure_entropies]
 
 
+class TestBatchInvariance:
+    """Each kind of draw is sequential in its own generator, so no batch split changes a bit."""
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("elements", [1 << 22, 3000])
+    @pytest.mark.parametrize("batch", [1, 7, 2048])
+    @pytest.mark.parametrize(
+        "sampler, N, N_A",
+        [
+            (gaussian_entropies, 6, 2),  # 48 words a sample
+            (hamiltonian_eigenstate_entropies, 5, 2),  # 200 words, and occupations
+            (number_conserving_entropies, 6, 4),  # 48 words, and occupations
+            (haar_pure_entropies, 6, 2),  # 128 words
+        ],
+    )
+    def test_any_batch_split_draws_the_same_bits(self, sampler, N, N_A, batch, elements, cores, monkeypatch):
+        # 300 samples in one batch, against batches of 1, 7, or 7 to 62 samples as the budget and cores allow
+        expected = sampler(N, N_A, 300, np.random.default_rng(N))
+        monkeypatch.setattr(ensembles, "_BATCH", batch)
+        monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", elements)
+        monkeypatch.setattr(ensembles, "_cores", lambda: cores)
+        assert np.array_equal(sampler(N, N_A, 300, np.random.default_rng(N)), expected)
+
+
 class CountingPool:
     """A two-thread pool that counts the pieces submitted to it."""
 
@@ -538,8 +568,9 @@ def counting_pool(monkeypatch):
     pool.pool.shutdown()
 
 
+@pytest.mark.usefixtures("two_cores")
 class TestParallelReduction:
-    """Each batch is drawn serially and reduced in row pieces on a thread pool."""
+    """Each batch is drawn serially and reduced in row pieces on a thread pool; batches are sized as on two cores."""
 
     @staticmethod
     def one_thread(monkeypatch, sampler, N, N_A, count, seed):
@@ -564,7 +595,7 @@ class TestParallelReduction:
             (gaussian_entropies, 32, 10, 700, 6),  # 1280 words a sample: pieces of 103 rows or more
             (hamiltonian_eigenstate_entropies, 16, 5, 1030, 16),  # at most 16 pieces
             (number_conserving_entropies, 32, 10, 1500, 7),
-            (haar_pure_entropies, 12, 5, 300, 16),
+            (haar_pure_entropies, 12, 5, 300, 18),  # batches of 256 and 44 samples: 16 pieces, then 2
             (gaussian_entropies, 8, 4, 1000, 1),  # 128 words a sample: too small to split
         ],
     )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gausspage.linalg import InvalidArgument
-from gausspage import formulas as F
+from gausspage import cli, formulas as F
 
 # N_A in {1, 2, 3, 7, 64, N/8, N/4, N/2}, for N from 2 to 10^8
 MPMATH_GRID = [(n, n_a) for n in (2, 3, 5, 8, 13, 40, 64, 100, 256, 1000, 10**4, 10**5, 10**6, 10**7, 10**8)
@@ -215,6 +215,16 @@ def mp_variance(N, N_A):
         return (-(n - 0.5) * psi1(2 * n) + (n - k - 0.5) * psi1(2 * n - 2 * k)
                 + (k / 2 - mpmath.mpf(1) / 8 + k * (k - 0.5) / (2 * n - 1)) * psi1(n) + psi1(n - k) / 8
                 - (psi(2 * n) - psi(2 * n - 2 * k)) / 2)
+
+
+@pytest.mark.parametrize("function", [F.gaussian_average_exact, F.variance_finite_N])
+@pytest.mark.parametrize("N", [0, -3])
+def test_no_modes_are_refused_as_the_cli_refuses_them(function, N, capsys):
+    # checked in formulas, not left to special, whose helpers the caller never called
+    with pytest.raises(InvalidArgument) as refused:
+        function(N, 0)
+    assert cli.main(["variance", "--N", str(N), "--NA", "0", "--samples", "0"]) == cli.EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {refused.value}\n" == f"error: need N >= 1, got {N}\n"
 
 
 class TestVariance:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gausspage.linalg import InvalidArgument, RngStream, haar_orthogonal
+from gausspage.linalg import InvalidArgument, RngStream, antisym_canonical, haar_orthogonal
 from gausspage.gstates import (
     CLAMP_TOL,
     SystemSplit,
@@ -19,10 +19,11 @@ from gausspage.gstates import (
     subsystem_indices,
 )
 from gausspage.ensembles import (
+    QuadraticHamiltonian,
+    _antisym,
     eigenstate_structure,
     gaussian_entropies,
     sample_gaussian_state,
-    sample_random_hamiltonian,
 )
 from gausspage.stats import ks_one_sample_critical, ks_statistic_one_sample
 
@@ -162,7 +163,8 @@ def test_restricted_singular_values_pair():
 def test_restrict_pairs_singular_values_near_zero():
     # A valid eigenstate whose block has a pair of singular values near 0:
     # square roots of the eigenvalues of B^T B would split it by ~1.2e-8.
-    ham = sample_random_hamiltonian(40, RngStream(514904109))
+    h = _antisym(RngStream(514904109).generator().standard_normal((80, 80)))  # drawn from the stream itself
+    ham = QuadraticHamiltonian(40, h, *antisym_canonical(h))
     occ = np.array([int(c) for c in "0000010011110011100010101011111101100001"])
     j = eigenstate_structure(ham, occ)
     split = SystemSplit(40, 24)

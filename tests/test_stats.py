@@ -242,9 +242,11 @@ class TestConcurrentStreams:
 
     @pytest.mark.parametrize("below_a_sample", [False, True])
     def test_batches_in_flight_stay_within_the_budget(self, below_a_sample, three_cores, monkeypatch):
-        # gaussian (6, 3) takes 72 words a sample; a budget of 5000 words holds one batch of 64 (4608) at a time
+        # gaussian (6, 3) takes 72 words a sample; on three cores a budget of 5000 words gives batches of
+        # 1666 // 72 = 23 samples (1656 words), and holds up to three of them at a time
         budget = RecordingBudget()
         monkeypatch.setattr(ensembles, "_budget", lambda: budget)
+        monkeypatch.setattr(ensembles, "_cores", lambda: 3)
         monkeypatch.setattr(ensembles, "_BATCH", 64)
         monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", 50 if below_a_sample else 5000)
         run = bind(ensembles.gaussian_entropies, 6, 3)
@@ -254,9 +256,41 @@ class TestConcurrentStreams:
             threaded = mc_estimate(run, 600, 2, workers=3)
         finally:
             sys.setswitchinterval(interval)
-        assert budget.peak == (72 if below_a_sample else 64 * 72)  # a lone batch runs even above the budget
+        if below_a_sample:
+            assert budget.peak == 72  # a lone batch runs even above the budget
+        else:
+            assert 23 * 72 <= budget.peak <= 5000
         assert budget.words == 0
         assert threaded == self.serial(monkeypatch, run, 600, 2, 3)
+
+    def test_two_streams_hold_a_batch_each_at_once(self, monkeypatch):
+        # gaussian (8, 4) takes 128 words a sample; on two cores a budget of 4096 words gives batches of 16,
+        # so both streams' batches fit in it at once.  Each draw waits for the other stream's draw, which
+        # times out if the budget holds one stream back; the last to arrive records the words held.
+        monkeypatch.setattr(stats, "_cores", lambda: 2)
+        monkeypatch.setattr(ensembles, "_cores", lambda: 2)
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(stats, "_stream_pool", lambda: pool)
+        budget = RecordingBudget()
+        monkeypatch.setattr(ensembles, "_budget", lambda: budget)
+        monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", 4096)
+        held = []
+        both = threading.Barrier(2, action=lambda: held.append(budget.words), timeout=20)
+        real = ensembles._real_ginibre
+
+        def draw(*args):
+            both.wait()
+            return real(*args)
+
+        run = bind(ensembles.gaussian_entropies, 8, 4)
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(ensembles, "_real_ginibre", draw)
+                threaded = mc_estimate(run, 128, 3, workers=2)
+        finally:
+            pool.shutdown()
+        assert held == [2 * 16 * 128] * 4 and budget.peak == 4096  # 64 samples a stream: four rounds
+        assert threaded == self.serial(monkeypatch, run, 128, 3, 2)
 
 
 class TestKs:

@@ -12,7 +12,8 @@ never time-seeded.
 
 Exit codes: 0 success; 2 invalid arguments or option combinations, or an
 ``--out`` path that cannot be opened; 3 a resource limit (Haar-pure sampling
-above 14 modes); 4 a failed numerical check (:class:`ConsistencyError`).
+above 14 modes, or a ``MemoryError``: arrays that do not fit in memory); 4 a
+failed numerical check (:class:`ConsistencyError`).
 An ``--out`` that is a directory, or whose parent directory is missing, exits
 2 before any work; the file itself is opened only once every row is computed,
 so a run that fails leaves no file behind and an existing one untouched.
@@ -193,7 +194,12 @@ _COMMANDS = {
 }
 _NA_HELP = {"page-curve": "subsystem size, or 'sweep' (the default): every N_A from 0 to N/2",
             "variance": "subsystem size (default N/2)"}
-_EXIT_CODES = {InvalidArgument: EXIT_INVALID, ensembles.ResourceLimit: EXIT_RESOURCE, ConsistencyError: EXIT_NUMERICAL}
+_EXIT_CODES = {
+    InvalidArgument: EXIT_INVALID,
+    ensembles.ResourceLimit: EXIT_RESOURCE,
+    MemoryError: EXIT_RESOURCE,
+    ConsistencyError: EXIT_NUMERICAL,
+}
 
 
 def _environment_seed() -> int:
@@ -224,7 +230,7 @@ def run(config: argparse.Namespace) -> int:
             _check_out(config.out)
         globals()[_COMMANDS[config.command][0]](config)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # a bare MemoryError has no message
         return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
     return EXIT_OK
 

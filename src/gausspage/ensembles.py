@@ -23,12 +23,15 @@ the normalisation of a Haar pure state, runs with the linear algebra on the
 available cores in row pieces.  A sample's entropy depends neither on its
 piece nor on its batch, so the output is the same for any core count.  A
 batched sampler may be called concurrently, once per Monte Carlo stream, on
-distinct generators: the piece pool is shared, its threads never wait, and
-the batches of all streams draw from one in-flight budget of
-``_BATCH_ELEMENTS`` words.  A batch takes at most a core's share of that
-budget, so one batch per core fits in it at once, and concurrent streams hold
-no more batch memory than the budget.  Each batch is freed before the next is
-drawn.  The single-draw functions are pure functions of an
+distinct generators: the piece pool is shared and its threads never wait.
+Batch memory is bounded by construction, with no lock:
+:func:`gausspage.stats.draw_streams` runs at most ``_cores()`` streams at
+once, and a stream holds one batch at a time, of at most
+``_BATCH_ELEMENTS // _cores()`` words, since each batch is freed before the
+next is drawn.  So the batches in flight hold at most ``_BATCH_ELEMENTS``
+words between them.  The one exception is a sample larger than a core's
+share, which is drawn alone: then each running stream holds that one sample.
+The single-draw functions are pure functions of an
 :class:`RngStream` and draw a batch of one through the same helpers and the
 same child generators.  Every h, random or a caller's (A, B) written as four
 real blocks by :func:`from_particle_basis`, has its modes from the real
@@ -37,10 +40,8 @@ eigenvectors of h h^T, in oriented planes (:func:`gausspage.linalg._mode_planes`
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,34 +261,8 @@ def _pool():
     return ThreadPoolExecutor(min(cores, _MAX_PIECES), thread_name_prefix="gausspage") if cores > 1 else None
 
 
-class _Budget:
-    """Words of batch arrays in flight in this process, at most _BATCH_ELEMENTS unless one batch alone is larger."""
-
-    def __init__(self):
-        self._free = threading.Condition()
-        self.words = 0
-
-    @contextlib.contextmanager
-    def take(self, words: int):
-        with self._free:
-            self._free.wait_for(lambda: self.words == 0 or self.words + words <= _BATCH_ELEMENTS)
-            self.words += words
-        try:
-            yield
-        finally:
-            with self._free:
-                self.words -= words
-                self._free.notify_all()
-
-
-@functools.cache
-def _budget() -> _Budget:
-    """The one in-flight budget that the batches of every concurrent stream share."""
-    return _Budget()
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's threads, and may inherit a held lock
-    os.register_at_fork(after_in_child=lambda: (_pool.cache_clear(), _budget.cache_clear()))
+if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _in_batches(count: int, per_sample: int, draw, reduce) -> np.ndarray:
@@ -299,19 +274,18 @@ def _in_batches(count: int, per_sample: int, draw, reduce) -> np.ndarray:
     piece's error is raised once every piece is done.  Each kind of draw is
     sequential in its own generator, so the entropies do not depend on the
     batch size.  A batch holds at most _BATCH_ELEMENTS // _cores() words (at
-    least one sample, at most _BATCH), so one batch per core, whichever
-    streams they belong to, fits in the shared budget at once.  It takes its
-    b * per_sample words from the budget before its draw and gives them back
-    once it is reduced and freed, so concurrent streams hold at most
-    _BATCH_ELEMENTS words between them (a lone batch always runs).
+    least one sample, at most _BATCH), and it is reduced and freed before the
+    next is drawn.  :func:`gausspage.stats.draw_streams` runs at most
+    _cores() streams at once, so their batches hold at most _BATCH_ELEMENTS
+    words between them, or one sample per running stream where a sample
+    alone is larger than a core's share.
     """
     batch = max(1, min(_BATCH, _BATCH_ELEMENTS // _cores() // per_sample))
     piece = -(-_PIECE_ELEMENTS // per_sample)  # fewest rows in a piece
     out = np.empty(count)
     for start in range(0, count, batch):
         b = min(batch, count - start)
-        with _budget().take(b * per_sample):
-            _reduce_batch(out[start : start + b], draw(b), reduce, min(_MAX_PIECES, b // piece))
+        _reduce_batch(out[start : start + b], draw(b), reduce, min(_MAX_PIECES, b // piece))
     return out
 
 

@@ -72,8 +72,8 @@ def conjugate(j0: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def clip_unit(values: np.ndarray, what: str) -> np.ndarray:
-    """Computed ``values`` clipped to [0, 1]; one more than CLAMP_TOL outside raises ConsistencyError."""
-    if values.size and (np.min(values) < -CLAMP_TOL or np.max(values) > 1.0 + CLAMP_TOL):
+    """Computed ``values`` clipped to [0, 1]; one more than CLAMP_TOL outside, or a NaN, raises ConsistencyError."""
+    if values.size and not (np.min(values) >= -CLAMP_TOL and np.max(values) <= 1.0 + CLAMP_TOL):
         raise ConsistencyError(f"{what} escapes [0,1]: range [{np.min(values)}, {np.max(values)}]")
     return np.clip(values, 0.0, 1.0)
 
@@ -89,28 +89,32 @@ def restrict_blocks(blocks: np.ndarray) -> np.ndarray:
     Returns shape (..., n), descending, in [0, 1].  The spectrum of B^T B is
     {x_i^2} with multiplicity two.  The pairing and range are checked on those
     eigenvalues, whose absolute error is about eps for any x; the square root
-    of a pair near 0 would magnify its split to about sqrt(eps).
+    of a pair near 0 would magnify its split to about sqrt(eps).  A NaN fails
+    both checks.
     """
     ev = np.linalg.eigvalsh(np.swapaxes(blocks, -2, -1) @ blocks)[..., ::-1]
     hi, lo = ev[..., 0::2], ev[..., 1::2]
-    if hi.size and np.max(np.abs(hi - lo)) > PAIR_TOL:
+    if hi.size and not np.max(np.abs(hi - lo)) <= PAIR_TOL:
         raise ConsistencyError("singular values of the antisymmetric block do not pair up")
     return np.sqrt(clip_unit(0.5 * (hi + lo), "squared restricted spectrum"))
 
 
 def restrict(j: np.ndarray, split: SystemSplit) -> np.ndarray:
-    """Spectrum x_1 >= ... >= x_{N_A} of the sub-block [J]_A, in [0, 1]."""
+    """Spectrum x_1 >= ... >= x_{N_A} of the sub-block [J]_A, in [0, 1]; the block must be finite."""
     if split.N_A < 1:
         raise InvalidArgument("restriction requires N_A >= 1")
     if np.shape(j) != (2 * split.N, 2 * split.N):
         raise InvalidArgument(f"need a {2 * split.N}x{2 * split.N} J for N={split.N}, got shape {np.shape(j)}")
     idx = subsystem_indices(split)
-    return restrict_blocks(j[np.ix_(idx, idx)][None])[0]
+    block = j[np.ix_(idx, idx)]
+    if not np.all(np.isfinite(block)):
+        raise InvalidArgument("[J]_A has a non-finite entry")
+    return restrict_blocks(block[None])[0]
 
 
 def entropy_from_spectrum(x: np.ndarray) -> float:
     """Entanglement entropy sum_i s(x_i) in nats."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < -CLAMP_TOL) or np.any(x > 1.0 + CLAMP_TOL):
+    if not np.all((x >= -CLAMP_TOL) & (x <= 1.0 + CLAMP_TOL)):  # a NaN fails both
         raise InvalidArgument("spectrum values must lie in [0, 1]")
     return float(np.sum(mode_entropy(np.clip(x, 0.0, 1.0))))

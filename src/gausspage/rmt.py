@@ -93,7 +93,7 @@ def build_kernel_ctx(n_a: int, delta: int) -> JacobiKernelCtx:
         raise InvalidArgument(f"need N_A >= 1 and Delta >= 0, got ({n_a}, {delta})")
     ctx = JacobiKernelCtx(n_a=n_a, delta=delta, quadrature=panel_rule(_panel_order(n_a, delta), [(0.0, 1.0)]))
     err = np.max(np.abs(_gram_on(ctx, ctx.quadrature, np.ones_like, n_a) - np.eye(n_a)))
-    if err > ORTHONORMALITY_TOL:
+    if not err <= ORTHONORMALITY_TOL:  # a NaN fails it
         raise ConsistencyError(f"wavefunction orthonormality violated: {err:.3e}")
     return ctx
 

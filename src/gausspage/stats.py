@@ -220,6 +220,8 @@ def histogram(samples: np.ndarray, bins: int, range_: tuple[float, float]) -> Hi
     if not hi > lo:
         raise InvalidArgument(f"empty range ({lo}, {hi})")
     samples = np.asarray(samples, dtype=float)
+    if not np.all(np.isfinite(samples)):  # a NaN would be in no bin and no out-of-range count
+        raise InvalidArgument("samples must be finite")
     under = int(np.sum(samples < lo))
     over = int(np.sum(samples > hi))
     counts, edges = np.histogram(samples[(samples >= lo) & (samples <= hi)], bins=bins, range=(lo, hi))

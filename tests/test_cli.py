@@ -322,7 +322,10 @@ class TestErrorPaths:
         assert err.startswith("error: cannot open --out") and len(err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"] and (tmp_path / "file").read_text() == "kept"
 
-    @pytest.mark.parametrize("error, code", [(ConsistencyError, EXIT_NUMERICAL), (ensembles.ResourceLimit, EXIT_RESOURCE)])
+    @pytest.mark.parametrize(
+        "error, code",
+        [(ConsistencyError, EXIT_NUMERICAL), (ensembles.ResourceLimit, EXIT_RESOURCE), (MemoryError, EXIT_RESOURCE)],
+    )
     def test_a_failed_run_writes_no_out_file(self, error, code, tmp_path, monkeypatch, capsys):
         def fails(N, N_A, count, gen):
             raise error("failed")
@@ -335,6 +338,17 @@ class TestErrorPaths:
             assert main(argv) == code
         assert capsys.readouterr().err == "error: failed\n" * 2
         assert kept.read_text() == "an earlier table\n" and not (tmp_path / "new.csv").exists()
+
+    @pytest.mark.parametrize("command", [["page-curve", "--mode", "quadrature"], ["density"]])
+    def test_out_of_memory_is_a_resource_limit(self, command, monkeypatch, capsys):
+        # numpy raises MemoryError where an array does not fit, e.g. the quadrature rule of N = 10^5;
+        # a bare MemoryError, as Python raises it, is named
+        def fails(n_a, delta):
+            raise MemoryError()
+
+        monkeypatch.setattr(rmt, "build_kernel_ctx", fails)
+        assert main(command + ["--N", "8", "--NA", "4"]) == EXIT_RESOURCE
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
     def test_resource_guard(self, capsys):
         code = main(["page-curve", "--N", "20", "--ensemble", "haar-pure", "--mode", "mc", "--samples", "10"])

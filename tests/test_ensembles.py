@@ -42,7 +42,7 @@ from gausspage.stats import ks_statistic, ks_two_sample_critical
 
 @pytest.fixture
 def two_cores(monkeypatch):
-    """Batches sized as on two cores, whatever this machine has: each takes at most half the budget."""
+    """Batches sized as on two cores, whatever this machine has: each takes at most half of _BATCH_ELEMENTS."""
     monkeypatch.setattr(ensembles, "_cores", lambda: 2)
 
 
@@ -540,7 +540,7 @@ class TestBatchInvariance:
         ],
     )
     def test_any_batch_split_draws_the_same_bits(self, sampler, N, N_A, batch, elements, cores, monkeypatch):
-        # 300 samples in one batch, against batches of 1, 7, or 7 to 62 samples as the budget and cores allow
+        # 300 samples in one batch, against batches of 1, 7, or 7 to 62 samples as _BATCH_ELEMENTS and the cores allow
         expected = sampler(N, N_A, 300, np.random.default_rng(N))
         monkeypatch.setattr(ensembles, "_BATCH", batch)
         monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", elements)
@@ -629,7 +629,7 @@ class TestParallelReduction:
             from gausspage import ensembles, stats
             os.sched_getaffinity = lambda pid: {0, 1}  # two cores, so that batches split and streams run at once
             ensembles._PIECE_ELEMENTS = 1
-            def run():  # the piece pool, the budget and the stream pool
+            def run():  # the piece pool and the stream pool
                 sampler = lambda gen, n: ensembles.gaussian_entropies(5, 2, n, gen)
                 return ensembles.gaussian_entropies(5, 2, 300, np.random.default_rng(1)), stats.mc_estimate(
                     sampler, 600, 1, workers=2)

@@ -75,6 +75,15 @@ class TestRestrict:
         with pytest.raises(InvalidArgument, match="4, 4"):
             restrict(reference_structure(2), SystemSplit(N, N_A))
 
+    def test_rejects_a_non_finite_a_block(self):
+        # the A block alone is checked: a NaN in B's rows leaves [J]_A and its spectrum as they were
+        j = reference_structure(3)
+        j[2, 5] = np.nan  # B row, B column
+        assert np.array_equal(restrict(j, SystemSplit(3, 1)), [1.0])
+        j[0, 3] = np.nan  # A row, A column: [J]_A = [[0, nan], [-1, 0]]
+        with pytest.raises(InvalidArgument, match="non-finite"):
+            restrict(j, SystemSplit(3, 1))
+
     def test_full_system_is_pure(self):
         j = sample_gaussian_state(3, RngStream(5))
         x = restrict(j, SystemSplit(3, 3))
@@ -129,9 +138,10 @@ class TestEntropyFromSpectrum:
     def test_half(self):
         assert abs(entropy_from_spectrum(np.array([0.5])) - S_HALF) <= 1e-12
 
-    def test_rejects_out_of_range(self):
+    @pytest.mark.parametrize("bad", [1.5, np.nan])
+    def test_rejects_out_of_range(self, bad):
         with pytest.raises(InvalidArgument):
-            entropy_from_spectrum(np.array([1.5]))
+            entropy_from_spectrum(np.array([0.5, bad]))
 
     def test_mode_entropy_scalar(self):
         assert mode_entropy(1.0) == 0.0
@@ -187,12 +197,14 @@ def test_restrict_blocks_checks_pairing_and_range():
         restrict_blocks(np.diag([1.0, 0.5, 0.2, 0.1])[None])  # not antisymmetric: no pairs
     with pytest.raises(ConsistencyError):
         restrict_blocks(1.01 * reference_structure(2)[None])  # escapes [0, 1]
+    with pytest.raises(ConsistencyError, match="pair"):
+        restrict_blocks(np.array([[[0.0, np.nan], [-1.0, 0.0]]]))  # eigenvalues [nan, nan]: a NaN pairs with nothing
 
 
 def test_clip_unit_clips_within_the_tolerance_and_raises_beyond():
     inside = np.array([-0.5 * CLAMP_TOL, 0.0, 0.25, 1.0, 1.0 + 0.5 * CLAMP_TOL])
     assert np.array_equal(clip_unit(inside, "x"), [0.0, 0.0, 0.25, 1.0, 1.0])
     assert clip_unit(np.empty((3, 0)), "x").shape == (3, 0)
-    for bad in (-2.0 * CLAMP_TOL, 1.0 + 2.0 * CLAMP_TOL):
+    for bad in (-2.0 * CLAMP_TOL, 1.0 + 2.0 * CLAMP_TOL, np.nan):
         with pytest.raises(ConsistencyError, match="spectrum escapes"):
             clip_unit(np.array([[0.5, bad]]), "spectrum")

@@ -68,6 +68,11 @@ class TestKernelCtx:
     def test_rejects_bad_args(self):
         with pytest.raises(InvalidArgument):
             build_kernel_ctx(0, 0)
+
+    def test_a_nan_fails_the_orthonormality_check(self, monkeypatch):
+        monkeypatch.setattr(rmt, "_gram_on", lambda ctx, rule, g, jmax: np.full((jmax, jmax), np.nan))
+        with pytest.raises(ConsistencyError, match="orthonormality"):
+            build_kernel_ctx(3, 1)
         with pytest.raises(InvalidArgument):
             build_kernel_ctx(2, -1)
 

@@ -1,5 +1,3 @@
-import contextlib
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -148,21 +146,6 @@ def three_cores(monkeypatch):
     pool.shutdown()
 
 
-class RecordingBudget(ensembles._Budget):
-    """The in-flight budget, recording the most words it ever lent at once."""
-
-    def __init__(self):
-        super().__init__()
-        self.peak = 0
-
-    @contextlib.contextmanager
-    def take(self, words):
-        with super().take(words):
-            with self._free:
-                self.peak = max(self.peak, self.words)
-            yield
-
-
 class TestConcurrentStreams:
     """Up to one stream per core runs at a time; the samples are concatenated in stream order."""
 
@@ -241,56 +224,41 @@ class TestConcurrentStreams:
         assert many == self.serial(monkeypatch, uniform_sampler, 10, 5, 10) and seconds < 10
 
     @pytest.mark.parametrize("below_a_sample", [False, True])
-    def test_batches_in_flight_stay_within_the_budget(self, below_a_sample, three_cores, monkeypatch):
-        # gaussian (6, 3) takes 72 words a sample; on three cores a budget of 5000 words gives batches of
-        # 1666 // 72 = 23 samples (1656 words), and holds up to three of them at a time
-        budget = RecordingBudget()
-        monkeypatch.setattr(ensembles, "_budget", lambda: budget)
+    def test_batches_in_flight_stay_within_the_bound(self, below_a_sample, three_cores, monkeypatch):
+        # gaussian (6, 3) takes 72 words a sample; on three cores a bound of 5000 words gives batches of
+        # 1666 // 72 = 23 samples (1656 words), and at most three streams hold one batch each at a time
+        lock, held, peak = threading.Lock(), [0], [0]
+        real_draw, real_reduce = ensembles._real_ginibre, ensembles._reduce_batch
+
+        def draw(*args):  # a batch's words are held from its draw until it is reduced
+            g = real_draw(*args)
+            with lock:
+                held[0] += g.size
+                peak[0] = max(peak[0], held[0])
+            time.sleep(0.001)  # while the other streams draw theirs
+            return g
+
+        def reduce_batch(out, inputs, reduce, pieces):
+            try:
+                real_reduce(out, inputs, reduce, pieces)
+            finally:
+                with lock:
+                    held[0] -= sum(x.size for x in inputs)
+
         monkeypatch.setattr(ensembles, "_cores", lambda: 3)
         monkeypatch.setattr(ensembles, "_BATCH", 64)
         monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", 50 if below_a_sample else 5000)
         run = bind(ensembles.gaussian_entropies, 6, 3)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, so that a lost update of the budget would show
-        try:
+        with monkeypatch.context() as m:
+            m.setattr(ensembles, "_real_ginibre", draw)
+            m.setattr(ensembles, "_reduce_batch", reduce_batch)
             threaded = mc_estimate(run, 600, 2, workers=3)
-        finally:
-            sys.setswitchinterval(interval)
         if below_a_sample:
-            assert budget.peak == 72  # a lone batch runs even above the budget
+            assert 72 <= peak[0] <= 3 * 72  # one sample per running stream
         else:
-            assert 23 * 72 <= budget.peak <= 5000
-        assert budget.words == 0
+            assert 23 * 72 <= peak[0] <= 5000
+        assert held == [0]
         assert threaded == self.serial(monkeypatch, run, 600, 2, 3)
-
-    def test_two_streams_hold_a_batch_each_at_once(self, monkeypatch):
-        # gaussian (8, 4) takes 128 words a sample; on two cores a budget of 4096 words gives batches of 16,
-        # so both streams' batches fit in it at once.  Each draw waits for the other stream's draw, which
-        # times out if the budget holds one stream back; the last to arrive records the words held.
-        monkeypatch.setattr(stats, "_cores", lambda: 2)
-        monkeypatch.setattr(ensembles, "_cores", lambda: 2)
-        pool = ThreadPoolExecutor(1)
-        monkeypatch.setattr(stats, "_stream_pool", lambda: pool)
-        budget = RecordingBudget()
-        monkeypatch.setattr(ensembles, "_budget", lambda: budget)
-        monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", 4096)
-        held = []
-        both = threading.Barrier(2, action=lambda: held.append(budget.words), timeout=20)
-        real = ensembles._real_ginibre
-
-        def draw(*args):
-            both.wait()
-            return real(*args)
-
-        run = bind(ensembles.gaussian_entropies, 8, 4)
-        try:
-            with monkeypatch.context() as m:
-                m.setattr(ensembles, "_real_ginibre", draw)
-                threaded = mc_estimate(run, 128, 3, workers=2)
-        finally:
-            pool.shutdown()
-        assert held == [2 * 16 * 128] * 4 and budget.peak == 4096  # 64 samples a stream: four rounds
-        assert threaded == self.serial(monkeypatch, run, 128, 3, 2)
 
 
 class TestKs:
@@ -338,6 +306,12 @@ class TestHistogram:
     def test_rejects_empty_range(self):
         with pytest.raises(InvalidArgument):
             histogram(np.array([1.0]), 3, (2.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        # a NaN would fall in no bin and in neither out-of-range count, so the counts would not add up to total
+        with pytest.raises(InvalidArgument, match="finite"):
+            histogram(np.array([0.5, bad]), 2, (0.0, 1.0))
 
 
 @given(

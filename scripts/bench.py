@@ -12,8 +12,8 @@ A BENCH file records, for the checkout this script lives in:
   run stays within run.py's time limit: each run's metrics and info line, and
   per workload the median of each end-to-end metric and the summed failures;
 * each batched sampler in microseconds per sample at fixed (N, N_A), each
-  sampler's Monte Carlo estimate (``stats.mc_estimate``, so with its streams
-  run at once) in microseconds per sample at ``--workers`` 1 and 2, and the
+  sampler's Monte Carlo estimate (``stats.mc_estimate``, so with its seeded
+  blocks run at once) in microseconds per sample, and the
   three single-state chains of the ``state-algebra`` workload (particle,
   hamiltonian, gaussian: ``perfbench/worker.py`` runs them) in milliseconds
   per chain at N = 64 and 128 with N_A = N/2, and the analytic layers in
@@ -58,10 +58,9 @@ SAMPLERS = {
     "number-conserving": ("number_conserving_entropies", [(8, 4, 8192), (16, 8, 2048), (64, 32, 128)]),
     "haar-pure": ("haar_pure_entropies", [(8, 4, 8192), (12, 6, 1024)]),
 }
-# (N, N_A) of each Monte Carlo estimate timed through stats.mc_estimate at each of ESTIMATE_WORKERS, with
-# ESTIMATE_SAMPLES samples; haar-pure stops at N = 14
+# (N, N_A) of each Monte Carlo estimate timed through stats.mc_estimate, with ESTIMATE_SAMPLES samples (four
+# blocks); haar-pure stops at N = 14
 ESTIMATES = {"gaussian": (16, 8), "hamiltonian": (16, 8), "number-conserving": (16, 8), "haar-pure": (12, 6)}
-ESTIMATE_WORKERS = (1, 2)
 ESTIMATE_SAMPLES = 4096
 # single-state chains of the state-algebra workload: seeds 1..CHAIN_SEEDS per timing, N_A = N/2
 CHAINS = [(kind, n) for kind in ("particle", "hamiltonian", "gaussian") for n in (64, 128)]
@@ -167,10 +166,8 @@ def time_layers() -> tuple[dict, list[float]]:
         for ensemble, (n, n_a) in ESTIMATES.items():
             sampler = getattr(ensembles, SAMPLERS[ensemble][0])
             draws = lambda gen, count: sampler(n, n_a, count, gen)  # noqa: E731
-            for workers in ESTIMATE_WORKERS:
-                measure(f"estimates.{ensemble}.{n}x{n_a}.workers{workers}.us_per_sample",
-                        lambda: stats.mc_estimate(draws, 64, 1, workers),
-                        lambda: stats.mc_estimate(draws, ESTIMATE_SAMPLES, 1, workers), 1e-6 * ESTIMATE_SAMPLES)
+            measure(f"estimates.{ensemble}.{n}x{n_a}.us_per_sample", lambda: stats.mc_estimate(draws, 64, 1),
+                    lambda: stats.mc_estimate(draws, ESTIMATE_SAMPLES, 1), 1e-6 * ESTIMATE_SAMPLES)
         for kind, n in CHAINS:
             reqs = [{"kind": kind, "N": n, "NA": n // 2, "seed": seed, "occ": [(seed + k) % 2 for k in range(n)]}
                     for seed in range(1, CHAIN_SEEDS + 1)]

@@ -53,9 +53,8 @@ _SAMPLERS = {
 }
 ENSEMBLES = tuple(_SAMPLERS)
 MODES = ("exact", "quadrature", "mc", "limit")
-_WORKERS_HELP = ("split samples into this many RNG streams, which fix the result; up to one stream per available"
-                 " core runs at a time, and each batch's linear algebra runs on the available cores; the output"
-                 " does not depend on their number")
+_WORKERS_HELP = ("has no effect: Monte Carlo samples are drawn in seeded blocks of 1024, up to one per available"
+                 " core at a time, and the output depends on --seed and --samples only")
 # Options beyond the common --N, --NA, --seed, --format and --out; each command takes those it reads.
 _OPTIONS = {
     "ensemble": {"choices": ENSEMBLES, "default": "gaussian"},
@@ -121,7 +120,7 @@ def _curve_row(config: argparse.Namespace, n_a: int) -> list:
         if k == 0:  # S_A = 0: no sampler runs
             value, std, std_error = 0.0, 0.0, 0.0
         else:
-            est = stats.mc_estimate(_mc_sampler(config, n_a), config.samples, config.seed, config.workers)
+            est = stats.mc_estimate(_mc_sampler(config, n_a), config.samples, config.seed)
             value, std, std_error, samples = est.mean, math.sqrt(est.variance), est.std_error, est.n
     elif (mode, ens) in formulas.ROUTES:
         value, std = formulas.ROUTES[mode, ens][0](N, k) if k else 0.0, math.sqrt(_variance(mode, ens, N, k))
@@ -156,7 +155,7 @@ def run_variance(config: argparse.Namespace) -> None:
     var_exact, var_limit = (_variance(route, config.ensemble, N, k) for route in ("exact", "limit"))
     var_mc, n = (math.nan if config.samples == 0 else 0.0), 0  # nan: none asked for; 0: S_A = 0 at k = 0
     if config.samples > 0 and k > 0:
-        est = stats.mc_estimate(_mc_sampler(config, n_a), config.samples, config.seed, config.workers)
+        est = stats.mc_estimate(_mc_sampler(config, n_a), config.samples, config.seed)
         var_mc, n = est.variance, est.n
     _emit(
         config,
@@ -166,7 +165,7 @@ def run_variance(config: argparse.Namespace) -> None:
 
 
 def run_sample(config: argparse.Namespace) -> None:
-    values = stats.draw_streams(_mc_sampler(config, config.N_A), config.samples, config.seed, workers=1)
+    values = stats.draw_streams(_mc_sampler(config, config.N_A), config.samples, config.seed)
     _emit(config, ["index", "entropy"], [[i, float(v)] for i, v in enumerate(values)])
 
 
@@ -174,7 +173,7 @@ def run_dist(config: argparse.Namespace) -> None:
     k = formulas.smaller_side(config.N, config.N_A)
     if k == 0:
         raise InvalidArgument(f"dist needs 0 < --NA < --N, got --NA {config.N_A}: S_A = 0 leaves no range to bin")
-    values = stats.draw_streams(_mc_sampler(config, config.N_A), config.samples, config.seed, workers=1)
+    values = stats.draw_streams(_mc_sampler(config, config.N_A), config.samples, config.seed)
     hist = stats.histogram(values, config.bins, (0.0, k * math.log(2.0)))
     if hist.underflow or hist.overflow:
         msg = f"{hist.underflow} samples below and {hist.overflow} above [0, {k} log 2] are not counted"

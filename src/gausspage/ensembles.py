@@ -12,25 +12,25 @@ the frame.  The batched samplers take a live generator and are used by the
 Monte Carlo harness.  They are restriction-only: they draw or keep only the
 rows that lie in A and build the block [J]_A (or C_A) directly, never a full
 2N x 2N structure.  Each kind of draw comes from its own generator: a sampler
-that draws one kind (the Gaussian frame) draws it from the stream's
-generator, and one that draws several (h and the occupations; real parts,
+that draws one kind (the Gaussian frame) draws it from the generator it is
+given, and one that draws several (h and the occupations; real parts,
 imaginary parts and occupations) draws each from a child generator seeded by
-the stream's (:func:`_kinds`).  Each kind's draws are then sequential in one
+that one (:func:`_kinds`).  Each kind's draws are then sequential in one
 generator, so the entropies do not depend on how the samples are split into
-batches.  Each batch is drawn serially, and the draw makes only RNG calls:
-every operation on the draws, even the antisymmetric part of a Hamiltonian or
-the normalisation of a Haar pure state, runs with the linear algebra on the
-available cores in row pieces.  A sample's entropy depends neither on its
-piece nor on its batch, so the output is the same for any core count.  A
-batched sampler may be called concurrently, once per Monte Carlo stream, on
-distinct generators: the piece pool is shared and its threads never wait.
-Batch memory is bounded by construction, with no lock:
-:func:`gausspage.stats.draw_streams` runs at most ``_cores()`` streams at
-once, and a stream holds one batch at a time, of at most
-``_BATCH_ELEMENTS // _cores()`` words, since each batch is freed before the
-next is drawn.  So the batches in flight hold at most ``_BATCH_ELEMENTS``
-words between them.  The one exception is a sample larger than a core's
-share, which is drawn alone: then each running stream holds that one sample.
+batches.  Each batch is drawn, and then reduced in row slices of about 1 MB,
+on the calling thread; the draw makes only RNG calls, and every operation on
+the draws, even the antisymmetric part of a Hamiltonian or the normalisation
+of a Haar pure state, is part of the reduction.  A sample's entropy depends
+neither on its slice nor on its batch, so the output is the same for any core
+count.  A batched sampler may be called concurrently, once per Monte Carlo
+block, on distinct generators.  Batch memory is bounded by construction,
+with no lock: :func:`gausspage.stats.draw_streams` runs at most ``_cores()``
+blocks at once, and a block holds one batch at a time, of at most
+``_BATCH_ELEMENTS // _cores()`` words, plus the temporaries of one slice,
+since each batch is freed before the next is drawn.  So the batches in
+flight hold at most ``_BATCH_ELEMENTS`` words between them.  The one
+exception is a sample larger than a core's share, which is drawn alone: then
+each running block holds that one sample.
 The single-draw functions are pure functions of an
 :class:`RngStream` and draw a batch of one through the same helpers and the
 same child generators.  Every h, random or a caller's (A, B) written as four
@@ -40,7 +40,6 @@ eigenvectors of h h^T, in oriented planes (:func:`gausspage.linalg._mode_planes`
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 
@@ -229,6 +228,8 @@ def entanglement_entropy_pure(psi: np.ndarray, N_A: int) -> float:
     if psi.size != 2**N:  # also for size 0: 2**-1 = 0.5
         raise InvalidArgument(f"need a vector of 2^N amplitudes, got {psi.size}")
     SystemSplit(N, N_A)
+    if not np.all(np.isfinite(psi)):
+        raise InvalidArgument("psi must have finite amplitudes")
     re, im = (np.ascontiguousarray(part).reshape(1, 2**N_A, 2 ** (N - N_A)) for part in (psi.real, psi.imag))
     return float(_pure_entropies(re, im)[0])
 
@@ -237,14 +238,12 @@ def entanglement_entropy_pure(psi: np.ndarray, N_A: int) -> float:
 # Batched entropy samplers (Monte Carlo workhorses)
 # ---------------------------------------------------------------------------
 
-_BATCH = 2048
-# Cap on the 8-byte words of all batches in flight in the process (32 MB), whichever streams
-# they belong to; one batch takes at most a core's share of it, counted in its largest array.
-_BATCH_ELEMENTS = 1 << 22
-# A batch is reduced in at most _MAX_PIECES row pieces of at least 1 MB of its largest
-# array: smaller pieces slow the cheap samplers and strand temporaries in per-thread arenas.
+# Cap on the 8-byte words of all batches in flight in the process (16 MB): one batch takes at most a
+# core's share of it, counted in its largest array, and at most _cores() blocks draw at once.
+_BATCH_ELEMENTS = 1 << 21
+# A batch is reduced in row slices of about 1 MB of its largest array, which keeps the temporaries
+# of the reduction small and the freed memory in the allocator's hands.
 _PIECE_ELEMENTS = 1 << 17
-_MAX_PIECES = 16
 
 
 def _cores() -> int:
@@ -252,58 +251,27 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-@functools.cache
-def _pool():
-    """One reduction thread per core, at most _MAX_PIECES; None on one core.  Its threads never wait."""
-    from concurrent.futures import ThreadPoolExecutor  # here, not at import, which it would slow by ~8 ms
-
-    cores = _cores()
-    return ThreadPoolExecutor(min(cores, _MAX_PIECES), thread_name_prefix="gausspage") if cores > 1 else None
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's threads
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
 def _in_batches(count: int, per_sample: int, draw, reduce) -> np.ndarray:
     """Entropies ``reduce(*draw(b))`` over batches covering ``count``.
 
     ``draw(b)`` makes the RNG calls of a batch and nothing else, and returns
     arrays of b rows; ``reduce`` does all the arithmetic and maps each row to
-    its entropy alone, so row pieces of a batch are reduced on the pool.  A
-    piece's error is raised once every piece is done.  Each kind of draw is
-    sequential in its own generator, so the entropies do not depend on the
-    batch size.  A batch holds at most _BATCH_ELEMENTS // _cores() words (at
-    least one sample, at most _BATCH), and it is reduced and freed before the
-    next is drawn.  :func:`gausspage.stats.draw_streams` runs at most
-    _cores() streams at once, so their batches hold at most _BATCH_ELEMENTS
-    words between them, or one sample per running stream where a sample
-    alone is larger than a core's share.
+    its entropy alone, so a batch is reduced in row slices of about
+    _PIECE_ELEMENTS words.  Each kind of draw is sequential in its own
+    generator, so the entropies depend neither on the batch size nor on the
+    slices.  A batch holds at most _BATCH_ELEMENTS // _cores() words (at
+    least one sample), and it is reduced and freed before the next is drawn.
     """
-    batch = max(1, min(_BATCH, _BATCH_ELEMENTS // _cores() // per_sample))
-    piece = -(-_PIECE_ELEMENTS // per_sample)  # fewest rows in a piece
+    batch = max(1, _BATCH_ELEMENTS // _cores() // per_sample)
+    rows = -(-_PIECE_ELEMENTS // per_sample)  # rows of a slice
     out = np.empty(count)
     for start in range(0, count, batch):
-        b = min(batch, count - start)
-        _reduce_batch(out[start : start + b], draw(b), reduce, min(_MAX_PIECES, b // piece))
+        part = out[start : start + batch]
+        inputs = draw(len(part))
+        for lo in range(0, len(part), rows):
+            part[lo : lo + rows] = reduce(*(x[lo : lo + rows] for x in inputs))
+        del inputs  # freed before the next batch is drawn
     return out
-
-
-def _reduce_batch(out: np.ndarray, inputs: tuple, reduce, pieces: int) -> None:
-    """out = reduce(*inputs), in ``pieces`` row pieces on the pool; the inputs are freed on return."""
-    pool = _pool() if pieces > 1 else None
-    if pool is None:
-        out[:] = reduce(*inputs)
-        return
-    cuts = [len(out) * i // pieces for i in range(pieces + 1)]
-
-    def reduce_piece(lo: int, hi: int) -> None:
-        out[lo:hi] = reduce(*(x[lo:hi] for x in inputs))
-
-    futures = [pool.submit(reduce_piece, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    errors = [future.exception() for future in futures]  # waits for every piece
-    for error in filter(None, errors):
-        raise error
 
 
 def correlation_block(v: np.ndarray, occ: np.ndarray) -> np.ndarray:

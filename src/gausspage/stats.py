@@ -1,20 +1,21 @@
-"""Monte Carlo harness: sample streams, their moments, KS statistics, histograms.
+"""Monte Carlo harness: seeded sample blocks, their moments, KS statistics, histograms.
 
-``draw_streams`` partitions the sample budget across RNG streams derived
-from (seed, stream id), runs up to one stream per core at a time and
-concatenates their samples in stream order, so a draw is bit-reproducible
-for a given (seed, workers).  The streams fix the result; which thread runs
-a stream, how many run at once and the cores each batch's linear algebra
-runs on do not change it.  A sampler may therefore be called concurrently,
-once per stream, each time on a distinct generator.  ``mc_estimate`` takes
-the mean and the central moments of those samples in two passes.
+``draw_streams`` draws n samples in blocks of ``_BLOCK``: block b is one
+sampler call on the RNG stream (seed, b), so a draw is bit-reproducible for
+a given (seed, n), and nothing else changes it.  The blocks run on one pool
+of ``_cores()`` threads and are concatenated in block order; which thread
+runs a block and how many run at once do not change the result.  Memory is
+bounded by construction: at most ``_cores()`` blocks run at once, and each
+holds one batch of its sampler and one slice of that batch's reduction
+(:mod:`gausspage.ensembles`), besides the 8 bytes per sample of the drawn
+blocks.  ``mc_estimate`` takes the mean and the central moments of those
+samples in two passes.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,105 +49,60 @@ class MCEstimate:
         return float(np.sqrt(max(var_of_var, 0.0)))
 
 
-@functools.cache
-def _stream_pool():
-    """One stream thread per core beyond the caller's; None on one core.
+_BLOCK = 1024  # samples of one seeded block
 
-    Stream threads wait on the piece pool of :mod:`gausspage.ensembles`,
-    whose threads never wait, so they are kept apart from it.
-    """
+
+@functools.cache
+def _pool():
+    """One block thread per core."""
     from concurrent.futures import ThreadPoolExecutor  # here, not at import, which it would slow by ~8 ms
 
-    cores = _cores()
-    return ThreadPoolExecutor(cores - 1, thread_name_prefix="gausspage-stream") if cores > 1 else None
+    return ThreadPoolExecutor(_cores(), thread_name_prefix="gausspage")
 
 
-if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's stream threads
-    os.register_at_fork(after_in_child=_stream_pool.cache_clear)
+if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-class _Streams:
-    """Streams 0..count-1, started in increasing id by each thread that calls :meth:`work`.
+def draw_streams(sampler: Sampler, n: int, seed: int) -> np.ndarray:
+    """The n samples of blocks 0, 1, ..., concatenated in block order.
 
-    Each finished stream's samples are kept in its own slot, so their order
-    does not depend on which thread ran which stream.  Once a stream has
-    failed no further stream starts; every stream below it has started by
-    then, so the lowest failing stream is the one a serial run would report.
-    """
-
-    def __init__(self, run: Callable[[int], np.ndarray], count: int):
-        self._run, self._count = run, count
-        self._changed = threading.Condition()
-        self._next = 0  # the next stream to start
-        self._running = 0
-        self.samples: list[np.ndarray | None] = [None] * count
-        self.errors: dict[int, BaseException] = {}
-
-    def work(self) -> None:
-        """Run streams until none is left to start; never raises."""
-        while True:
-            with self._changed:
-                if self._next == self._count or self.errors:
-                    return
-                w = self._next
-                self._next += 1
-                self._running += 1
-            error = None
-            try:
-                self.samples[w] = self._run(w)
-            except BaseException as e:  # re-raised by draw_streams once every started stream has ended
-                error = e
-            with self._changed:
-                self._running -= 1
-                if error is not None:
-                    self.errors[w] = error
-                self._changed.notify_all()
-
-    def join(self) -> None:
-        """Start no further stream, and wait until every started one has ended."""
-        with self._changed:
-            self._count = self._next
-            self._changed.wait_for(lambda: self._running == 0)
-
-
-def draw_streams(sampler: Sampler, n: int, seed: int, workers: int = 1) -> np.ndarray:
-    """The n samples of streams 0..workers-1, concatenated in stream order.
-
-    Stream w is one ``sampler(RngStream(seed, w).generator(), count)`` call,
-    with n//workers samples plus one of the remainder.  Streams past the
-    n-th would draw nothing, so at most n are visited, and stream 0 always
-    is, so that a sampler refuses its arguments even at n = 0.  Up to one
-    stream per core runs at a time, one on the calling thread and the rest
-    on stream threads, so the sampler may be called concurrently, once per
-    stream, on distinct generators.  Every stream started has ended when
-    this returns or raises; a failure raises the error of the lowest
-    failing stream.
+    Block b is one ``sampler(RngStream(seed, b).generator(), count)`` call
+    for samples [b _BLOCK, (b + 1) _BLOCK) of the n.  Block 0 is called even
+    at n = 0, so that a sampler refuses its arguments then too.  One block
+    runs on the calling thread; more run on the pool, so the sampler may be
+    called concurrently, once per block, on distinct generators.  Once a
+    block has failed no later block starts.  Every started block has ended
+    when this returns or raises; a failure raises the error of the lowest
+    failing block, as a serial run would.
     """
     if n < 0:
         raise InvalidArgument(f"need n >= 0 samples, got {n}")
-    if workers < 1:
-        raise InvalidArgument("need at least one worker")
-    base, rem = divmod(n, workers)
+    failed: list[int] = []  # the blocks that have failed
 
-    def stream(w: int) -> np.ndarray:
-        return np.asarray(sampler(RngStream(seed, w).generator(), base + (1 if w < rem else 0)), dtype=float)
+    def block(b: int) -> np.ndarray | None:
+        if any(f < b for f in failed):  # a serial run would have stopped before this block
+            return None
+        try:
+            return np.asarray(sampler(RngStream(seed, b).generator(), min(_BLOCK, n - b * _BLOCK)), dtype=float)
+        except BaseException:
+            failed.append(b)
+            raise
 
-    visited = max(1, min(workers, n))
-    streams = _Streams(stream, visited)
-    pool = _stream_pool() if visited > 1 else None
-    for _ in range(min(visited, _cores()) - 1 if pool else 0):
-        # no one waits on these: a helper that starts late finds no stream left and returns
-        pool.submit(streams.work)
+    if n <= _BLOCK:
+        return block(0)  # no thread and no copy
+    from concurrent.futures import wait
+
+    futures = [_pool().submit(block, b) for b in range(-(-n // _BLOCK))]
     try:
-        streams.work()
-    finally:
-        streams.join()
-    if streams.errors:
-        raise streams.errors[min(streams.errors)]
-    return streams.samples[0] if visited == 1 else np.concatenate(streams.samples)  # one stream: no copy
+        return np.concatenate([future.result() for future in futures])  # raises at the lowest failing block
+    finally:  # start no further block, and wait for the running ones
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
-def mc_estimate(sampler: Sampler, n: int, seed: int, workers: int = 1) -> MCEstimate:
+def mc_estimate(sampler: Sampler, n: int, seed: int) -> MCEstimate:
     """Monte Carlo estimate of mean and variance from the n samples of :func:`draw_streams`.
 
     The mean and the central sums of the second and fourth powers are
@@ -155,7 +111,7 @@ def mc_estimate(sampler: Sampler, n: int, seed: int, workers: int = 1) -> MCEsti
     """
     if n < 2:
         raise InvalidArgument(f"need n >= 2 samples, got {n}")
-    x = draw_streams(sampler, n, seed, workers)
+    x = draw_streams(sampler, n, seed)
     mean = float(np.mean(x))
     d = x - mean
     del x  # so that at most two arrays of n samples are held at once
@@ -169,12 +125,19 @@ def mc_estimate(sampler: Sampler, n: int, seed: int, workers: int = 1) -> MCEsti
     )
 
 
+def _require_finite(*arrays: np.ndarray) -> None:
+    """Refuse a NaN or an infinity, which would sort or compare to a meaningless statistic."""
+    if not all(np.all(np.isfinite(x)) for x in arrays):
+        raise InvalidArgument("samples must be finite")
+
+
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov statistic: sup distance of ECDFs."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise InvalidArgument("samples must be non-empty")
+    _require_finite(a, b)
     pooled = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, pooled, side="right") / a.size
     cdf_b = np.searchsorted(b, pooled, side="right") / b.size
@@ -183,9 +146,11 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
 
 def ks_statistic_one_sample(samples: np.ndarray, cdf_values: np.ndarray) -> float:
     """One-sample KS statistic given the model CDF at the *sorted* samples."""
+    samples, cdf_values = np.asarray(samples, dtype=float), np.asarray(cdf_values, dtype=float)
     n = samples.size
     if n == 0:
         raise InvalidArgument("samples must be non-empty")
+    _require_finite(samples, cdf_values)
     ecdf_hi = np.arange(1, n + 1) / n
     ecdf_lo = np.arange(0, n) / n
     return float(max(np.max(np.abs(ecdf_hi - cdf_values)), np.max(np.abs(cdf_values - ecdf_lo))))
@@ -220,8 +185,7 @@ def histogram(samples: np.ndarray, bins: int, range_: tuple[float, float]) -> Hi
     if not hi > lo:
         raise InvalidArgument(f"empty range ({lo}, {hi})")
     samples = np.asarray(samples, dtype=float)
-    if not np.all(np.isfinite(samples)):  # a NaN would be in no bin and no out-of-range count
-        raise InvalidArgument("samples must be finite")
+    _require_finite(samples)  # a NaN would be in no bin and no out-of-range count
     under = int(np.sum(samples < lo))
     over = int(np.sum(samples > hi))
     counts, edges = np.histogram(samples[(samples >= lo) & (samples <= hi)], bins=bins, range=(lo, hi))

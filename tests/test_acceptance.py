@@ -53,8 +53,7 @@ def test_criterion_3_sampler_formula_equivalence():
             lambda gen, count: ensembles.gaussian_entropies(n, n_a, count, gen),
             100_000,
             seed=1001,
-            workers=4,
-        )
+            )
         exact = formulas.gaussian_average_exact(n, n_a)
         assert abs(est.mean - exact) <= 3 * est.std_error
         details.append(f"({n},{n_a}): |dm|={abs(est.mean - exact):.1e} se={est.std_error:.1e}")
@@ -70,7 +69,6 @@ def test_criterion_4_hamiltonian_eigenstate_equivalence():
         lambda gen, count: ensembles.hamiltonian_eigenstate_entropies(8, 4, count, gen),
         n_samples,
         seed=1002,
-        workers=4,
     )
     exact = formulas.gaussian_average_exact(8, 4)
     assert abs(est.mean - exact) <= 3 * est.std_error
@@ -93,7 +91,6 @@ def test_criterion_5_variance_chain():
         lambda gen, count: ensembles.gaussian_entropies(8, 4, count, gen),
         1_000_000,
         seed=1005,
-        workers=4,
     )
     var_se = est.variance_std_error()
     assert abs(est.variance - finite) <= 3 * var_se
@@ -119,7 +116,6 @@ def test_criterion_6_page_side_validation():
         lambda gen, count: ensembles.haar_pure_entropies(10, 5, count, gen),
         10_000,
         seed=1006,
-        workers=4,
     )
     exact = formulas.page_average_exact(10, 5)
     assert abs(est.mean - exact) <= 3 * est.std_error

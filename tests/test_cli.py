@@ -256,10 +256,11 @@ class TestSampleAndDist:
         assert sum(int(r[2]) for r in rows) == 300 and capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("ensemble", ENSEMBLES)
-    def test_rows_are_the_draw_of_stream_zero(self, ensemble, capsys):
+    def test_rows_are_the_draw_of_the_seeded_blocks(self, ensemble, capsys):
+        # 1500 samples: a whole block and a part of the next
         sampler = getattr(ensembles, cli._SAMPLERS[ensemble])
-        values = stats.draw_streams(lambda gen, count: sampler(6, 2, count, gen), 300, 4, workers=1)
-        common = ["--ensemble", ensemble, "--N", "6", "--NA", "2", "--samples", "300", "--seed", "4"]
+        values = stats.draw_streams(lambda gen, count: sampler(6, 2, count, gen), 1500, 4)
+        common = ["--ensemble", ensemble, "--N", "6", "--NA", "2", "--samples", "1500", "--seed", "4"]
         assert main(["sample"] + common) == EXIT_OK
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
         assert [float(entropy) for _, entropy in rows] == values.tolist()

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -481,6 +480,14 @@ class TestHaarPure:
             with pytest.raises(InvalidArgument, match="2\\^N amplitudes"):
                 entanglement_entropy_pure(np.full(size, 1.0 / np.sqrt(max(size, 1))), 1)
 
+    @pytest.mark.parametrize("N, N_A, index, bad", [(4, 2, 5, np.nan), (2, 1, 0, np.nan), (3, 1, 2, np.inf)])
+    def test_rejects_non_finite_amplitudes(self, N, N_A, index, bad):
+        # refused before the eigensolve, which would raise LinAlgError or fail the spectrum's range check
+        psi = np.full(2**N, 2 ** (-N / 2), dtype=complex)
+        psi[index] = bad
+        with pytest.raises(InvalidArgument, match="finite"):
+            entanglement_entropy_pure(psi, N_A)
+
     def test_product_state_entropy(self):
         psi = np.zeros(8, dtype=complex)
         psi[0] = 1.0
@@ -528,8 +535,7 @@ class TestBatchInvariance:
     """Each kind of draw is sequential in its own generator, so no batch split changes a bit."""
 
     @pytest.mark.parametrize("cores", [1, 2])
-    @pytest.mark.parametrize("elements", [1 << 22, 3000])
-    @pytest.mark.parametrize("batch", [1, 7, 2048])
+    @pytest.mark.parametrize("elements", [1, 3000, 1 << 22])
     @pytest.mark.parametrize(
         "sampler, N, N_A",
         [
@@ -539,107 +545,72 @@ class TestBatchInvariance:
             (haar_pure_entropies, 6, 2),  # 128 words
         ],
     )
-    def test_any_batch_split_draws_the_same_bits(self, sampler, N, N_A, batch, elements, cores, monkeypatch):
-        # 300 samples in one batch, against batches of 1, 7, or 7 to 62 samples as _BATCH_ELEMENTS and the cores allow
-        expected = sampler(N, N_A, 300, np.random.default_rng(N))
-        monkeypatch.setattr(ensembles, "_BATCH", batch)
+    def test_any_batch_split_draws_the_same_bits(self, sampler, N, N_A, elements, cores, monkeypatch):
+        # 300 samples in one batch, against batches of 1, or of 7 to 62 samples as _BATCH_ELEMENTS and the cores allow
+        with monkeypatch.context() as m:
+            m.setattr(ensembles, "_BATCH_ELEMENTS", 1 << 30)
+            expected = sampler(N, N_A, 300, np.random.default_rng(N))
         monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", elements)
         monkeypatch.setattr(ensembles, "_cores", lambda: cores)
         assert np.array_equal(sampler(N, N_A, 300, np.random.default_rng(N)), expected)
 
 
-class CountingPool:
-    """A two-thread pool that counts the pieces submitted to it."""
-
-    def __init__(self):
-        self.pool = ThreadPoolExecutor(2)
-        self.pieces = 0
-
-    def submit(self, fn, *args):
-        self.pieces += 1
-        return self.pool.submit(fn, *args)
-
-
 @pytest.fixture
-def counting_pool(monkeypatch):
-    pool = CountingPool()
-    monkeypatch.setattr(ensembles, "_pool", lambda: pool)
-    yield pool
-    pool.pool.shutdown()
+def reduced_rows(monkeypatch):
+    """The row count of each slice that a batched sampler reduces, in call order."""
+    rows, real = [], ensembles._in_batches
+
+    def counted(count, per_sample, draw, reduce):
+        def reduce_slice(*inputs):
+            rows.append(len(inputs[0]))
+            return reduce(*inputs)
+
+        return real(count, per_sample, draw, reduce_slice)
+
+    monkeypatch.setattr(ensembles, "_in_batches", counted)
+    return rows
 
 
 @pytest.mark.usefixtures("two_cores")
-class TestParallelReduction:
-    """Each batch is drawn serially and reduced in row pieces on a thread pool; batches are sized as on two cores."""
+class TestSlices:
+    """Each batch is drawn and then reduced in row slices on the calling thread; batches are sized as on two cores."""
 
-    @staticmethod
-    def one_thread(monkeypatch, sampler, N, N_A, count, seed):
-        with monkeypatch.context() as m:
-            m.setattr(ensembles, "_pool", lambda: None)  # as on one core
-            return sampler(N, N_A, count, np.random.default_rng(seed))
-
-    @pytest.mark.parametrize("pieces", [2, 7, 16])
+    @pytest.mark.parametrize("rows", [1, 7, 64])
     @pytest.mark.parametrize("N, N_A, count", [(6, 0, 303), (6, 6, 303), (7, 5, 303), (5, 2, 2049)])
     @pytest.mark.parametrize("sampler", BATCHED)
-    def test_pieces_match_one_thread(self, sampler, N, N_A, count, pieces, counting_pool, monkeypatch):
-        # N_A = 0, N_A = N, N_A > N/2, one batch plus one sample; 303 is no multiple of the piece count
-        monkeypatch.setattr(ensembles, "_PIECE_ELEMENTS", 1)
-        monkeypatch.setattr(ensembles, "_MAX_PIECES", pieces)
-        pooled = sampler(N, N_A, count, np.random.default_rng(N + count))
-        assert counting_pool.pieces == pieces  # a last batch of one sample is not split
-        assert np.array_equal(pooled, self.one_thread(monkeypatch, sampler, N, N_A, count, N + count))
+    def test_slices_match_one_whole_reduce(self, sampler, N, N_A, count, rows, reduced_rows, monkeypatch):
+        # N_A = 0, N_A = N, N_A > N/2, and 2049 samples, in one batch: slices of `rows` rows and a shorter last one
+        with monkeypatch.context() as m:
+            m.setattr(ensembles, "_PIECE_ELEMENTS", 1 << 40)
+            whole = sampler(N, N_A, count, np.random.default_rng(N + count))
+        assert reduced_rows == [count]
+        counted = ensembles._in_batches
 
-    @pytest.mark.parametrize(
-        "sampler, N, N_A, count, pieces",
-        [
-            (gaussian_entropies, 32, 10, 700, 6),  # 1280 words a sample: pieces of 103 rows or more
-            (hamiltonian_eigenstate_entropies, 16, 5, 1030, 16),  # at most 16 pieces
-            (number_conserving_entropies, 32, 10, 1500, 7),
-            (haar_pure_entropies, 12, 5, 300, 18),  # batches of 256 and 44 samples: 16 pieces, then 2
-            (gaussian_entropies, 8, 4, 1000, 1),  # 128 words a sample: too small to split
-        ],
-    )
-    def test_default_pieces(self, sampler, N, N_A, count, pieces, counting_pool, monkeypatch):
-        pooled = sampler(N, N_A, count, np.random.default_rng(count))
-        assert counting_pool.pieces == (pieces if pieces > 1 else 0)
-        assert np.array_equal(pooled, self.one_thread(monkeypatch, sampler, N, N_A, count, count))
+        def in_slices_of_rows(count, per_sample, draw, reduce):
+            monkeypatch.setattr(ensembles, "_PIECE_ELEMENTS", rows * per_sample)
+            return counted(count, per_sample, draw, reduce)
 
-    def test_more_threads_than_cores(self, monkeypatch):
-        # 16 pieces of each of three batches write their slices of one output from 8 threads
-        pool = ThreadPoolExecutor(8)
-        monkeypatch.setattr(ensembles, "_pool", lambda: pool)
-        monkeypatch.setattr(ensembles, "_PIECE_ELEMENTS", 1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(1) as caller:
-                run = caller.submit(hamiltonian_eigenstate_entropies, 5, 2, 4100, np.random.default_rng(3))
-                pooled = run.result(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-            pool.shutdown()
-        expected = self.one_thread(monkeypatch, hamiltonian_eigenstate_entropies, 5, 2, 4100, 3)
-        assert np.array_equal(pooled, expected)
+        monkeypatch.setattr(ensembles, "_in_batches", in_slices_of_rows)
+        sliced = sampler(N, N_A, count, np.random.default_rng(N + count))
+        assert reduced_rows[1:] == [rows] * (count // rows) + [count % rows] * (count % rows > 0)
+        assert np.array_equal(sliced, whole)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_makes_its_own_pool(self):
-        # a child forked after the pools exist must not wait for the parent's threads
+        # a child forked after the block pool exists must not wait for the parent's threads
         code = """if True:
             import os, signal, numpy as np
             from gausspage import ensembles, stats
-            os.sched_getaffinity = lambda pid: {0, 1}  # two cores, so that batches split and streams run at once
-            ensembles._PIECE_ELEMENTS = 1
-            def run():  # the piece pool and the stream pool
-                sampler = lambda gen, n: ensembles.gaussian_entropies(5, 2, n, gen)
-                return ensembles.gaussian_entropies(5, 2, 300, np.random.default_rng(1)), stats.mc_estimate(
-                    sampler, 600, 1, workers=2)
+            os.sched_getaffinity = lambda pid: {0, 1}  # two cores, so that blocks run at once
+            def run():  # three blocks on the pool
+                return stats.mc_estimate(lambda gen, n: ensembles.gaussian_entropies(5, 2, n, gen), 3000, 1)
 
             a = run()
             r, w = os.pipe()
             if os.fork() == 0:
                 signal.alarm(20)  # a child that hangs dies without writing
                 b = run()
-                os.write(w, b"same" if np.array_equal(a[0], b[0]) and a[1] == b[1] else b"different")
+                os.write(w, b"same" if a == b else b"different")
                 os._exit(0)
             os.close(w)
             os.wait()
@@ -650,10 +621,11 @@ class TestParallelReduction:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert out.stdout.strip() == "same"
 
-    def test_each_batch_is_freed_before_the_next_draw(self, counting_pool, monkeypatch):
-        # reduced in pieces, a batch peaks below its draw plus the previous batch's arrays
-        monkeypatch.setattr(ensembles, "_BATCH", 256)
-        monkeypatch.setattr(ensembles, "_PIECE_ELEMENTS", 16 * 2**11)  # 16 pieces of a batch of 2^11-word samples
+    def test_each_batch_is_freed_before_the_next_draw(self, reduced_rows, monkeypatch):
+        # haar-pure (10, 5) takes 2^11 words a sample: batches of 256 samples on two cores, reduced in slices
+        # of 16 rows, peak below their draw plus the previous batch's arrays
+        monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", 2 * 256 * 2**11)
+        monkeypatch.setattr(ensembles, "_PIECE_ELEMENTS", 16 * 2**11)
 
         def peak(count):
             tracemalloc.start()
@@ -665,26 +637,25 @@ class TestParallelReduction:
 
         one_batch = peak(256)
         assert peak(512) <= 1.3 * one_batch
-        assert counting_pool.pieces == 16 * 3
+        assert reduced_rows == [16] * (16 * 3)
 
-    def test_error_in_one_piece_reaches_the_cli(self, counting_pool, monkeypatch, capsys):
+    def test_error_in_one_slice_reaches_the_cli(self, monkeypatch, capsys):
         calls = itertools.count()
         real = ensembles.restrict_blocks
 
-        def fails_in_the_second_piece(blocks):
+        def fails_in_the_second_slice(blocks):
             if next(calls) == 1:
                 raise ConsistencyError("singular values of the antisymmetric block do not pair up")
             return real(blocks)
 
-        monkeypatch.setattr(ensembles, "restrict_blocks", fails_in_the_second_piece)
+        monkeypatch.setattr(ensembles, "restrict_blocks", fails_in_the_second_slice)
         argv = ["page-curve", "--mode", "mc", "--ensemble", "hamiltonian", "--N", "16", "--NA", "5", "--samples", "1030"]
         assert cli.main(argv) == cli.EXIT_NUMERICAL
         assert "do not pair up" in capsys.readouterr().err
-        assert counting_pool.pieces == next(calls) == 16  # raised once every piece had finished
 
-    def test_haar_pure_size_guard_comes_before_any_draw(self, counting_pool):
+    def test_haar_pure_size_guard_comes_before_any_draw(self, reduced_rows):
         gen = np.random.default_rng(0)
         state = gen.bit_generator.state
         with pytest.raises(ResourceLimit):
             haar_pure_entropies(HAAR_PURE_MAX_MODES + 1, 7, 10, gen)
-        assert gen.bit_generator.state == state and counting_pool.pieces == 0
+        assert gen.bit_generator.state == state and reduced_rows == []

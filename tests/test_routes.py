@@ -27,7 +27,7 @@ QUADRATURE_TOL = 1e-8  # criterion 2
 GAUSSIAN_LAW_GAP = (lambda N: 0.07 / N, lambda N: 0.014 / N)
 LIMIT_GAP = {"gaussian": GAUSSIAN_LAW_GAP, "hamiltonian": GAUSSIAN_LAW_GAP, "haar-pure": (lambda N: 2.5e-3, None)}
 MC_POINTS = [(8, 3), (10, 5)]
-MC_SAMPLES, MC_SEED, MC_WORKERS = 8_000, 4117, 2
+MC_SAMPLES, MC_SEED = 8_000, 4117
 
 
 def test_missing_cells_and_variances_are_pinned():
@@ -63,7 +63,7 @@ def test_cell_agrees_with_the_exact_cell(route, ens):
 
 def _mc_row(ens, N, k, capsys):
     argv = ["page-curve", "--mode", "mc", "--ensemble", ens, "--N", str(N), "--NA", str(k),
-            "--samples", str(MC_SAMPLES), "--seed", str(MC_SEED), "--workers", str(MC_WORKERS)]
+            "--samples", str(MC_SAMPLES), "--seed", str(MC_SEED)]
     assert main(argv) == 0
     header, row = capsys.readouterr().out.splitlines()[1:]
     return dict(zip(header.split(","), row.split(",")))
@@ -76,8 +76,8 @@ def test_exact_cell_agrees_with_monte_carlo(ens, capsys):
         row = _mc_row(ens, N, k, capsys)
         assert abs(float(row["value"]) - mean(N, k)) <= 3 * float(row["std_error"]), (N, k)
         if variance is not None:
-            # the same streams as the CLI row, for the standard error of its variance
+            # the same blocks as the CLI row, for the standard error of its variance
             sampler = getattr(ensembles, _SAMPLERS[ens])
-            est = stats.mc_estimate(lambda gen, count: sampler(N, k, count, gen), MC_SAMPLES, MC_SEED, MC_WORKERS)
+            est = stats.mc_estimate(lambda gen, count: sampler(N, k, count, gen), MC_SAMPLES, MC_SEED)
             assert (est.mean, math.sqrt(est.variance)) == (float(row["value"]), float(row["std"]))
             assert abs(est.variance - variance(N, k)) <= 3 * est.variance_std_error(), (N, k)

@@ -1,5 +1,7 @@
+import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,6 +15,7 @@ from gausspage.stats import (
     draw_streams,
     histogram,
     ks_statistic,
+    ks_statistic_one_sample,
     ks_two_sample_critical,
     mc_estimate,
 )
@@ -39,41 +42,24 @@ class TestMcEstimate:
         assert abs(est.variance - 1.0 / 12.0) <= 3 * var_se
 
     def test_deterministic(self):
-        a = mc_estimate(uniform_sampler, 10_000, seed=2, workers=4)
-        b = mc_estimate(uniform_sampler, 10_000, seed=2, workers=4)
+        a = mc_estimate(uniform_sampler, 10_000, seed=2)
+        b = mc_estimate(uniform_sampler, 10_000, seed=2)
         assert a == b
-
-    def test_worker_partition_fixed_by_stream(self):
-        # stream w draws its n/workers samples from RngStream(seed, w), whatever the call order
-        a = mc_estimate(uniform_sampler, 9999, seed=3, workers=3)
-        assert a.n == 9999
-        draws = np.concatenate([RngStream(3, w).generator().random(3333) for w in range(3)])
-        assert a.mean == pytest.approx(np.mean(draws), rel=1e-14)
-        assert a.variance == pytest.approx(np.var(draws, ddof=1), rel=1e-12)
-
-    def test_streams_past_the_samples_are_not_visited(self):
-        # with more workers than samples, streams past the n-th draw nothing: 10**12 of them cost nothing
-        counts = []
-
-        def counting(gen, n):
-            counts.append(n)
-            return gen.random(n)
-
-        assert mc_estimate(counting, 10, seed=5, workers=10**12) == mc_estimate(uniform_sampler, 10, seed=5, workers=10)
-        assert counts == [1] * 10
 
     def test_streaming_matches_two_pass(self):
         gen = np.random.default_rng(4)
         data = np.concatenate([gen.random(400_000), 1e6 * gen.random(300_000), 1e-6 * gen.random(300_000)])
 
-        idx = [0]
+        idx, lock = [0], threading.Lock()
 
-        def replay(g, n):
-            start = idx[0]
-            idx[0] += n
+        def replay(g, n):  # blocks run concurrently, so each takes the next n values in the order it asks
+            with lock:
+                start = idx[0]
+                idx[0] += n
             return data[start : start + n]
 
-        est = mc_estimate(replay, data.size, seed=0, workers=1)
+        est = mc_estimate(replay, data.size, seed=0)
+        assert idx == [data.size]
         assert est.mean == pytest.approx(np.mean(data), rel=1e-12)
         assert est.variance == pytest.approx(np.var(data, ddof=1), rel=1e-12)
 
@@ -81,30 +67,41 @@ class TestMcEstimate:
         with pytest.raises(InvalidArgument):
             mc_estimate(uniform_sampler, 1, seed=0)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1001, 3000])
     @pytest.mark.parametrize(
         "run", [uniform_sampler, lambda gen, n: ensembles.gaussian_entropies(6, 3, n, gen)], ids=["uniform", "gaussian"]
     )
-    def test_estimate_is_the_two_pass_moments_of_the_drawn_samples(self, run, workers):
-        est = mc_estimate(run, 1001, 8, workers)
-        x = draw_streams(run, 1001, 8, workers)
+    def test_estimate_is_the_two_pass_moments_of_the_drawn_samples(self, run, n):
+        est = mc_estimate(run, n, 8)
+        x = draw_streams(run, n, 8)
         d = x - np.mean(x)
-        assert est.n == x.size == 1001
+        assert est.n == x.size == n
         assert est.mean == np.mean(x)
-        assert est.variance == np.sum(d**2) / 1000
-        assert est.fourth_central == np.sum(d**4) / 1001
+        assert est.variance == np.sum(d**2) / (n - 1)
+        assert est.fourth_central == np.sum(d**4) / n
+
+
+def serial_blocks(sampler, n, seed):
+    """The samples of draw_streams drawn one block after another on this thread."""
+    sizes = [min(stats._BLOCK, n - start) for start in range(0, n, stats._BLOCK)] or [0]
+    return np.concatenate([sampler(RngStream(seed, b).generator(), size) for b, size in enumerate(sizes)])
 
 
 class TestDrawStreams:
-    @pytest.mark.parametrize("n, workers", [(9999, 3), (10, 4), (7, 1), (3, 5)])
-    def test_streams_are_concatenated_in_stream_order(self, n, workers):
-        # stream w draws n//workers samples, plus one of the remainder, in one call on RngStream(seed, w)
-        base, rem = divmod(n, workers)
-        expected = [RngStream(6, w).generator().random(base + (w < rem)) for w in range(min(workers, n))]
-        assert np.array_equal(draw_streams(uniform_sampler, n, 6, workers), np.concatenate(expected))
+    @pytest.mark.parametrize("n", [0, 1, 1024, 1025, 3000])
+    def test_blocks_are_concatenated_in_block_order(self, n):
+        # block b draws samples [1024 b, 1024 (b + 1)) of the n in one call on RngStream(seed, b)
+        calls = []
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_no_sample_still_calls_stream_zero(self, workers):
+        def counting(gen, count):
+            calls.append(count)
+            return gen.random(count)
+
+        expected = [RngStream(6, b).generator().random(min(1024, n - 1024 * b)) for b in range(max(1, -(-n // 1024)))]
+        assert np.array_equal(draw_streams(counting, n, 6), np.concatenate(expected))
+        assert sorted(calls) == sorted(len(x) for x in expected)
+
+    def test_no_sample_still_calls_block_zero(self):
         # the sampler sees its arguments even when nothing is drawn, so it can refuse them
         calls = []
 
@@ -112,18 +109,17 @@ class TestDrawStreams:
             calls.append((gen.random(), n))
             return gen.random(n)
 
-        assert draw_streams(counting, 0, 9, workers).shape == (0,)
+        assert draw_streams(counting, 0, 9).shape == (0,)
         assert calls == [(RngStream(9, 0).generator().random(), 0)]
         with pytest.raises(ensembles.ResourceLimit):
-            draw_streams(bind(ensembles.haar_pure_entropies, 15, 5), 0, 9, workers)
+            draw_streams(bind(ensembles.haar_pure_entropies, 15, 5), 0, 9)
 
-    @pytest.mark.parametrize("n, workers", [(-1, 1), (10, 0)])
-    def test_rejects_bad_counts(self, n, workers):
+    def test_rejects_bad_counts(self):
         with pytest.raises(InvalidArgument):
-            draw_streams(uniform_sampler, n, 0, workers)
+            draw_streams(uniform_sampler, -1, 0)
 
 
-# (sampler, N, N_A) of each batched sampler; batches of 64 samples give each stream several batches
+# (sampler, N, N_A) of each batched sampler
 BATCHED = [
     (ensembles.gaussian_entropies, 6, 3),
     (ensembles.hamiltonian_eigenstate_entropies, 5, 2),
@@ -137,65 +133,62 @@ def bind(sampler, N, N_A):
 
 
 @pytest.fixture
-def three_cores(monkeypatch):
-    """Streams as on three cores, whatever this machine has: the caller and two stream threads."""
-    pool = ThreadPoolExecutor(2)
-    monkeypatch.setattr(stats, "_cores", lambda: 3)
-    monkeypatch.setattr(stats, "_stream_pool", lambda: pool)
-    yield pool
-    pool.shutdown()
+def cores(monkeypatch):
+    """``cores(k)``: blocks as on k cores, whatever this machine has, on a pool that ``stats._pool`` makes for them."""
+
+    def use(k):
+        monkeypatch.setattr(stats, "_cores", lambda: k)
+        stats._pool.cache_clear()
+
+    yield use
+    if stats._pool.cache_info().currsize:
+        stats._pool().shutdown()
+    stats._pool.cache_clear()
 
 
-class TestConcurrentStreams:
-    """Up to one stream per core runs at a time; the samples are concatenated in stream order."""
+class TestConcurrentBlocks:
+    """Up to one block per core runs at a time; the samples are concatenated in block order."""
 
-    @staticmethod
-    def serial(monkeypatch, sampler, n, seed, workers):
-        with monkeypatch.context() as m:
-            m.setattr(stats, "_stream_pool", lambda: None)  # as on one core
-            return mc_estimate(sampler, n, seed, workers)
-
-    @pytest.mark.parametrize("workers", [2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("sampler, N, N_A", BATCHED)
-    def test_stream_threads_match_one_thread(self, sampler, N, N_A, workers, three_cores, monkeypatch):
-        # more streams than cores, with uneven counts: 1001 samples over 2, 3 or 5 streams
-        monkeypatch.setattr(ensembles, "_BATCH", 64)
+    def test_same_bytes_on_any_core_count(self, sampler, N, N_A, k, cores):
+        # 3000 samples: two whole blocks and a last one of 952
+        cores(k)
         run = bind(sampler, N, N_A)
-        assert mc_estimate(run, 1001, 7, workers) == self.serial(monkeypatch, run, 1001, 7, workers)
+        assert np.array_equal(draw_streams(run, 3000, 7), serial_blocks(run, 3000, 7))
 
-    @pytest.mark.parametrize("workers", [3, 5])
-    @pytest.mark.parametrize("failing", [{2}, {1, 2}])
-    def test_the_lowest_failing_stream_is_raised_once_every_stream_has_ended(self, failing, workers, three_cores):
-        # 11 samples over 3 or 5 streams; stream 2 fails at once, and the calling thread, which is most
-        # often the one to take stream 0, is done long before stream 1.  Streams past a failed one never start.
+    @pytest.mark.parametrize("blocks", [3, 5])
+    @pytest.mark.parametrize("failing", [{0}, {2}, {1, 2}])
+    def test_the_lowest_failing_block_is_raised_once_every_block_has_ended(self, failing, blocks, cores):
+        # three threads take blocks 0, 1 and 2, which run for 50, 300 and 100 ms; a failing block 2 fails at
+        # once.  Blocks past a failed one never start, and a block 0 that fails first waits for blocks 1 and 2.
+        cores(3)
         lock, busy, ended = threading.Lock(), [0], []
-        stream_of = {RngStream(1, w).generator().random(): w for w in range(workers)}
+        block_of = {RngStream(1, b).generator().random(): b for b in range(blocks)}
 
         def sampler(gen, n):
-            w = stream_of[gen.random()]
+            b = block_of[gen.random()]
             with lock:
                 busy[0] += 1
             try:
-                time.sleep((0.05, 0.3)[w] if w < 2 else 0.0)
-                if w in failing:
-                    raise ConsistencyError(f"stream {w}")
+                time.sleep((0.05, 0.3)[b] if b < 2 else 0.0 if b in failing else 0.1)
+                if b in failing:
+                    raise ConsistencyError(f"block {b}")
                 return np.zeros(n)
             finally:
                 with lock:
                     busy[0] -= 1
-                    ended.append(w)
+                    ended.append(b)
 
-        with pytest.raises(ConsistencyError, match=f"stream {min(failing)}"):
-            mc_estimate(sampler, 11, 1, workers=workers)
+        with pytest.raises(ConsistencyError, match=f"block {min(failing)}"):
+            mc_estimate(sampler, 1024 * blocks, 1)
         assert busy == [0] and sorted(ended) == [0, 1, 2]
-        assert three_cores.submit(lambda: None).result(timeout=10) is None  # no stream thread is left busy
+        assert stats._pool().submit(lambda: None).result(timeout=10) is None  # no block thread is left busy
 
-    def test_at_most_one_stream_per_core(self, monkeypatch):
-        monkeypatch.setattr(stats, "_cores", lambda: 3)
-        pool = ThreadPoolExecutor(8)  # more threads than cores: the count of streams in flight is what caps them
-        monkeypatch.setattr(stats, "_stream_pool", lambda: pool)
+    def test_at_most_one_block_per_core(self, cores):
+        cores(3)
         lock, state = threading.Lock(), {"busy": 0, "peak": 0, "calls": 0}
-        first_round = threading.Barrier(3, timeout=20)  # the first three streams run at once, or this times out
+        first_round = threading.Barrier(3, timeout=20)  # the first three blocks run at once, or this times out
 
         def sampler(gen, n):
             with lock:
@@ -212,53 +205,58 @@ class TestConcurrentStreams:
                 with lock:
                     state["busy"] -= 1
 
+        x = draw_streams(sampler, 7 * 1024 - 5, 4)
+        assert state["peak"] == 3 and state["calls"] == 7
+        assert np.array_equal(x, serial_blocks(uniform_sampler, 7 * 1024 - 5, 4))
+
+    def test_more_threads_than_cores(self, cores, monkeypatch):
+        # 41 blocks of a batched sampler on eight threads of a two-core machine, with threads switched often
+        cores(8)
+        monkeypatch.setattr(stats, "_BLOCK", 100)
+        run = bind(ensembles.hamiltonian_eigenstate_entropies, 5, 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            est = mc_estimate(sampler, 50, 4, workers=7)
-            start = time.perf_counter()
-            many = mc_estimate(sampler, 10, 5, workers=10**12)  # streams past the n-th are never started
-            seconds = time.perf_counter() - start
+            with ThreadPoolExecutor(1) as caller:
+                threaded = caller.submit(draw_streams, run, 4100, 3).result(timeout=120)
         finally:
-            pool.shutdown()
-        assert state["peak"] == 3 and state["calls"] == 7 + 10
-        assert est == self.serial(monkeypatch, uniform_sampler, 50, 4, 7)
-        assert many == self.serial(monkeypatch, uniform_sampler, 10, 5, 10) and seconds < 10
+            sys.setswitchinterval(interval)
+        assert np.array_equal(threaded, serial_blocks(run, 4100, 3))
 
     @pytest.mark.parametrize("below_a_sample", [False, True])
-    def test_batches_in_flight_stay_within_the_bound(self, below_a_sample, three_cores, monkeypatch):
+    def test_batches_in_flight_stay_within_the_bound(self, below_a_sample, cores, monkeypatch):
         # gaussian (6, 3) takes 72 words a sample; on three cores a bound of 5000 words gives batches of
-        # 1666 // 72 = 23 samples (1656 words), and at most three streams hold one batch each at a time
+        # 1666 // 72 = 23 samples (1656 words), and at most three blocks hold one batch each at a time
         lock, held, peak = threading.Lock(), [0], [0]
-        real_draw, real_reduce = ensembles._real_ginibre, ensembles._reduce_batch
+        real_draw = ensembles._real_ginibre
 
-        def draw(*args):  # a batch's words are held from its draw until it is reduced
+        def release(size):
+            with lock:
+                held[0] -= size
+
+        def draw(*args):  # a batch's words are held from its draw until it is freed
             g = real_draw(*args)
             with lock:
                 held[0] += g.size
                 peak[0] = max(peak[0], held[0])
-            time.sleep(0.001)  # while the other streams draw theirs
+            weakref.finalize(g, release, g.size)
+            time.sleep(0.001)  # while the other blocks draw theirs
             return g
 
-        def reduce_batch(out, inputs, reduce, pieces):
-            try:
-                real_reduce(out, inputs, reduce, pieces)
-            finally:
-                with lock:
-                    held[0] -= sum(x.size for x in inputs)
-
+        cores(3)
         monkeypatch.setattr(ensembles, "_cores", lambda: 3)
-        monkeypatch.setattr(ensembles, "_BATCH", 64)
+        monkeypatch.setattr(stats, "_BLOCK", 100)  # 600 samples in six blocks
         monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", 50 if below_a_sample else 5000)
         run = bind(ensembles.gaussian_entropies, 6, 3)
         with monkeypatch.context() as m:
             m.setattr(ensembles, "_real_ginibre", draw)
-            m.setattr(ensembles, "_reduce_batch", reduce_batch)
-            threaded = mc_estimate(run, 600, 2, workers=3)
+            threaded = draw_streams(run, 600, 2)
         if below_a_sample:
-            assert 72 <= peak[0] <= 3 * 72  # one sample per running stream
+            assert 72 <= peak[0] <= 3 * 72  # one sample per running block
         else:
             assert 23 * 72 <= peak[0] <= 5000
         assert held == [0]
-        assert threaded == self.serial(monkeypatch, run, 600, 2, 3)
+        assert np.array_equal(threaded, serial_blocks(run, 600, 2))
 
 
 class TestKs:
@@ -282,6 +280,17 @@ class TestKs:
     def test_rejects_empty(self):
         with pytest.raises(InvalidArgument):
             ks_statistic(np.array([]), np.array([1.0]))
+
+    @pytest.mark.parametrize("a, b", [([0.1, np.nan], [0.1, 0.2]), ([0.1, 0.2], [0.1, -np.inf])])
+    def test_rejects_non_finite_samples(self, a, b):
+        # a NaN sorts last and matches no searchsorted position, so the statistic would mean nothing
+        with pytest.raises(InvalidArgument, match="finite"):
+            ks_statistic(np.array(a), np.array(b))
+
+    @pytest.mark.parametrize("samples, cdf", [([0.1, np.nan], [0.2, np.nan]), ([0.1, 0.2], [0.2, np.nan])])
+    def test_one_sample_rejects_non_finite_input(self, samples, cdf):
+        with pytest.raises(InvalidArgument, match="finite"):
+            ks_statistic_one_sample(np.array(samples), np.array(cdf))
 
 
 class TestHistogram:

@@ -447,6 +447,18 @@ class TestErrorPaths:
 
 
 class TestSeedHandling:
+    @pytest.mark.parametrize("ensemble", ENSEMBLES)
+    @pytest.mark.parametrize("command", ["page-curve", "variance"])
+    def test_workers_change_no_output(self, command, ensemble, capsys):
+        # 1500 samples in two blocks: the output depends on the seed and the sample count only
+        argv = [command, "--ensemble", ensemble, "--N", "6", "--NA", "2", "--samples", "1500", "--seed", "3"]
+        argv += ["--mode", "mc"] if command == "page-curve" else []
+        outputs = []
+        for workers in ("1", "3", str(10**12)):
+            assert main(argv + ["--workers", workers]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0].count("\n") >= 3 and outputs[1:] == outputs[:1] * 2
+
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GAUSSIAN_PAGE_SEED", "777")
         _, a = run_cli(["variance", "--N", "4", "--NA", "2", "--samples", "100"], tmp_path, "a.csv")

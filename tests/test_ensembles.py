@@ -554,6 +554,38 @@ class TestBatchInvariance:
         monkeypatch.setattr(ensembles, "_cores", lambda: cores)
         assert np.array_equal(sampler(N, N_A, 300, np.random.default_rng(N)), expected)
 
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 7, 299])
+    @pytest.mark.parametrize(
+        "sampler, N, N_A, words",
+        [
+            (gaussian_entropies, 6, 2, 48),
+            (hamiltonian_eigenstate_entropies, 5, 2, 200),
+            (number_conserving_entropies, 6, 4, 48),
+            (haar_pure_entropies, 6, 2, 128),
+        ],
+    )
+    def test_batches_take_a_cores_share_of_the_bound(self, sampler, N, N_A, words, batch, cores, monkeypatch):
+        # the largest bound that still gives batches of `batch` samples of `words` words on `cores` cores
+        with monkeypatch.context() as m:
+            m.setattr(ensembles, "_BATCH_ELEMENTS", 1 << 30)
+            expected = sampler(N, N_A, 300, np.random.default_rng(N))
+        sizes, real = [], ensembles._in_batches
+
+        def counted(count, per_sample, draw, reduce):
+            def draw_batch(b):
+                sizes.append(b)
+                return draw(b)
+
+            assert per_sample == words
+            return real(count, per_sample, draw_batch, reduce)
+
+        monkeypatch.setattr(ensembles, "_in_batches", counted)
+        monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", (batch + 1) * cores * words - 1)
+        monkeypatch.setattr(ensembles, "_cores", lambda: cores)
+        assert np.array_equal(sampler(N, N_A, 300, np.random.default_rng(N)), expected)
+        assert sizes == [batch] * (300 // batch) + [300 % batch] * (300 % batch > 0)
+
 
 @pytest.fixture
 def reduced_rows(monkeypatch):
@@ -594,6 +626,23 @@ class TestSlices:
         sliced = sampler(N, N_A, count, np.random.default_rng(N + count))
         assert reduced_rows[1:] == [rows] * (count // rows) + [count % rows] * (count % rows > 0)
         assert np.array_equal(sliced, whole)
+
+    @pytest.mark.parametrize(
+        "sampler, N, N_A, count, rows",
+        [
+            (gaussian_entropies, 32, 10, 700, [103] * 6 + [82]),  # 1280 words a sample: slices of 103 rows
+            (hamiltonian_eigenstate_entropies, 16, 5, 1030, [64] * 16 + [6]),  # batches of 512, 512 and 6
+            (number_conserving_entropies, 32, 10, 1500, [205] * 7 + [65]),
+            (haar_pure_entropies, 12, 5, 300, [16] * 18 + [12]),  # batches of 128, 128 and 44
+            (gaussian_entropies, 8, 4, 1000, [1000]),  # 128 words a sample: a slice of 1024 rows holds the batch
+        ],
+    )
+    def test_default_slices(self, sampler, N, N_A, count, rows, reduced_rows, monkeypatch):
+        # slices of about _PIECE_ELEMENTS words, each batch at most half of _BATCH_ELEMENTS words
+        sliced = sampler(N, N_A, count, np.random.default_rng(count))
+        assert reduced_rows == rows
+        monkeypatch.setattr(ensembles, "_PIECE_ELEMENTS", 1 << 40)
+        assert np.array_equal(sliced, sampler(N, N_A, count, np.random.default_rng(count)))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_makes_its_own_pool(self):

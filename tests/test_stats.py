@@ -67,7 +67,7 @@ class TestMcEstimate:
         with pytest.raises(InvalidArgument):
             mc_estimate(uniform_sampler, 1, seed=0)
 
-    @pytest.mark.parametrize("n", [1001, 3000])
+    @pytest.mark.parametrize("n", [1001, 1024, 3000])  # part of a block, one whole block, three blocks
     @pytest.mark.parametrize(
         "run", [uniform_sampler, lambda gen, n: ensembles.gaussian_entropies(6, 3, n, gen)], ids=["uniform", "gaussian"]
     )
@@ -149,7 +149,7 @@ def cores(monkeypatch):
 class TestConcurrentBlocks:
     """Up to one block per core runs at a time; the samples are concatenated in block order."""
 
-    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("sampler, N, N_A", BATCHED)
     def test_same_bytes_on_any_core_count(self, sampler, N, N_A, k, cores):
         # 3000 samples: two whole blocks and a last one of 952

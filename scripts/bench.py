@@ -56,10 +56,10 @@ SAMPLERS = {
     "gaussian": ("gaussian_entropies", [(8, 4, 8192), (16, 8, 2048), (64, 32, 128)]),
     "hamiltonian": ("hamiltonian_eigenstate_entropies", [(8, 4, 8192), (16, 8, 2048), (64, 32, 128)]),
     "number-conserving": ("number_conserving_entropies", [(8, 4, 8192), (16, 8, 2048), (64, 32, 128)]),
-    "haar-pure": ("haar_pure_entropies", [(8, 4, 8192), (12, 6, 1024)]),
+    "haar-pure": ("haar_pure_entropies", [(8, 4, 8192), (12, 6, 1024), (40, 4, 8192)]),
 }
 # (N, N_A) of each Monte Carlo estimate timed through stats.mc_estimate, with ESTIMATE_SAMPLES samples (four
-# blocks); haar-pure stops at N = 14
+# blocks); haar-pure stays at (12, 6), where it has been timed since its sampler held 2^N amplitudes
 ESTIMATES = {"gaussian": (16, 8), "hamiltonian": (16, 8), "number-conserving": (16, 8), "haar-pure": (12, 6)}
 ESTIMATE_SAMPLES = 4096
 # single-state chains of the state-algebra workload: seeds 1..CHAIN_SEEDS per timing, N_A = N/2

@@ -12,8 +12,8 @@ never time-seeded.
 
 Exit codes: 0 success; 2 invalid arguments or option combinations, or an
 ``--out`` path that cannot be opened; 3 a resource limit (Haar-pure sampling
-above 14 modes, or a ``MemoryError``: arrays that do not fit in memory); 4 a
-failed numerical check (:class:`ConsistencyError`).
+at min(N_A, N - N_A) > 7 or N > 1024, or a ``MemoryError``: arrays that do
+not fit in memory); 4 a failed numerical check (:class:`ConsistencyError`).
 An ``--out`` that is a directory, or whose parent directory is missing, exits
 2 before any work; the file itself is opened only once every row is computed,
 so a run that fails leaves no file behind and an existing one untouched.
@@ -47,7 +47,7 @@ EXIT_NUMERICAL = 4
 # looked up at call time, so a patched module attribute is the one called.
 _SAMPLERS = {
     "gaussian": "gaussian_entropies",
-    "haar-pure": "haar_pure_entropies",  # refuses N > HAAR_PURE_MAX_MODES
+    "haar-pure": "haar_pure_entropies",  # refuses min(N_A, N - N_A) > HAAR_PURE_MAX_SIDE and N > HAAR_PURE_MAX_N
     "hamiltonian": "hamiltonian_eigenstate_entropies",
     "number-conserving": "number_conserving_entropies",
 }

@@ -3,7 +3,10 @@
 * Haar fermionic Gaussian states (orthogonal-group conjugation of J0),
 * eigenstates of random quadratic Hamiltonians,
 * eigenstates of number-conserving random Hamiltonians (entropies only),
-* Haar pure states of the full 2^N Hilbert space (small-N oracle).
+* Haar pure states of the full 2^N Hilbert space: the batched sampler draws
+  the Laguerre bidiagonal model of their reduced density matrix (Dumitriu and
+  Edelman, J. Math. Phys. 43, 5830, 2002), whose cost depends on
+  2^min(N_A, N - N_A) only; the single-state functions hold 2^N amplitudes.
 
 Every complex structure comes from one builder, :func:`pair_block`: a Haar
 state O J0 O^T and an eigenstate M^T D M are both an orthogonal frame applied
@@ -14,13 +17,14 @@ rows that lie in A and build the block [J]_A (or C_A) directly, never a full
 2N x 2N structure.  Each kind of draw comes from its own generator: a sampler
 that draws one kind (the Gaussian frame) draws it from the generator it is
 given, and one that draws several (h and the occupations; real parts,
-imaginary parts and occupations) draws each from a child generator seeded by
-that one (:func:`_kinds`).  Each kind's draws are then sequential in one
+imaginary parts and occupations; the diagonal and the subdiagonal of the
+bidiagonal model) draws each from a child generator seeded by that one
+(:func:`_kinds`).  Each kind's draws are then sequential in one
 generator, so the entropies do not depend on how the samples are split into
 batches.  Each batch is drawn, and then reduced in row slices of about 1 MB,
 on the calling thread; the draw makes only RNG calls, and every operation on
 the draws, even the antisymmetric part of a Hamiltonian or the normalisation
-of a Haar pure state, is part of the reduction.  A sample's entropy depends
+of the bidiagonal model, is part of the reduction.  A sample's entropy depends
 neither on its slice nor on its batch, so the output is the same for any core
 count.  A batched sampler may be called concurrently, once per Monte Carlo
 block, on distinct generators.  Batch memory is bounded by construction,
@@ -31,10 +35,11 @@ since each batch is freed before the next is drawn.  So the batches in
 flight hold at most ``_BATCH_ELEMENTS`` words between them.  The one
 exception is a sample larger than a core's share, which is drawn alone: then
 each running block holds that one sample.
-The single-draw functions are pure functions of an
-:class:`RngStream` and draw a batch of one through the same helpers and the
-same child generators.  Every h, random or a caller's (A, B) written as four
-real blocks by :func:`from_particle_basis`, has its modes from the real
+The single-draw functions are pure functions of an :class:`RngStream`.
+Those of the fermionic ensembles draw a batch of one through the same helpers
+and the same child generators; a Haar pure state is drawn whole, and is not a
+batch of one of the model.  Every h, random or a caller's (A, B) written as
+four real blocks by :func:`from_particle_basis`, has its modes from the real
 eigenvectors of h h^T, in oriented planes (:func:`gausspage.linalg._mode_planes`).
 """
 
@@ -56,7 +61,12 @@ from gausspage.linalg import (
 )
 from gausspage.gstates import SystemSplit, _xlogx, clip_unit, mode_entropy, restrict_blocks, subsystem_indices
 
+# Dense Haar pure states (sample_haar_pure_state) hold 2^N amplitudes.
 HAAR_PURE_MAX_MODES = 14
+# The batched haar-pure sampler diagonalises one m x m matrix a sample, m = 2^min(N_A, N - N_A), up to
+# m = 2^HAAR_PURE_MAX_SIDE = 128; and N is that of page_average_exact, its exact mean.
+HAAR_PURE_MAX_SIDE = 7
+HAAR_PURE_MAX_N = 1024
 
 
 class ResourceLimit(RuntimeError):
@@ -177,61 +187,43 @@ def _kinds(gen: np.random.Generator, kinds: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(k,)))) for k in range(kinds)]
 
 
-def _haar_pure_draw(N: int, N_A: int, gen: np.random.Generator):
-    """``draw(count)``: real and imaginary parts, each (count, 2^N_A, 2^(N - N_A)), of ``count`` unnormalised states.
+def _spectrum_entropies(lam: np.ndarray) -> np.ndarray:
+    """-sum lambda log lambda over the last axis of computed reduced density spectra.
 
-    The size guards come first, and draw nothing; the parts come from two
-    :func:`_kinds` of ``gen``.
+    Rounding may leave [0, 1], so lambda is clipped to it within ``CLAMP_TOL``.
     """
-    if N > HAAR_PURE_MAX_MODES:
-        raise ResourceLimit(f"haar pure states limited to N <= {HAAR_PURE_MAX_MODES}")
-    SystemSplit(N, N_A)
-    shape = (2**N_A, 2 ** (N - N_A))
-    re_gen, im_gen = _kinds(gen, 2)
-    return lambda count: (re_gen.standard_normal((count, *shape)), im_gen.standard_normal((count, *shape)))
-
-
-def _haar_pure_states(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Haar pure states re + i*im of a :func:`_haar_pure_draw`, normalised in place."""
-    flat_re, flat_im = re.reshape(len(re), -1), im.reshape(len(im), -1)
-    norm = np.sqrt(np.einsum("ij,ij->i", flat_re, flat_re) + np.einsum("ij,ij->i", flat_im, flat_im))[:, None, None]
-    re /= norm
-    im /= norm
-    return re, im
-
-
-def _pure_entropies(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Entropies -sum lambda log lambda of a stack of pure states re + i*im, each (..., d_A, d_B).
-
-    lambda is the spectrum of the Gram matrix on the smaller side: psi^+ psi
-    has the nonzero spectrum of psi psi^+ (S_A = S_B).  It is formed in real
-    arithmetic, psi psi^+ = re re^T + im im^T + i (im re^T - re im^T), with no
-    complex copy of psi.  Rounding may leave [0, 1], so lambda is clipped to
-    it within ``CLAMP_TOL``.
-    """
-    if re.shape[-2] > re.shape[-1]:
-        re, im = np.swapaxes(re, -2, -1), np.swapaxes(im, -2, -1)
-    x = im @ np.swapaxes(re, -2, -1)
-    gram = _complex(re @ np.swapaxes(re, -2, -1) + im @ np.swapaxes(im, -2, -1), x - np.swapaxes(x, -2, -1))
-    lam = clip_unit(np.linalg.eigvalsh(gram), "reduced density spectrum")
-    return -np.sum(_xlogx(lam), axis=-1)
+    return -np.sum(_xlogx(clip_unit(lam, "reduced density spectrum")), axis=-1)
 
 
 def sample_haar_pure_state(N: int, rng: RngStream) -> np.ndarray:
-    """Haar-random unit vector in the full 2^N-dimensional Hilbert space."""
-    return _complex(*_haar_pure_states(*_haar_pure_draw(N, N, rng.generator())(1))).reshape(-1)
+    """Haar-random unit vector in the full 2^N-dimensional Hilbert space, for N <= HAAR_PURE_MAX_MODES.
+
+    Its 2^N complex Gaussian amplitudes, normalised, have their real and
+    imaginary parts from two :func:`_kinds` of the stream's generator.
+    """
+    if N > HAAR_PURE_MAX_MODES:
+        raise ResourceLimit(f"dense haar pure states limited to N <= {HAAR_PURE_MAX_MODES}")
+    SystemSplit(N, N)
+    psi = _complex(*(part.standard_normal(2**N) for part in _kinds(rng.generator(), 2)))
+    return psi / np.linalg.norm(psi)
 
 
 def entanglement_entropy_pure(psi: np.ndarray, N_A: int) -> float:
-    """Von Neumann entropy (nats) of the first N_A qubit-modes of psi."""
+    """Von Neumann entropy (nats) of the first N_A qubit-modes of psi.
+
+    lambda is the spectrum of the Gram matrix on the smaller side: psi^+ psi
+    has the nonzero spectrum of psi psi^+ (S_A = S_B).
+    """
     N = psi.size.bit_length() - 1
     if psi.size != 2**N:  # also for size 0: 2**-1 = 0.5
         raise InvalidArgument(f"need a vector of 2^N amplitudes, got {psi.size}")
     SystemSplit(N, N_A)
     if not np.all(np.isfinite(psi)):
         raise InvalidArgument("psi must have finite amplitudes")
-    re, im = (np.ascontiguousarray(part).reshape(1, 2**N_A, 2 ** (N - N_A)) for part in (psi.real, psi.imag))
-    return float(_pure_entropies(re, im)[0])
+    mat = np.reshape(psi, (2**N_A, 2 ** (N - N_A)))
+    if N_A > N - N_A:
+        mat = mat.T
+    return float(_spectrum_entropies(np.linalg.eigvalsh(mat @ mat.conj().T)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +305,47 @@ def hamiltonian_eigenstate_entropies(
 
 
 def haar_pure_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    """Entropies of Haar pure states on the full 2^N Hilbert space."""
-    draw = _haar_pure_draw(N, N_A, gen)
+    """Entropies of Haar pure states on the full 2^N Hilbert space, through their Laguerre bidiagonal model.
 
-    def reduce(re, im):
-        return _pure_entropies(*_haar_pure_states(re, im))
+    With k = min(N_A, N - N_A), m = 2^k and n = 2^(N - k), a Haar pure state is
+    G/|G| for an m x n complex Ginibre G, and G G^+ has the law of B B^T, where
+    B is lower bidiagonal with diagonal chi_2n, chi_2(n-1), ..., chi_2(n-m+1) and
+    subdiagonal chi_2(m-1), ..., chi_2 (Dumitriu and Edelman, J. Math. Phys. 43,
+    5830, 2002).  The draw is their squares over two, Gamma(n - j) and
+    Gamma(m - 1 - j), from two :func:`_kinds`; lambda are the eigenvalues of the
+    tridiagonal T = B B^T over its trace.  The squares are divided by n before T
+    is formed, so that T does not overflow at large n.  A draw costs 2m - 1
+    gamma variates and one m x m eigensolve, whatever N is.  The size guards
+    come first, and draw nothing.
+    """
+    SystemSplit(N, N_A)
+    k = min(N_A, N - N_A)
+    if k > HAAR_PURE_MAX_SIDE or N > HAAR_PURE_MAX_N:
+        raise ResourceLimit(
+            f"haar pure sampling limited to min(N_A, N - N_A) <= {HAAR_PURE_MAX_SIDE} and N <= {HAAR_PURE_MAX_N},"
+            f" got N={N}, N_A={N_A}"
+        )
+    m = 2**k
+    n = 2.0 ** min(N - k, 1023)  # 2^1024 overflows; it is met only at k = 0, where lambda = [1] whatever is drawn
+    diag_gen, sub_gen = _kinds(gen, 2)
 
-    return _in_batches(count, 2 ** (N + 1), draw, reduce)
+    def draw(b):
+        return (diag_gen.standard_gamma(n - np.arange(m), size=(b, m)),
+                sub_gen.standard_gamma(np.arange(m - 1.0, 0.0, -1.0), size=(b, m - 1)))
+
+    def reduce(diag, sub):
+        diag, sub = diag / n, sub / n
+        trace = diag.sum(axis=1, keepdims=True) + sub.sum(axis=1, keepdims=True)
+        diag /= trace
+        sub /= trace
+        t = np.zeros((len(diag), m, m))  # its lower triangle, which eigvalsh reads
+        flat = t.reshape(len(diag), m * m)
+        flat[:, :: m + 1] = diag  # (B B^T)_jj = b_j^2 + c_(j-1)^2
+        flat[:, m + 1 :: m + 1] += sub
+        flat[:, m :: m + 1] = np.sqrt(diag[:, :-1] * sub)  # (B B^T)_(j+1)j = c_j b_j
+        return _spectrum_entropies(np.linalg.eigvalsh(t))
+
+    return _in_batches(count, m * m, draw, reduce)
 
 
 def number_conserving_entropies(

@@ -269,9 +269,9 @@ class TestSampleAndDist:
         assert counts == np.histogram(values, bins=7, range=(0.0, 2 * math.log(2.0)))[0].tolist()
 
     @pytest.mark.parametrize("command", ["sample", "dist"])
-    @pytest.mark.parametrize("N, n_a, code", [("15", "5", EXIT_RESOURCE), ("3", "5", EXIT_INVALID)])
+    @pytest.mark.parametrize("N, n_a, code", [("16", "8", EXIT_RESOURCE), ("3", "5", EXIT_INVALID)])
     def test_no_sample_still_checks_the_arguments(self, command, N, n_a, code, capsys):
-        # --samples 0 draws nothing, but the sampler still refuses haar-pure above 14 modes and N_A > N
+        # --samples 0 draws nothing, but the sampler still refuses haar-pure at min(N_A, N - N_A) > 7 and N_A > N
         assert main([command, "--ensemble", "haar-pure", "--N", N, "--NA", n_a, "--samples", "0"]) == code
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -355,6 +355,16 @@ class TestErrorPaths:
         code = main(["page-curve", "--N", "20", "--ensemble", "haar-pure", "--mode", "mc", "--samples", "10"])
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("N, n_a, samples", [(40, 4, 2000), (1024, 7, 64)])
+    def test_haar_pure_beyond_the_dense_limit(self, N, n_a, samples, capsys):
+        # the sampler's cost depends on 2^N_A only, and at N = 1024 nothing overflows
+        argv = ["page-curve", "--mode", "mc", "--ensemble", "haar-pure", "--N", str(N), "--NA", str(n_a)]
+        assert main(argv + ["--samples", str(samples)]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        row = dict(zip(out[1].split(","), out[2].split(",")))
+        error = abs(float(row["value"]) - formulas.page_average_exact(N, n_a))
+        assert error <= max(3 * float(row["std_error"]), 1e-12)
 
     @pytest.mark.parametrize("n_a", ["6", "-1"])
     def test_number_conserving_rejects_bad_subsystem(self, n_a, capsys):

@@ -20,6 +20,8 @@ from gausspage.gstates import (
 )
 from gausspage.ensembles import (
     HAAR_PURE_MAX_MODES,
+    HAAR_PURE_MAX_N,
+    HAAR_PURE_MAX_SIDE,
     ResourceLimit,
     correlation_block,
     eigenstate_structure,
@@ -454,21 +456,49 @@ class TestHaarPure:
         assert abs(s.mean() - 1.0 / 3.0) <= 3 * se
 
     def test_larger_side_uses_the_smaller_reduced_matrix(self, two_cores):
-        # N_A = N is a 2^N x 1 state: its entropy needs no 2^N x 2^N matrix
-        s = haar_pure_entropies(HAAR_PURE_MAX_MODES, HAAR_PURE_MAX_MODES, 3, RngStream(50).generator())
+        # N_A = N is a 1 x 2^N state: its entropy needs no 2^N x 2^N matrix, in the model or in the dense path
+        s = haar_pure_entropies(HAAR_PURE_MAX_N, HAAR_PURE_MAX_N, 3, RngStream(50).generator())
         assert np.all(np.abs(s) <= 1e-12)
-        # the same draws as the A-side reduced matrix of entanglement_entropy_pure
+        # the model of N_A and of N - N_A is the same m x m matrix, drawn from the same bits
         a = haar_pure_entropies(6, 4, 5, RngStream(51).generator())
-        re_gen, im_gen = ensembles._kinds(RngStream(51).generator(), 2)
-        psi = re_gen.standard_normal((5, 16, 4)) + 1j * im_gen.standard_normal((5, 16, 4))
-        ref = [entanglement_entropy_pure(p.ravel() / np.linalg.norm(p), 4) for p in psi]
-        assert np.max(np.abs(a - ref)) <= 1e-12
+        assert np.array_equal(a, haar_pure_entropies(6, 2, 5, RngStream(51).generator()))
+        # the dense entropy of N_A = 4 of 6 is that of the 16 x 16 A-side reduced matrix
+        for seed in range(5):
+            psi = sample_haar_pure_state(6, RngStream(51, seed)).reshape(16, 4)
+            lam = np.clip(np.linalg.eigvalsh(psi @ psi.conj().T), 1e-300, 1.0)
+            assert abs(entanglement_entropy_pure(psi.ravel(), 4) + np.sum(lam * np.log(lam))) <= 1e-12
 
     @pytest.mark.parametrize("N, N_A", [(2, 1), (5, 2), (6, 4), (7, 7), (9, 0), (10, 8)])
-    def test_single_draw_is_a_batch_of_one(self, N, N_A):
-        seed = 60 + N + N_A
-        single = entanglement_entropy_pure(sample_haar_pure_state(N, RngStream(seed)), N_A)
-        assert single == haar_pure_entropies(N, N_A, 1, RngStream(seed).generator())[0]
+    def test_draws_are_the_bidiagonal_model(self, N, N_A):
+        # each entropy is that of the squared singular values of the lower bidiagonal B drawn from the two kinds
+        k = min(N_A, N - N_A)
+        m, n = 2**k, 2 ** (N - k)
+        diag_gen, sub_gen = ensembles._kinds(RngStream(60 + N + N_A).generator(), 2)
+        diag = diag_gen.standard_gamma(n - np.arange(m), size=(5, m))
+        sub = sub_gen.standard_gamma(np.arange(m - 1.0, 0.0, -1.0), size=(5, m - 1))
+        for entropy, d, c in zip(haar_pure_entropies(N, N_A, 5, RngStream(60 + N + N_A).generator()), diag, sub):
+            s2 = np.linalg.svd(np.diag(np.sqrt(d)) + np.diag(np.sqrt(c), -1), compute_uv=False) ** 2
+            lam = s2 / s2.sum()
+            assert abs(entropy + np.sum(lam * np.log(lam))) <= 1e-12
+
+    @pytest.mark.parametrize("N, N_A", [(8, 2), (10, 5), (12, 6)])
+    def test_model_has_the_law_of_the_dense_states(self, N, N_A):
+        # two-sample KS: the entropies of 2000 dense 2^N-amplitude states against 2000 draws of the model
+        dense = [entanglement_entropy_pure(sample_haar_pure_state(N, RngStream(N, i)), N_A) for i in range(2000)]
+        model = haar_pure_entropies(N, N_A, 2000, RngStream(N + 1).generator())
+        assert ks_statistic(np.array(dense), model) <= ks_two_sample_critical(2000, 2000)
+
+    def test_mean_beyond_the_dense_limit(self):
+        # (40, 4): m = 16 and n = 2^36, far beyond the 2^14 amplitudes of a dense state
+        s = haar_pure_entropies(40, 4, 20_000, RngStream(53).generator())
+        se = s.std(ddof=1) / np.sqrt(s.size)
+        assert abs(s.mean() - formulas.page_average_exact(40, 4)) <= 3 * se
+
+    def test_largest_request_is_finite(self):
+        # (1024, 7): the largest m and n; the draws are divided by n before T = B B^T is formed, so nothing overflows
+        s = haar_pure_entropies(HAAR_PURE_MAX_N, HAAR_PURE_MAX_SIDE, 64, RngStream(54).generator())
+        assert np.all(np.isfinite(s))
+        assert abs(s.mean() - formulas.page_average_exact(HAAR_PURE_MAX_N, HAAR_PURE_MAX_SIDE)) <= 1e-12
 
     def test_whole_system_at_the_size_limit(self):
         # the reduced matrix of N_A = N is 1 x 1, not 2^N x 2^N
@@ -542,11 +572,11 @@ class TestBatchInvariance:
             (gaussian_entropies, 6, 2),  # 48 words a sample
             (hamiltonian_eigenstate_entropies, 5, 2),  # 200 words, and occupations
             (number_conserving_entropies, 6, 4),  # 48 words, and occupations
-            (haar_pure_entropies, 6, 2),  # 128 words
+            (haar_pure_entropies, 6, 2),  # 4^2 words
         ],
     )
     def test_any_batch_split_draws_the_same_bits(self, sampler, N, N_A, elements, cores, monkeypatch):
-        # 300 samples in one batch, against batches of 1, or of 7 to 62 samples as _BATCH_ELEMENTS and the cores allow
+        # 300 samples in one batch, against batches of 1, or of 7 to 187 samples as _BATCH_ELEMENTS and the cores allow
         with monkeypatch.context() as m:
             m.setattr(ensembles, "_BATCH_ELEMENTS", 1 << 30)
             expected = sampler(N, N_A, 300, np.random.default_rng(N))
@@ -562,7 +592,7 @@ class TestBatchInvariance:
             (gaussian_entropies, 6, 2, 48),
             (hamiltonian_eigenstate_entropies, 5, 2, 200),
             (number_conserving_entropies, 6, 4, 48),
-            (haar_pure_entropies, 6, 2, 128),
+            (haar_pure_entropies, 6, 2, 16),  # m^2 words for m = 4
         ],
     )
     def test_batches_take_a_cores_share_of_the_bound(self, sampler, N, N_A, words, batch, cores, monkeypatch):
@@ -633,7 +663,7 @@ class TestSlices:
             (gaussian_entropies, 32, 10, 700, [103] * 6 + [82]),  # 1280 words a sample: slices of 103 rows
             (hamiltonian_eigenstate_entropies, 16, 5, 1030, [64] * 16 + [6]),  # batches of 512, 512 and 6
             (number_conserving_entropies, 32, 10, 1500, [205] * 7 + [65]),
-            (haar_pure_entropies, 12, 5, 300, [16] * 18 + [12]),  # batches of 128, 128 and 44
+            (haar_pure_entropies, 12, 6, 300, [32] * 9 + [12]),  # 64^2 words a sample: batches of 256 and 44
             (gaussian_entropies, 8, 4, 1000, [1000]),  # 128 words a sample: a slice of 1024 rows holds the batch
         ],
     )
@@ -671,22 +701,22 @@ class TestSlices:
         assert out.stdout.strip() == "same"
 
     def test_each_batch_is_freed_before_the_next_draw(self, reduced_rows, monkeypatch):
-        # haar-pure (10, 5) takes 2^11 words a sample: batches of 256 samples on two cores, reduced in slices
-        # of 16 rows, peak below their draw plus the previous batch's arrays
-        monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", 2 * 256 * 2**11)
-        monkeypatch.setattr(ensembles, "_PIECE_ELEMENTS", 16 * 2**11)
+        # haar-pure (10, 3) counts 8^2 words a sample: batches of 4096 samples on two cores, reduced in slices
+        # of 64 rows, peak below their draw plus the previous batch's arrays
+        monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", 2 * 4096 * 8**2)
+        monkeypatch.setattr(ensembles, "_PIECE_ELEMENTS", 64 * 8**2)
 
         def peak(count):
             tracemalloc.start()
             try:
-                haar_pure_entropies(10, 5, count, np.random.default_rng(0))
+                haar_pure_entropies(10, 3, count, np.random.default_rng(0))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        one_batch = peak(256)
-        assert peak(512) <= 1.3 * one_batch
-        assert reduced_rows == [16] * (16 * 3)
+        one_batch = peak(4096)
+        assert peak(2 * 4096) <= 1.3 * one_batch
+        assert reduced_rows == [64] * (64 * 3)
 
     def test_error_in_one_slice_reaches_the_cli(self, monkeypatch, capsys):
         calls = itertools.count()
@@ -702,9 +732,11 @@ class TestSlices:
         assert cli.main(argv) == cli.EXIT_NUMERICAL
         assert "do not pair up" in capsys.readouterr().err
 
-    def test_haar_pure_size_guard_comes_before_any_draw(self, reduced_rows):
+    @pytest.mark.parametrize("N, N_A", [(16, 8), (HAAR_PURE_MAX_N + 1, 1)])
+    def test_haar_pure_size_guard_comes_before_any_draw(self, N, N_A, reduced_rows):
+        # m = 2^8 is beyond HAAR_PURE_MAX_SIDE, and N = 1025 beyond the exact mean's range
         gen = np.random.default_rng(0)
         state = gen.bit_generator.state
         with pytest.raises(ResourceLimit):
-            haar_pure_entropies(HAAR_PURE_MAX_MODES + 1, 7, 10, gen)
+            haar_pure_entropies(N, N_A, 10, gen)
         assert gen.bit_generator.state == state and reduced_rows == []

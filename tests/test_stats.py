@@ -112,7 +112,7 @@ class TestDrawStreams:
         assert draw_streams(counting, 0, 9).shape == (0,)
         assert calls == [(RngStream(9, 0).generator().random(), 0)]
         with pytest.raises(ensembles.ResourceLimit):
-            draw_streams(bind(ensembles.haar_pure_entropies, 15, 5), 0, 9)
+            draw_streams(bind(ensembles.haar_pure_entropies, 16, 8), 0, 9)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(InvalidArgument):

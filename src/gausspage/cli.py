@@ -132,6 +132,11 @@ def _curve_row(config: argparse.Namespace, n_a: int) -> list:
 
 def run_page_curve(config: argparse.Namespace) -> None:
     sweep = range(0, config.N // 2 + 1) if config.N_A is None else [config.N_A]
+    if config.mode == "mc" and config.N_A is None:
+        # a sampler refuses its arguments before it draws, but a sweep would draw the rows below a refused N_A
+        # first: each sees its arguments, with nothing to draw, before any row is drawn
+        for n_a in sweep:
+            stats.draw_streams(_mc_sampler(config, n_a), 0, config.seed)
     columns = ["N", "N_A", "f", "value", "std", "std_error", "samples", "mode", "ensemble"]
     rows = [_curve_row(config, n_a) for n_a in sweep]
     _emit(config, columns, rows)

@@ -356,6 +356,19 @@ class TestErrorPaths:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    def test_sweep_is_refused_before_any_row_is_drawn(self, monkeypatch, capsys):
+        # N_A = 8 of 20 is beyond the haar-pure guard: the sweep exits 3 before it draws the rows of N_A = 1..7
+        counts, real = [], ensembles.haar_pure_entropies
+
+        def counted(N, N_A, count, gen):
+            counts.append(count)
+            return real(N, N_A, count, gen)
+
+        monkeypatch.setattr(ensembles, "haar_pure_entropies", counted)
+        assert main(["page-curve", "--N", "20", "--ensemble", "haar-pure", "--mode", "mc"]) == EXIT_RESOURCE
+        assert counts and set(counts) == {0}
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("N, n_a, samples", [(40, 4, 2000), (1024, 7, 64)])
     def test_haar_pure_beyond_the_dense_limit(self, N, n_a, samples, capsys):
         # the sampler's cost depends on 2^N_A only, and at N = 1024 nothing overflows

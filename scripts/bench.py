@@ -51,9 +51,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 RUN_SECONDS = 25
-# (N, N_A) and samples per timing of each batched sampler; a timing takes about 0.1-1 s
+# (N, N_A) and samples per timing of each batched sampler; a timing takes about 0.1-1 s.  gaussian (2000, 40) and
+# haar-pure (40, 4) lie beyond the range of the dense samplers that the matrix models replaced
 SAMPLERS = {
-    "gaussian": ("gaussian_entropies", [(8, 4, 8192), (16, 8, 2048), (64, 32, 128)]),
+    "gaussian": ("gaussian_entropies", [(8, 4, 8192), (16, 8, 2048), (64, 32, 128), (2000, 40, 2048)]),
     "hamiltonian": ("hamiltonian_eigenstate_entropies", [(8, 4, 8192), (16, 8, 2048), (64, 32, 128)]),
     "number-conserving": ("number_conserving_entropies", [(8, 4, 8192), (16, 8, 2048), (64, 32, 128)]),
     "haar-pure": ("haar_pure_entropies", [(8, 4, 8192), (12, 6, 1024), (40, 4, 8192)]),

@@ -10,6 +10,13 @@ values round-trip exactly.  The default seed is a fixed constant
 variable, by an integer >= 0): this is a reproducibility-first tool,
 never time-seeded.
 
+Monte Carlo rows (``page-curve --mode mc``, ``variance``, ``dist`` and
+``sample``) come from the batched samplers of :mod:`gausspage.ensembles`.
+The gaussian and haar-pure samplers draw matrix models whose cost depends
+on min(N_A, N - N_A) only, so a gaussian request has no size limit beyond
+memory: ``page-curve --mode mc --N 2000 --NA 40`` draws one 40 x 40
+tridiagonal eigensolve a sample.
+
 Exit codes: 0 success; 2 invalid arguments or option combinations, or an
 ``--out`` path that cannot be opened; 3 a resource limit (Haar-pure sampling
 at min(N_A, N - N_A) > 7 or N > 1024, or a ``MemoryError``: arrays that do
@@ -46,7 +53,7 @@ EXIT_NUMERICAL = 4
 # Batched sampler of each ensemble, by its name in ``ensembles``.  The name is
 # looked up at call time, so a patched module attribute is the one called.
 _SAMPLERS = {
-    "gaussian": "gaussian_entropies",
+    "gaussian": "gaussian_entropies",  # the beta-Jacobi (CS) model: min(N_A, N - N_A)^2 words a sample, at any N
     "haar-pure": "haar_pure_entropies",  # refuses min(N_A, N - N_A) > HAAR_PURE_MAX_SIDE and N > HAAR_PURE_MAX_N
     "hamiltonian": "hamiltonian_eigenstate_entropies",
     "number-conserving": "number_conserving_entropies",

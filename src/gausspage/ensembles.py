@@ -1,6 +1,9 @@
 """Samplers for the four state ensembles.
 
-* Haar fermionic Gaussian states (orthogonal-group conjugation of J0),
+* Haar fermionic Gaussian states: the single state conjugates J0 by a Haar
+  orthogonal matrix, and the batched sampler draws the beta-Jacobi (CS)
+  matrix model of the restricted spectrum (Edelman and Sutton, Found.
+  Comput. Math. 8, 2008), whose cost depends on min(N_A, N - N_A) only,
 * eigenstates of random quadratic Hamiltonians,
 * eigenstates of number-conserving random Hamiltonians (entropies only),
 * Haar pure states of the full 2^N Hilbert space: the batched sampler draws
@@ -12,33 +15,35 @@ Every complex structure comes from one builder, :func:`pair_block`: a Haar
 state O J0 O^T and an eigenstate M^T D M are both an orthogonal frame applied
 to a block-diagonal reference, with the occupation signs of D absorbed into
 the frame.  The batched samplers take a live generator and are used by the
-Monte Carlo harness.  They are restriction-only: they draw or keep only the
-rows that lie in A and build the block [J]_A (or C_A) directly, never a full
-2N x 2N structure.  Each kind of draw comes from its own generator: a sampler
-that draws one kind (the Gaussian frame) draws it from the generator it is
-given, and one that draws several (h and the occupations; real parts,
+Monte Carlo harness.  Those of the two eigenstate ensembles are
+restriction-only: they keep only the rows that lie in A and build the block
+[J]_A (or C_A) directly, never a full 2N x 2N structure.  Each kind of draw
+comes from its own generator: a batched sampler draws each kind (the four
+gamma families of the Gaussian model; h and the occupations; real parts,
 imaginary parts and occupations; the diagonal and the subdiagonal of the
-bidiagonal model) draws each from a child generator seeded by that one
+Page model) from a child generator seeded by the one it is given
 (:func:`_kinds`).  Each kind's draws are then sequential in one
 generator, so the entropies do not depend on how the samples are split into
 batches.  Each batch is drawn, and then reduced in row slices of about 1 MB,
 on the calling thread; the draw makes only RNG calls, and every operation on
-the draws, even the antisymmetric part of a Hamiltonian or the normalisation
-of the bidiagonal model, is part of the reduction.  A sample's entropy depends
-neither on its slice nor on its batch, so the output is the same for any core
-count.  A batched sampler may be called concurrently, once per Monte Carlo
-block, on distinct generators.  Batch memory is bounded by construction,
-with no lock: :func:`gausspage.stats.draw_streams` runs at most ``_cores()``
-blocks at once, and a block holds one batch at a time, of at most
+the draws, even the antisymmetric part of a Hamiltonian, the Beta ratios of
+the Gaussian model or the normalisation of the Page model, is part of the
+reduction.  A sample's entropy depends neither on its slice nor on its batch,
+so the output is the same for any core count.  A batched sampler may be
+called concurrently, once per Monte Carlo block, on distinct generators.
+Batch memory is bounded by construction, with no lock:
+:func:`gausspage.stats.draw_streams` runs at most ``_cores()`` blocks at
+once, and a block holds one batch at a time, of at most
 ``_BATCH_ELEMENTS // _cores()`` words, plus the temporaries of one slice,
 since each batch is freed before the next is drawn.  So the batches in
 flight hold at most ``_BATCH_ELEMENTS`` words between them.  The one
 exception is a sample larger than a core's share, which is drawn alone: then
 each running block holds that one sample.
 The single-draw functions are pure functions of an :class:`RngStream`.
-Those of the fermionic ensembles draw a batch of one through the same helpers
-and the same child generators; a Haar pure state is drawn whole, and is not a
-batch of one of the model.  Every h, random or a caller's (A, B) written as
+A single Hamiltonian draws a batch of one through the same helpers and the
+same child generator; a Gaussian state and a Haar pure state are drawn
+whole, not as batches of one of their models, and the tests hold each
+model's law against them.  Every h, random or a caller's (A, B) written as
 four real blocks by :func:`from_particle_basis`, has its modes from the real
 eigenvectors of h h^T, in oriented planes (:func:`gausspage.linalg._mode_planes`).
 """
@@ -55,7 +60,6 @@ from gausspage.linalg import (
     RngStream,
     _haar_q,
     _mode_planes,
-    _real_ginibre,
     antisym_canonical,
     haar_orthogonal,
 )
@@ -266,20 +270,57 @@ def _in_batches(count: int, per_sample: int, draw, reduce) -> np.ndarray:
     return out
 
 
+def _tridiagonal_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of symmetric tridiagonal matrices: diagonals (b, m), subdiagonals (b, m - 1)."""
+    b, m = diag.shape
+    t = np.zeros((b, m, m))  # its lower triangle, which eigvalsh reads
+    flat = t.reshape(b, m * m)
+    flat[:, :: m + 1] = diag
+    flat[:, m :: m + 1] = off
+    return np.linalg.eigvalsh(t)
+
+
 def correlation_block(v: np.ndarray, occ: np.ndarray) -> np.ndarray:
     """C_A = V^+ diag(n) V for V = U_A^+, the A rows of the unitary U as a frame."""
     return (np.swapaxes(v.conj(), -2, -1) * occ[..., None, :]) @ v
 
 
 def gaussian_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    """Entropies of `count` Haar Gaussian states; the A rows of O are a Haar frame."""
+    """Entropies of `count` Haar Gaussian states, through the beta-Jacobi (CS) matrix model of their restriction.
+
+    The squares y = x^2 of the paired singular values of [J]_A are a beta = 2
+    Jacobi ensemble of m = min(N_A, N - N_A) levels, with weight
+    y^(-1/2) (1 - y)^Delta and Delta = |N - 2 N_A|.  Its CS model (Edelman and
+    Sutton, Found. Comput. Math. 8, 2008, with a = -1/2 and b = Delta) has y as
+    the squared singular values of the upper bidiagonal B with diagonal
+    c_m, c_(m-1) s'_(m-1), ..., c_1 s'_1 and superdiagonal
+    -s_m c'_(m-1), ..., -s_2 c'_1, where c_k^2 ~ Beta(k - 1/2, Delta + k) and
+    c'_k^2 ~ Beta(k, Delta + k + 1/2), independent, and s^2 = 1 - c^2.  Each
+    Beta pair is drawn as U/(U + V) and V/(U + V) of two gamma variates, four
+    :func:`_kinds` in all, so that 1 - c^2 is never formed; y are the
+    eigenvalues of the tridiagonal B B^T.  A draw costs 4m - 2 gamma variates
+    and one m x m eigensolve, whatever N is.
+    """
     SystemSplit(N, N_A)
+    m, delta = min(N_A, N - N_A), abs(N - 2 * N_A)
+    k = np.arange(m, 0, -1.0)  # c_m, ..., c_1; then c'_(m-1), ..., c'_1
+    shapes = (k - 0.5, delta + k, k[1:], delta + k[1:] + 0.5)
+    kinds = _kinds(gen, 4)
 
-    def reduce(g):
-        rows = np.swapaxes(_haar_q(g), -2, -1)
-        return mode_entropy(restrict_blocks(pair_block(rows[..., :N], rows[..., N:]))).sum(axis=1)
+    def draw(b):
+        return tuple(kind.standard_gamma(shape, size=(b, len(shape))) for kind, shape in zip(kinds, shapes))
 
-    return _in_batches(count, 4 * N * max(N_A, 1), lambda b: (_real_ginibre(2 * N, b, gen, 2 * N_A),), reduce)
+    def reduce(u, v, up, vp):
+        total, total_p = u + v, up + vp
+        diag = u / total  # B_00^2 = c_m^2, and B_jj^2 = c_(m-j)^2 s'_(m-j)^2
+        diag[:, 1:] *= vp / total_p
+        sup = v[:, :-1] / total[:, :-1] * (up / total_p)  # B_j(j+1)^2 = s_(m-j)^2 c'_(m-j-1)^2
+        off = np.sqrt(sup * diag[:, 1:])  # |(B B^T)_(j+1)j| = |B_j(j+1)| B_(j+1)(j+1)
+        diag[:, :-1] += sup  # (B B^T)_jj = B_jj^2 + B_j(j+1)^2
+        y = clip_unit(_tridiagonal_eigvalsh(diag, off), "squared restricted spectrum")
+        return mode_entropy(np.sqrt(y)).sum(axis=1)
+
+    return _in_batches(count, max(m, 1) ** 2, draw, reduce)
 
 
 def hamiltonian_eigenstate_entropies(
@@ -338,12 +379,9 @@ def haar_pure_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) 
         trace = diag.sum(axis=1, keepdims=True) + sub.sum(axis=1, keepdims=True)
         diag /= trace
         sub /= trace
-        t = np.zeros((len(diag), m, m))  # its lower triangle, which eigvalsh reads
-        flat = t.reshape(len(diag), m * m)
-        flat[:, :: m + 1] = diag  # (B B^T)_jj = b_j^2 + c_(j-1)^2
-        flat[:, m + 1 :: m + 1] += sub
-        flat[:, m :: m + 1] = np.sqrt(diag[:, :-1] * sub)  # (B B^T)_(j+1)j = c_j b_j
-        return _spectrum_entropies(np.linalg.eigvalsh(t))
+        off = np.sqrt(diag[:, :-1] * sub)  # (B B^T)_(j+1)j = c_j b_j
+        diag[:, 1:] += sub  # (B B^T)_jj = b_j^2 + c_(j-1)^2
+        return _spectrum_entropies(_tridiagonal_eigvalsh(diag, off))
 
     return _in_batches(count, m * m, draw, reduce)
 

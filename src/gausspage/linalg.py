@@ -67,15 +67,10 @@ def haar_orthogonal_batch(
     Shape (count, dim, cols), ``cols`` defaulting to ``dim``; fewer columns
     draw and factor only a dim x cols Ginibre stack.
     """
-    return _haar_q(_real_ginibre(dim, count, gen, cols))
-
-
-def _real_ginibre(dim: int, count: int, gen: np.random.Generator, cols: int | None = None) -> np.ndarray:
-    """The Ginibre stack whose :func:`_haar_q` is :func:`haar_orthogonal_batch`."""
     cols = dim if cols is None else cols
     if dim < 2 or dim % 2 != 0 or not 0 <= cols <= dim:
         raise InvalidArgument(f"need even dim >= 2 and 0 <= cols <= dim, got dim={dim}, cols={cols}")
-    return gen.standard_normal((count, dim, cols))
+    return _haar_q(gen.standard_normal((count, dim, cols)))
 
 
 # A plane is split anew where max|h u2_k - w_k u1_k| > PLANE_TOL |h|; a generic h stays below 1e-13 |h|.

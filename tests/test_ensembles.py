@@ -37,8 +37,8 @@ from gausspage.ensembles import (
     sample_haar_pure_state,
     sample_random_hamiltonian,
 )
-from gausspage import cli, ensembles, formulas
-from gausspage.stats import ks_statistic, ks_two_sample_critical
+from gausspage import cli, ensembles, formulas, rmt, stats
+from gausspage.stats import ks_one_sample_critical, ks_statistic, ks_statistic_one_sample, ks_two_sample_critical
 
 
 @pytest.fixture
@@ -91,6 +91,70 @@ class TestGaussianSampler:
         a = sample_gaussian_state(3, RngStream(5, 1))
         b = sample_gaussian_state(3, RngStream(5, 1))
         assert np.array_equal(a, b)
+
+
+class TestGaussianModel:
+    """The batched Gaussian sampler draws the beta-Jacobi (CS) model; the dense single state is its reference."""
+
+    @pytest.mark.parametrize("N, N_A", [(2, 1), (5, 2), (9, 5), (16, 11), (200, 50), (10**5, 3)])
+    def test_draws_are_the_gaussian_model(self, N, N_A):
+        # each entropy is sum s(x) over the singular values x of the upper bidiagonal B (Edelman and Sutton,
+        # a = -1/2, b = Delta) whose c_k^2 and c'_k^2 are U/(U + V) of the four kinds' gamma draws
+        m, delta = min(N_A, N - N_A), abs(N - 2 * N_A)
+        seed = RngStream(70 + N + N_A)
+        kinds = ensembles._kinds(seed.generator(), 4)
+        k = np.arange(m, 0, -1.0)
+        u, v = kinds[0].standard_gamma(k - 0.5, size=(5, m)), kinds[1].standard_gamma(delta + k, size=(5, m))
+        up = kinds[2].standard_gamma(k[1:], size=(5, m - 1))
+        vp = kinds[3].standard_gamma(delta + k[1:] + 0.5, size=(5, m - 1))
+        for i, entropy in enumerate(gaussian_entropies(N, N_A, 5, seed.generator())):
+            c = dict(zip(range(m, 0, -1), np.sqrt(u[i] / (u[i] + v[i]))))
+            s = dict(zip(range(m, 0, -1), np.sqrt(v[i] / (u[i] + v[i]))))
+            cp = dict(zip(range(m - 1, 0, -1), np.sqrt(up[i] / (up[i] + vp[i]))))
+            sp = dict(zip(range(m - 1, 0, -1), np.sqrt(vp[i] / (up[i] + vp[i]))))
+            b = np.zeros((m, m))
+            b[0, 0] = c[m]
+            for j in range(1, m):
+                b[j, j] = c[m - j] * sp[m - j]
+                b[j - 1, j] = -s[m - j + 1] * cp[m - j]
+            x = np.linalg.svd(b, compute_uv=False)
+            assert abs(entropy - entropy_from_spectrum(x)) <= 1e-12
+
+    @pytest.mark.parametrize("N, N_A", [(4, 2), (9, 4), (12, 5), (16, 11)])
+    def test_model_has_the_law_of_the_dense_states(self, N, N_A):
+        # two-sample KS: 2000 restrictions of dense Haar states against 2000 model draws; (16, 11) has
+        # N_A > N/2 and odd Delta
+        split = SystemSplit(N, N_A)
+        dense = [entropy_from_spectrum(restrict(sample_gaussian_state(N, RngStream(N, i)), split)) for i in range(2000)]
+        model = gaussian_entropies(N, N_A, 2000, RngStream(N + 1).generator())
+        assert ks_statistic(np.array(dense), model) <= ks_two_sample_critical(2000, 2000)
+
+    @pytest.mark.parametrize("N, N_A, count", [(2000, 40, 10_000), (10**5, 3, 20_000)])
+    def test_mean_beyond_the_dense_limit(self, N, N_A, count):
+        # a dense draw would QR-factor a 2N x 2N_A frame; a model draw costs m = N_A levels, whatever N is
+        s = gaussian_entropies(N, N_A, count, RngStream(N_A + 80).generator())
+        se = s.std(ddof=1) / np.sqrt(s.size)
+        assert abs(s.mean() - formulas.gaussian_average_exact(N, N_A)) <= 3 * se
+
+    def test_variance_is_the_finite_N_closed_form(self):
+        est = stats.mc_estimate(lambda gen, n: gaussian_entropies(64, 32, n, gen), 100_000, 81)
+        assert abs(est.variance - formulas.variance_finite_N(64, 32)) <= 3 * est.variance_std_error()
+
+    def test_pooled_spectrum_has_the_kernel_density(self, monkeypatch):
+        # one-sample KS of the pooled x at (8, 2) against the CDF of rmt's level density: Monte Carlo tied to
+        # quadrature directly, as criterion 9 ties the dense frames
+        pooled, real = [], ensembles.mode_entropy
+
+        def recorded(x):
+            pooled.append(x.ravel())
+            return real(x)
+
+        monkeypatch.setattr(ensembles, "mode_entropy", recorded)
+        gaussian_entropies(8, 2, 100_000, RngStream(82).generator())
+        xs = np.sort(np.concatenate(pooled))
+        assert xs.size == 200_000
+        ks = ks_statistic_one_sample(xs, rmt.density_cdf(rmt.build_kernel_ctx(2, 4), xs))
+        assert ks < ks_one_sample_critical(xs.size)
 
 
 class TestRestrictionOnlyBlocks:
@@ -569,7 +633,7 @@ class TestBatchInvariance:
     @pytest.mark.parametrize(
         "sampler, N, N_A",
         [
-            (gaussian_entropies, 6, 2),  # 48 words a sample
+            (gaussian_entropies, 9, 5),  # 4^2 words, from four kinds
             (hamiltonian_eigenstate_entropies, 5, 2),  # 200 words, and occupations
             (number_conserving_entropies, 6, 4),  # 48 words, and occupations
             (haar_pure_entropies, 6, 2),  # 4^2 words
@@ -589,7 +653,7 @@ class TestBatchInvariance:
     @pytest.mark.parametrize(
         "sampler, N, N_A, words",
         [
-            (gaussian_entropies, 6, 2, 48),
+            (gaussian_entropies, 9, 5, 16),  # m^2 words for m = 4
             (hamiltonian_eigenstate_entropies, 5, 2, 200),
             (number_conserving_entropies, 6, 4, 48),
             (haar_pure_entropies, 6, 2, 16),  # m^2 words for m = 4
@@ -660,11 +724,11 @@ class TestSlices:
     @pytest.mark.parametrize(
         "sampler, N, N_A, count, rows",
         [
-            (gaussian_entropies, 32, 10, 700, [103] * 6 + [82]),  # 1280 words a sample: slices of 103 rows
+            (gaussian_entropies, 2000, 40, 700, [82] * 7 + [81, 45]),  # 40^2 words a sample: batches of 655 and 45
             (hamiltonian_eigenstate_entropies, 16, 5, 1030, [64] * 16 + [6]),  # batches of 512, 512 and 6
             (number_conserving_entropies, 32, 10, 1500, [205] * 7 + [65]),
             (haar_pure_entropies, 12, 6, 300, [32] * 9 + [12]),  # 64^2 words a sample: batches of 256 and 44
-            (gaussian_entropies, 8, 4, 1000, [1000]),  # 128 words a sample: a slice of 1024 rows holds the batch
+            (gaussian_entropies, 8, 4, 1000, [1000]),  # 4^2 words a sample: a slice of 8192 rows holds the batch
         ],
     )
     def test_default_slices(self, sampler, N, N_A, count, rows, reduced_rows, monkeypatch):

@@ -225,36 +225,41 @@ class TestConcurrentBlocks:
 
     @pytest.mark.parametrize("below_a_sample", [False, True])
     def test_batches_in_flight_stay_within_the_bound(self, below_a_sample, cores, monkeypatch):
-        # gaussian (6, 3) takes 72 words a sample; on three cores a bound of 5000 words gives batches of
-        # 1666 // 72 = 23 samples (1656 words), and at most three blocks hold one batch each at a time
+        # gaussian (10, 5) counts 5^2 = 25 words a sample and draws 18 gamma variates; on three cores a bound of
+        # 5000 words gives batches of 1666 // 25 = 66 samples (1188 drawn words), and at most three blocks hold
+        # one batch each at a time
         lock, held, peak = threading.Lock(), [0], [0]
-        real_draw = ensembles._real_ginibre
+        real_in_batches = ensembles._in_batches
 
         def release(size):
             with lock:
                 held[0] -= size
 
-        def draw(*args):  # a batch's words are held from its draw until it is freed
-            g = real_draw(*args)
-            with lock:
-                held[0] += g.size
-                peak[0] = max(peak[0], held[0])
-            weakref.finalize(g, release, g.size)
-            time.sleep(0.001)  # while the other blocks draw theirs
-            return g
+        def in_batches(count, per_sample, draw, reduce):
+            def held_draw(b):  # a batch's words are held from its draw until it is freed
+                arrays = draw(b)
+                with lock:
+                    held[0] += sum(x.size for x in arrays)
+                    peak[0] = max(peak[0], held[0])
+                for x in arrays:
+                    weakref.finalize(x, release, x.size)
+                time.sleep(0.001)  # while the other blocks draw theirs
+                return arrays
+
+            return real_in_batches(count, per_sample, held_draw, reduce)
 
         cores(3)
         monkeypatch.setattr(ensembles, "_cores", lambda: 3)
         monkeypatch.setattr(stats, "_BLOCK", 100)  # 600 samples in six blocks
         monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", 50 if below_a_sample else 5000)
-        run = bind(ensembles.gaussian_entropies, 6, 3)
+        run = bind(ensembles.gaussian_entropies, 10, 5)
         with monkeypatch.context() as m:
-            m.setattr(ensembles, "_real_ginibre", draw)
+            m.setattr(ensembles, "_in_batches", in_batches)
             threaded = draw_streams(run, 600, 2)
         if below_a_sample:
-            assert 72 <= peak[0] <= 3 * 72  # one sample per running block
+            assert 18 <= peak[0] <= 3 * 18  # one sample per running block
         else:
-            assert 23 * 72 <= peak[0] <= 5000
+            assert 66 * 18 <= peak[0] <= 5000
         assert held == [0]
         assert np.array_equal(threaded, serial_blocks(run, 600, 2))
 

@@ -12,10 +12,11 @@ never time-seeded.
 
 Monte Carlo rows (``page-curve --mode mc``, ``variance``, ``dist`` and
 ``sample``) come from the batched samplers of :mod:`gausspage.ensembles`.
-The gaussian and haar-pure samplers draw matrix models whose cost depends
-on min(N_A, N - N_A) only, so a gaussian request has no size limit beyond
-memory: ``page-curve --mode mc --N 2000 --NA 40`` draws one 40 x 40
-tridiagonal eigensolve a sample.
+The gaussian, number-conserving and haar-pure samplers draw matrix models
+whose cost depends on min(N_A, N - N_A) only, so a gaussian or
+number-conserving request has no size limit beyond memory:
+``page-curve --mode mc --N 2000 --NA 40`` draws one 40 x 40 tridiagonal
+eigensolve a sample.
 
 Exit codes: 0 success; 2 invalid arguments or option combinations, or an
 ``--out`` path that cannot be opened; 3 a resource limit (Haar-pure sampling
@@ -56,7 +57,7 @@ _SAMPLERS = {
     "gaussian": "gaussian_entropies",  # the beta-Jacobi (CS) model: min(N_A, N - N_A)^2 words a sample, at any N
     "haar-pure": "haar_pure_entropies",  # refuses min(N_A, N - N_A) > HAAR_PURE_MAX_SIDE and N > HAAR_PURE_MAX_N
     "hamiltonian": "hamiltonian_eigenstate_entropies",
-    "number-conserving": "number_conserving_entropies",
+    "number-conserving": "number_conserving_entropies",  # the same CS model at a Binomial(N, 1/2) particle number
 }
 ENSEMBLES = tuple(_SAMPLERS)
 MODES = ("exact", "quadrature", "mc", "limit")

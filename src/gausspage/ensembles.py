@@ -5,7 +5,11 @@
   matrix model of the restricted spectrum (Edelman and Sutton, Found.
   Comput. Math. 8, 2008), whose cost depends on min(N_A, N - N_A) only,
 * eigenstates of random quadratic Hamiltonians,
-* eigenstates of number-conserving random Hamiltonians (entropies only),
+* eigenstates of number-conserving random Hamiltonians, with uniform
+  occupations: the batched sampler (there is no single-state one) draws the
+  particle number and then the beta-Jacobi (CS) model of the spectrum of
+  C_A, padded to min(N_A, N - N_A) levels, so its cost depends on
+  min(N_A, N - N_A) only,
 * Haar pure states of the full 2^N Hilbert space: the batched sampler draws
   the Laguerre bidiagonal model of their reduced density matrix (Dumitriu and
   Edelman, J. Math. Phys. 43, 5830, 2002), whose cost depends on
@@ -15,22 +19,24 @@ Every complex structure comes from one builder, :func:`pair_block`: a Haar
 state O J0 O^T and an eigenstate M^T D M are both an orthogonal frame applied
 to a block-diagonal reference, with the occupation signs of D absorbed into
 the frame.  The batched samplers take a live generator and are used by the
-Monte Carlo harness.  Those of the two eigenstate ensembles are
-restriction-only: they keep only the rows that lie in A and build the block
-[J]_A (or C_A) directly, never a full 2N x 2N structure.  Each kind of draw
-comes from its own generator: a batched sampler draws each kind (the four
-gamma families of the Gaussian model; h and the occupations; real parts,
-imaginary parts and occupations; the diagonal and the subdiagonal of the
-Page model) from a child generator seeded by the one it is given
+Monte Carlo harness.  The Hamiltonian one is restriction-only: it keeps only
+the rows that lie in A and builds the block [J]_A directly, never a full
+2N x 2N structure.  Each kind of draw comes from its own generator: a
+batched sampler draws each kind (the four gamma families of the Gaussian
+model; h and the occupations; the particle number and the four gamma
+families of the number-conserving model; the diagonal and the subdiagonal
+of the Page model) from a child generator seeded by the one it is given
 (:func:`_kinds`).  Each kind's draws are then sequential in one
 generator, so the entropies do not depend on how the samples are split into
 batches.  Each batch is drawn, and then reduced in row slices of about 1 MB,
-on the calling thread; the draw makes only RNG calls, and every operation on
-the draws, even the antisymmetric part of a Hamiltonian, the Beta ratios of
-the Gaussian model or the normalisation of the Page model, is part of the
-reduction.  A sample's entropy depends neither on its slice nor on its batch,
-so the output is the same for any core count.  A batched sampler may be
-called concurrently, once per Monte Carlo block, on distinct generators.
+on the calling thread; the draw makes only RNG calls (and, for the
+number-conserving model, derives their shapes from the particle number),
+and every operation on the draws, even the antisymmetric part of a
+Hamiltonian, the Beta ratios of the CS models or the normalisation of the
+Page model, is part of the reduction.  A sample's entropy depends neither on
+its slice nor on its batch, so the output is the same for any core count.
+A batched sampler may be called concurrently, once per Monte Carlo block, on
+distinct generators.
 Batch memory is bounded by construction, with no lock:
 :func:`gausspage.stats.draw_streams` runs at most ``_cores()`` blocks at
 once, and a block holds one batch at a time, of at most
@@ -43,9 +49,11 @@ The single-draw functions are pure functions of an :class:`RngStream`.
 A single Hamiltonian draws a batch of one through the same helpers and the
 same child generator; a Gaussian state and a Haar pure state are drawn
 whole, not as batches of one of their models, and the tests hold each
-model's law against them.  Every h, random or a caller's (A, B) written as
-four real blocks by :func:`from_particle_basis`, has its modes from the real
-eigenvectors of h h^T, in oriented planes (:func:`gausspage.linalg._mode_planes`).
+model's law against them (and that of the number-conserving model against a
+dense frame sampler of their own).  Every h, random or a caller's (A, B)
+written as four real blocks by :func:`from_particle_basis`, has its modes
+from the real eigenvectors of h h^T, in oriented planes
+(:func:`gausspage.linalg._mode_planes`).
 """
 
 from __future__ import annotations
@@ -58,7 +66,6 @@ import numpy as np
 from gausspage.linalg import (
     InvalidArgument,
     RngStream,
-    _haar_q,
     _mode_planes,
     antisym_canonical,
     haar_orthogonal,
@@ -280,9 +287,25 @@ def _tridiagonal_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(t)
 
 
-def correlation_block(v: np.ndarray, occ: np.ndarray) -> np.ndarray:
-    """C_A = V^+ diag(n) V for V = U_A^+, the A rows of the unitary U as a frame."""
-    return (np.swapaxes(v.conj(), -2, -1) * occ[..., None, :]) @ v
+def _cs_levels(u: np.ndarray, v: np.ndarray, up: np.ndarray, vp: np.ndarray) -> np.ndarray:
+    """Levels y of stacked beta-Jacobi (CS) models, from the gamma pairs of their Beta entries.
+
+    With c_k^2 = U/(U + V) and s_k^2 = V/(U + V) for the columns k = m, ..., 1 of
+    (u, v), and c'_k^2, s'_k^2 likewise for the columns k = m - 1, ..., 1 of
+    (up, vp), B is upper bidiagonal with diagonal c_m, c_(m-1) s'_(m-1), ...,
+    c_1 s'_1 and superdiagonal -s_m c'_(m-1), ..., -s_2 c'_1 (Edelman and
+    Sutton, Found. Comput. Math. 8, 2008); y are the eigenvalues of the
+    tridiagonal B B^T, in [0, 1] by ``clip_unit``'s range check.  1 - c^2 is
+    never formed.  Where u is 0 in the leading columns and up from the same
+    column on, those rows of B are 0, and each adds a level y = 0 exactly.
+    """
+    total, total_p = u + v, up + vp
+    diag = u / total  # B_00^2 = c_m^2, and B_jj^2 = c_(m-j)^2 s'_(m-j)^2
+    diag[:, 1:] *= vp / total_p
+    sup = v[:, :-1] / total[:, :-1] * (up / total_p)  # B_j(j+1)^2 = s_(m-j)^2 c'_(m-j-1)^2
+    off = np.sqrt(sup * diag[:, 1:])  # |(B B^T)_(j+1)j| = |B_j(j+1)| B_(j+1)(j+1)
+    diag[:, :-1] += sup  # (B B^T)_jj = B_jj^2 + B_j(j+1)^2
+    return clip_unit(_tridiagonal_eigvalsh(diag, off), "CS model spectrum")
 
 
 def gaussian_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -290,16 +313,12 @@ def gaussian_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -
 
     The squares y = x^2 of the paired singular values of [J]_A are a beta = 2
     Jacobi ensemble of m = min(N_A, N - N_A) levels, with weight
-    y^(-1/2) (1 - y)^Delta and Delta = |N - 2 N_A|.  Its CS model (Edelman and
-    Sutton, Found. Comput. Math. 8, 2008, with a = -1/2 and b = Delta) has y as
-    the squared singular values of the upper bidiagonal B with diagonal
-    c_m, c_(m-1) s'_(m-1), ..., c_1 s'_1 and superdiagonal
-    -s_m c'_(m-1), ..., -s_2 c'_1, where c_k^2 ~ Beta(k - 1/2, Delta + k) and
-    c'_k^2 ~ Beta(k, Delta + k + 1/2), independent, and s^2 = 1 - c^2.  Each
-    Beta pair is drawn as U/(U + V) and V/(U + V) of two gamma variates, four
-    :func:`_kinds` in all, so that 1 - c^2 is never formed; y are the
-    eigenvalues of the tridiagonal B B^T.  A draw costs 4m - 2 gamma variates
-    and one m x m eigensolve, whatever N is.
+    y^(-1/2) (1 - y)^Delta and Delta = |N - 2 N_A|.  Its CS model
+    (:func:`_cs_levels`, with a = -1/2 and b = Delta) has
+    c_k^2 ~ Beta(k - 1/2, Delta + k) and c'_k^2 ~ Beta(k, Delta + k + 1/2),
+    independent.  Each Beta pair is drawn as U/(U + V) and V/(U + V) of two
+    gamma variates, four :func:`_kinds` in all.  A draw costs 4m - 2 gamma
+    variates and one m x m eigensolve, whatever N is.
     """
     SystemSplit(N, N_A)
     m, delta = min(N_A, N - N_A), abs(N - 2 * N_A)
@@ -311,14 +330,7 @@ def gaussian_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -
         return tuple(kind.standard_gamma(shape, size=(b, len(shape))) for kind, shape in zip(kinds, shapes))
 
     def reduce(u, v, up, vp):
-        total, total_p = u + v, up + vp
-        diag = u / total  # B_00^2 = c_m^2, and B_jj^2 = c_(m-j)^2 s'_(m-j)^2
-        diag[:, 1:] *= vp / total_p
-        sup = v[:, :-1] / total[:, :-1] * (up / total_p)  # B_j(j+1)^2 = s_(m-j)^2 c'_(m-j-1)^2
-        off = np.sqrt(sup * diag[:, 1:])  # |(B B^T)_(j+1)j| = |B_j(j+1)| B_(j+1)(j+1)
-        diag[:, :-1] += sup  # (B B^T)_jj = B_jj^2 + B_j(j+1)^2
-        y = clip_unit(_tridiagonal_eigvalsh(diag, off), "squared restricted spectrum")
-        return mode_entropy(np.sqrt(y)).sum(axis=1)
+        return mode_entropy(np.sqrt(_cs_levels(u, v, up, vp))).sum(axis=1)
 
     return _in_batches(count, max(m, 1) ** 2, draw, reduce)
 
@@ -389,21 +401,34 @@ def haar_pure_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) 
 def number_conserving_entropies(
     N: int, N_A: int, count: int, gen: np.random.Generator
 ) -> np.ndarray:
-    """Entropies of random number-conserving eigenstates, sum_i s(2 lambda_i - 1).
+    """Entropies of random number-conserving eigenstates, through the beta-Jacobi (CS) model of C_A.
 
-    lambda are the eigenvalues of C_A = U_A diag(n) U_A^+ for uniform occupations
-    n; the A rows of the Haar unitary U are drawn as a complex Haar frame V = U_A^+.
+    With uniform occupations the particle number is N_p ~ Binomial(N, 1/2).
+    At fixed N_p the eigenvalues t of C_A = U_A diag(n) U_A^+ (U Haar) are
+    N_A - m levels of exactly 0 or 1 and a beta = 2 Jacobi ensemble of
+    m = min(N_A, N_p, N - N_A, N - N_p) levels with weight t^a (1 - t)^b,
+    a = |N_p - N_A| and b = |N - N_A - N_p|.  Its CS model (:func:`_cs_levels`)
+    has c_k^2 ~ Beta(a + k, b + k) and c'_k^2 ~ Beta(k, a + b + 1 + k), and
+    S_A = sum_i s(2 t_i - 1).  N_p comes from one :func:`_kinds` child and the
+    four gamma families from four more.  Every sample is padded to
+    m_max = min(N_A, N - N_A) levels: the numerator shape of c_k is 0 for
+    k > m and that of c'_k for k >= m, and ``standard_gamma(0)`` is exactly 0,
+    so the padding adds levels t = 0 of zero entropy.  A draw costs at most
+    4 m_max - 2 gamma variates and one m_max x m_max eigensolve, whatever N is.
     """
     SystemSplit(N, N_A)
-    re_gen, im_gen, occ_gen = _kinds(gen, 3)
+    m_max = min(N_A, N - N_A)
+    k = np.arange(m_max, 0, -1.0)  # c_m_max, ..., c_1; then c'_(m_max - 1), ..., c'_1
+    np_gen, *kinds = _kinds(gen, 5)
 
-    def draw(b):
-        re, im = (part.standard_normal((b, N, N_A)) for part in (re_gen, im_gen))
-        return re, im, occ_gen.integers(0, 2, size=(b, N))
+    def draw(rows):  # the RNG calls, and the shapes they take from N_p
+        n_p = np_gen.binomial(N, 0.5, size=(rows, 1))
+        m = np.minimum(np.minimum(n_p, N - n_p), m_max)
+        a, b = np.abs(n_p - N_A), np.abs(N - N_A - n_p)
+        shapes = (np.where(k <= m, a + k, 0.0), b + k, np.where(k[1:] < m, k[1:], 0.0), a + b + 1.0 + k[1:])
+        return tuple(kind.standard_gamma(shape) for kind, shape in zip(kinds, shapes))
 
-    def reduce(re, im, occ):
-        v = _haar_q(_complex(re, im))
-        lam = clip_unit(np.linalg.eigvalsh(correlation_block(v, occ)), "correlation spectrum")
-        return mode_entropy(2.0 * lam - 1.0).sum(axis=1)
+    def reduce(u, v, up, vp):
+        return mode_entropy(2.0 * _cs_levels(u, v, up, vp) - 1.0).sum(axis=1)
 
-    return _in_batches(count, 2 * N * max(N_A, 1), draw, reduce)
+    return _in_batches(count, max(m_max, 1) ** 2, draw, reduce)

@@ -19,6 +19,8 @@ from gausspage.special import digamma, digamma_difference, trigamma, trigamma_di
 
 # Above this N, Psi(2^N + 1) is replaced by its (machine exact) asymptotics N log 2 + O(2^-N).
 _PAGE_ASYMPT_N = 50
+# Below this f, the Gaussian variance limit is summed as a power series: its closed form cancels there.
+_VARIANCE_SERIES_F = 2.0**-10
 
 
 def _digamma_pow2_plus1(k: int) -> float:
@@ -85,16 +87,25 @@ def gaussian_thermo(N: int, f: float) -> float:
     if not (0.0 < f < 1.0):
         raise InvalidArgument(f"need 0 < f < 1, got {f}")
     return (
-        N * ((math.log(2.0) - 1.0) * f + (f - 1.0) * math.log(1.0 - f))
+        N * ((math.log(2.0) - 1.0) * f + (f - 1.0) * math.log1p(-f))
         + 0.5 * f
-        + 0.25 * math.log(1.0 - f)
+        + 0.25 * math.log1p(-f)
     )
 
 
 def gaussian_variance_limit(f: float) -> float:
-    """Large-N entropy variance of the Gaussian ensemble (a constant), (f + f^2 + log(1 - f)) / 2."""
+    """Large-N entropy variance of the Gaussian ensemble (a constant), (f + f^2 + log(1 - f)) / 2.
+
+    The closed form cancels to about f^2/4: at f = 1e-8 it would be negative.
+    Below f = 2^-10 the sum is the series f^2/4 - sum_(j >= 3) f^j/(2j), to
+    j = 7, beyond which the terms are below 2e-19 of it.  At f >= 2^-10 the
+    closed form is kept as written; it loses about eps/f^2 relative there, up
+    to 1.1e-10 at f = 2^-10.
+    """
     if not (0.0 < f <= 0.5):
         raise InvalidArgument(f"need 0 < f <= 1/2, got {f}")
+    if f < _VARIANCE_SERIES_F:
+        return f * f * (0.25 - f * (1.0 / 6.0 + f * (0.125 + f * (0.1 + f * (1.0 / 12.0 + f / 14.0)))))
     return 0.5 * (f + f * f + math.log(1.0 - f))
 
 
@@ -104,7 +115,7 @@ def lrv_density(f: float) -> float:
         raise InvalidArgument(f"need 0 <= f <= 1/2, got {f}")
     if f == 0.0:
         return 0.0
-    return (math.log(2.0) - 1.0) * f + (f - 1.0) * math.log(1.0 - f)
+    return (math.log(2.0) - 1.0) * f + (f - 1.0) * math.log1p(-f)
 
 
 def sbar_lk(l: int, k: int, f: float) -> float:

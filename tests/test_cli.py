@@ -172,6 +172,19 @@ class TestVariance:
         row = dict(zip(header.split(","), row.split(",")))
         assert abs(float(row["variance_finite"]) - float(row["variance_limit"])) <= 1e-8
 
+    def test_limit_variance_at_one_mode_of_10_to_the_8(self, capsys):
+        # f = 1e-8: the closed form (f + f^2 + log(1 - f))/2 would cancel to a negative number, and page-curve
+        # would take its square root
+        assert main(["page-curve", "--mode", "limit", "--N", "100000000", "--NA", "1"]) == EXIT_OK
+        header, row = capsys.readouterr().out.splitlines()[1:]
+        std = float(dict(zip(header.split(","), row.split(",")))["std"])
+        assert math.isfinite(std) and std > 0.0
+        assert main(["variance", "--N", "100000000", "--NA", "1", "--samples", "0"]) == EXIT_OK
+        header, row = capsys.readouterr().out.splitlines()[1:]
+        limit = float(dict(zip(header.split(","), row.split(",")))["variance_limit"])
+        assert math.isfinite(limit) and limit > 0.0
+        assert limit == pytest.approx(std**2, rel=1e-15) and limit == pytest.approx(0.25e-16, rel=1e-7)
+
     def test_page_limit_without_the_exact_page_route(self, capsys):
         # the exact Page route stops at N = 1024; variance never asks it for a mean
         assert main(["variance", "--ensemble", "haar-pure", "--N", "2000", "--samples", "0"]) == EXIT_OK

@@ -1,5 +1,6 @@
 import itertools
 import os
+from fractions import Fraction
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ from gausspage.gstates import (
     SystemSplit,
     conjugate,
     entropy_from_spectrum,
+    mode_entropy,
     reference_structure,
     restrict,
     restrict_blocks,
@@ -23,7 +25,6 @@ from gausspage.ensembles import (
     HAAR_PURE_MAX_N,
     HAAR_PURE_MAX_SIDE,
     ResourceLimit,
-    correlation_block,
     eigenstate_structure,
     entanglement_entropy_pure,
     from_particle_basis,
@@ -39,6 +40,12 @@ from gausspage.ensembles import (
 )
 from gausspage import cli, ensembles, formulas, rmt, stats
 from gausspage.stats import ks_one_sample_critical, ks_statistic, ks_statistic_one_sample, ks_two_sample_critical
+from reference import (
+    correlation_block,
+    number_conserving_dense_entropies,
+    number_conserving_mean,
+    number_conserving_mixture_mean,
+)
 
 
 @pytest.fixture
@@ -157,6 +164,88 @@ class TestGaussianModel:
         assert ks < ks_one_sample_critical(xs.size)
 
 
+class TestNumberConservingModel:
+    """The number-conserving sampler draws the beta-Jacobi (CS) model of C_A; the dense frame path is its reference."""
+
+    @staticmethod
+    def model_rows(N, N_A, count, gen):
+        # N_p from the first of five kinds, then each sample's four gamma rows, one sample after another, padded
+        # to m_max levels with numerator shape 0 past its own m: the bits of the sampler's batched calls
+        m_max = min(N_A, N - N_A)
+        np_gen, u_gen, v_gen, up_gen, vp_gen = ensembles._kinds(gen, 5)
+        for n_p in np_gen.binomial(N, 0.5, size=(count, 1))[:, 0]:
+            m, a, b = min(N_A, n_p, N - N_A, N - n_p), abs(n_p - N_A), abs(N - N_A - n_p)
+            k = np.arange(m_max, 0, -1.0)
+            u = u_gen.standard_gamma(np.where(k <= m, a + k, 0.0))
+            v = v_gen.standard_gamma(b + k)
+            up = up_gen.standard_gamma(np.where(k[1:] < m, k[1:], 0.0))
+            vp = vp_gen.standard_gamma(a + b + 1.0 + k[1:])
+            yield n_p, m, u, v, up, vp
+
+    @pytest.mark.parametrize("N, N_A", [(2, 1), (7, 3), (6, 5), (16, 5), (2000, 40)])
+    def test_draws_are_the_number_conserving_model(self, N, N_A):
+        # each entropy is sum s(2 sigma^2 - 1) over the singular values sigma of the upper bidiagonal B (Edelman
+        # and Sutton, a = |N_p - N_A|, b = |N - N_A - N_p|) whose c_k^2 and c'_k^2 are U/(U + V) of the gamma draws
+        m_max = min(N_A, N - N_A)
+        seed = RngStream(90 + N + N_A)
+        rows = self.model_rows(N, N_A, 6, seed.generator())
+        for entropy, (n_p, m, u, v, up, vp) in zip(number_conserving_entropies(N, N_A, 6, seed.generator()), rows):
+            assert np.all(u[: m_max - m] == 0.0) and np.all(up[: m_max - m] == 0.0)  # the padded levels
+            c = dict(zip(range(m_max, 0, -1), np.sqrt(u / (u + v))))
+            s = dict(zip(range(m_max, 0, -1), np.sqrt(v / (u + v))))
+            cp = dict(zip(range(m_max - 1, 0, -1), np.sqrt(up / (up + vp))))
+            sp = dict(zip(range(m_max - 1, 0, -1), np.sqrt(vp / (up + vp))))
+            b = np.zeros((m_max, m_max))
+            b[0, 0] = c[m_max]
+            for j in range(1, m_max):
+                b[j, j] = c[m_max - j] * sp[m_max - j]
+                b[j - 1, j] = -s[m_max - j + 1] * cp[m_max - j]
+            sigma = np.linalg.svd(b, compute_uv=False)
+            assert abs(entropy - np.sum(mode_entropy(2.0 * sigma**2 - 1.0))) <= 1e-12
+
+    @pytest.mark.parametrize("N, N_A", [(8, 4), (8, 3), (12, 5), (7, 2), (16, 6), (9, 6)])
+    def test_model_has_the_law_of_the_dense_states(self, N, N_A):
+        # two-sample KS over the Binomial(N, 1/2) mixture: 20 000 dense frames against 20 000 model draws; (9, 6)
+        # has N_A > N/2
+        dense = number_conserving_dense_entropies(N, N_A, 20_000, RngStream(100 + N, N_A).generator())
+        model = number_conserving_entropies(N, N_A, 20_000, RngStream(101 + N, N_A).generator())
+        assert ks_statistic(dense, model) <= ks_two_sample_critical(dense.size, model.size)
+
+    @pytest.mark.parametrize("N, N_A, count", [(8, 4, 400_000), (2000, 40, 20_000)])
+    def test_mean_is_the_mixture_mean(self, N, N_A, count):
+        # the fixed-N_p harmonic-number mean over N_p ~ Binomial(N, 1/2); (2000, 40) is far beyond the dense path
+        s = number_conserving_entropies(N, N_A, count, RngStream(110 + N_A).generator())
+        se = s.std(ddof=1) / np.sqrt(s.size)
+        assert abs(s.mean() - float(number_conserving_mixture_mean(N, N_A))) <= 3 * se
+
+    def test_exact_means(self):
+        # the fixed-N_p mean and its Binomial(N, 1/2) mixture; the float sum, served beyond N = 64, against Fractions
+        assert number_conserving_mean(8, 4, 4) == Fraction(331, 210)
+        assert number_conserving_mixture_mean(8, 4) == Fraction(12113, 8960)
+        for N, N_A in [(60, 20), (64, 31)]:
+            exact = number_conserving_mixture_mean(N, N_A)
+            assert abs(number_conserving_mixture_mean(N, N_A, exact=False) - exact) <= 1e-13 * exact
+
+    def test_dense_reference_has_the_mixture_mean(self):
+        s = number_conserving_dense_entropies(8, 4, 100_000, RngStream(112).generator())
+        se = s.std(ddof=1) / np.sqrt(s.size)
+        assert abs(s.mean() - float(number_conserving_mixture_mean(8, 4))) <= 3 * se
+
+    @pytest.mark.parametrize("N, N_A", [(2, 1), (3, 2), (5, 2)])
+    def test_no_particle_or_a_full_system_gives_exact_zeros(self, N, N_A):
+        # N_p = 0 or N leaves m = 0: every level is padding, and the entropy is exactly 0
+        s = number_conserving_entropies(N, N_A, 400, RngStream(113 + N).generator())
+        n_p = np.array([row[0] for row in self.model_rows(N, N_A, 400, RngStream(113 + N).generator())])
+        empty = (n_p == 0) | (n_p == N)
+        assert 0 < empty.sum() < 400
+        assert np.all(s[empty] == 0.0) and np.all(s[~empty] > 0.0)
+
+    @pytest.mark.parametrize("N", [1, 4, 7])
+    def test_whole_system_or_none_gives_exact_zeros(self, N):
+        for N_A in (0, N):
+            assert np.array_equal(number_conserving_entropies(N, N_A, 50, RngStream(116).generator()), np.zeros(50))
+
+
 class TestRestrictionOnlyBlocks:
     """Each sampler's subsystem block equals the one cut from the full construction."""
 
@@ -197,20 +286,6 @@ class TestRestrictionOnlyBlocks:
         ua = u[:N_A, :]
         per_sample = (ua * occ) @ ua.conj().T
         assert np.max(np.abs(correlation_block(ua.conj().T, occ) - per_sample)) <= 1e-12
-
-    @pytest.mark.parametrize("N, N_A", [(7, 3), (6, 5), (5, 5)])
-    def test_number_conserving_draw_order(self, N, N_A, two_cores):
-        # real parts, imaginary parts and occupations, each kind from its own child of the stream's generator
-        s = number_conserving_entropies(N, N_A, 6, RngStream(54, N).generator())
-        re_gen, im_gen, occ_gen = ensembles._kinds(RngStream(54, N).generator(), 3)
-        re = re_gen.standard_normal((6, N, N_A))
-        im = im_gen.standard_normal((6, N, N_A))
-        occ = occ_gen.integers(0, 2, size=(6, N))
-        ref = []
-        for g, n in zip(re + 1j * im, occ):
-            lam = np.linalg.eigvalsh(correlation_block(_haar_q(g), n))
-            ref.append(entropy_from_spectrum(np.abs(2.0 * np.clip(lam, 0.0, 1.0) - 1.0)))
-        assert np.max(np.abs(s - ref)) <= 1e-12
 
     @pytest.mark.parametrize(
         "sampler", [gaussian_entropies, hamiltonian_eigenstate_entropies, number_conserving_entropies]
@@ -635,7 +710,7 @@ class TestBatchInvariance:
         [
             (gaussian_entropies, 9, 5),  # 4^2 words, from four kinds
             (hamiltonian_eigenstate_entropies, 5, 2),  # 200 words, and occupations
-            (number_conserving_entropies, 6, 4),  # 48 words, and occupations
+            (number_conserving_entropies, 10, 6),  # 4^2 words, from five kinds
             (haar_pure_entropies, 6, 2),  # 4^2 words
         ],
     )
@@ -655,7 +730,7 @@ class TestBatchInvariance:
         [
             (gaussian_entropies, 9, 5, 16),  # m^2 words for m = 4
             (hamiltonian_eigenstate_entropies, 5, 2, 200),
-            (number_conserving_entropies, 6, 4, 48),
+            (number_conserving_entropies, 10, 6, 16),  # m_max^2 words for m_max = 4
             (haar_pure_entropies, 6, 2, 16),  # m^2 words for m = 4
         ],
     )
@@ -726,7 +801,8 @@ class TestSlices:
         [
             (gaussian_entropies, 2000, 40, 700, [82] * 7 + [81, 45]),  # 40^2 words a sample: batches of 655 and 45
             (hamiltonian_eigenstate_entropies, 16, 5, 1030, [64] * 16 + [6]),  # batches of 512, 512 and 6
-            (number_conserving_entropies, 32, 10, 1500, [205] * 7 + [65]),
+            # 30^2 words a sample: batches of 1165 and 335
+            (number_conserving_entropies, 64, 30, 1500, [146] * 7 + [143, 146, 146, 43]),
             (haar_pure_entropies, 12, 6, 300, [32] * 9 + [12]),  # 64^2 words a sample: batches of 256 and 44
             (gaussian_entropies, 8, 4, 1000, [1000]),  # 4^2 words a sample: a slice of 8192 rows holds the batch
         ],

@@ -135,6 +135,18 @@ class TestGaussianStdLimit:
         f = 1e-5
         assert abs(math.sqrt(F.gaussian_variance_limit(f)) / (f / 2.0) - 1.0) < 1e-2
 
+    def test_series_below_two_to_the_minus_ten_against_mpmath(self):
+        # f^2/4 - sum_(j>=3) f^j/(2j) where the closed form cancels: at f = 1e-8 it is negative
+        with mpmath.workdps(50):
+            for f in np.geomspace(1e-12, 2.0**-10, 60, endpoint=False):
+                fm = mpmath.mpf(f)
+                exact = (fm + fm * fm + mpmath.log1p(-fm)) / 2
+                assert abs(F.gaussian_variance_limit(f) - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("f", [2.0**-10, 1.0 / 256, 1.0 / 192, 0.3, 0.5])
+    def test_closed_form_as_written_from_two_to_the_minus_ten(self, f):
+        assert F.gaussian_variance_limit(f) == 0.5 * (f + f * f + math.log(1.0 - f))
+
     def test_squared_equals_double_sum(self):
         f = 0.3
         total = sum(F.sbar_lk(l, k, f) for l in range(40) for k in range(40))
@@ -299,6 +311,17 @@ class TestLrvDensity:
 
     def test_zero(self):
         assert F.lrv_density(0.0) == 0.0
+
+    @pytest.mark.parametrize("f", [1e-12, 1e-8, 1e-5, 1e-3, 0.1, 0.5])
+    def test_log1p_keeps_relative_precision_against_mpmath(self, f):
+        # (f - 1) log(1 - f) through log1p(-f); at N = 10^8, N_A = 1 log(1 - f) lost 7e-9 relative
+        with mpmath.workdps(50):
+            fm = mpmath.mpf(f)
+            density = (mpmath.log(2) - 1) * fm + (fm - 1) * mpmath.log1p(-fm)
+            assert abs(F.lrv_density(f) - density) <= 1e-14 * density
+            for n in (100, 10**8, 10**12):
+                thermo = n * density + fm / 2 + mpmath.log1p(-fm) / 4
+                assert abs(F.gaussian_thermo(n, f) - thermo) <= 1e-14 * abs(thermo)
 
     def test_matches_thermo_up_to_order_one(self):
         n, f = 100, 0.3

@@ -60,11 +60,9 @@ def number_conserving_mean(N: int, N_A: int, N_p: int, exact: bool = True, h: li
     A Fraction if ``exact``, else a float; ``h`` may hold H_0, ..., H_N of that kind.
     """
     h = _harmonic_numbers(N, exact) if h is None else h
+    over_n = (lambda x: Fraction(x, N)) if exact else (lambda x: x / N)
     a, p = sorted((min(N_A, N - N_A), min(N_p, N - N_p)))
-    if exact:
-        return (N * h[N] - (N - a) * h[N - a] - Fraction(a * p, N) * h[p] - Fraction(a * (N - p), N) * h[N - p]
-                - Fraction(a * (N - 1), N))
-    return N * h[N] - (N - a) * h[N - a] - a * p / N * h[p] - a * (N - p) / N * h[N - p] - a * (N - 1) / N
+    return N * h[N] - (N - a) * h[N - a] - over_n(a * p) * h[p] - over_n(a * (N - p)) * h[N - p] - over_n(a * (N - 1))
 
 
 def number_conserving_mixture_mean(N: int, N_A: int, exact: bool | None = None):

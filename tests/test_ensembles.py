@@ -1,9 +1,9 @@
 import itertools
 import os
-from fractions import Fraction
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest

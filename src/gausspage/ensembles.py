@@ -28,23 +28,22 @@ families of the number-conserving model; the diagonal and the subdiagonal
 of the Page model) from a child generator seeded by the one it is given
 (:func:`_kinds`).  Each kind's draws are then sequential in one
 generator, so the entropies do not depend on how the samples are split into
-batches.  Each batch is drawn, and then reduced in row slices of about 1 MB,
-on the calling thread; the draw makes only RNG calls (and, for the
+batches.  Each batch, of about 1 MB, is drawn and then reduced whole on the
+calling thread; the draw makes only RNG calls (and, for the
 number-conserving model, derives their shapes from the particle number),
 and every operation on the draws, even the antisymmetric part of a
 Hamiltonian, the Beta ratios of the CS models or the normalisation of the
-Page model, is part of the reduction.  A sample's entropy depends neither on
-its slice nor on its batch, so the output is the same for any core count.
+Page model, is part of the reduction.  A sample's entropy does not depend on
+its batch, and batch sizes do not depend on the core count, so the output is
+the same for any core count.
 A batched sampler may be called concurrently, once per Monte Carlo block, on
 distinct generators.
 Batch memory is bounded by construction, with no lock:
 :func:`gausspage.stats.draw_streams` runs at most ``_cores()`` blocks at
-once, and a block holds one batch at a time, of at most
-``_BATCH_ELEMENTS // _cores()`` words, plus the temporaries of one slice,
-since each batch is freed before the next is drawn.  So the batches in
-flight hold at most ``_BATCH_ELEMENTS`` words between them.  The one
-exception is a sample larger than a core's share, which is drawn alone: then
-each running block holds that one sample.
+once, and a block holds one batch at a time, of about ``_BATCH_ELEMENTS``
+words in its largest array, plus the temporaries of its reduction, since
+each batch is reduced and freed before the next is drawn.  A sample larger
+than a batch is drawn alone: then each running block holds that one sample.
 The single-draw functions are pure functions of an :class:`RngStream`.
 A single Hamiltonian draws a batch of one through the same helpers and the
 same child generator; a Gaussian state and a Haar pure state are drawn
@@ -58,7 +57,6 @@ from the real eigenvectors of h h^T, in oriented planes
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,7 +201,7 @@ def _spectrum_entropies(lam: np.ndarray) -> np.ndarray:
 
     Rounding may leave [0, 1], so lambda is clipped to it within ``CLAMP_TOL``.
     """
-    return -np.sum(_xlogx(clip_unit(lam, "reduced density spectrum")), axis=-1)
+    return 0.0 - np.sum(_xlogx(clip_unit(lam, "reduced density spectrum")), axis=-1)  # 0, not -0, for a pure state
 
 
 def sample_haar_pure_state(N: int, rng: RngStream) -> np.ndarray:
@@ -241,39 +239,25 @@ def entanglement_entropy_pure(psi: np.ndarray, N_A: int) -> float:
 # Batched entropy samplers (Monte Carlo workhorses)
 # ---------------------------------------------------------------------------
 
-# Cap on the 8-byte words of all batches in flight in the process (16 MB): one batch takes at most a
-# core's share of it, counted in its largest array, and at most _cores() blocks draw at once.
-_BATCH_ELEMENTS = 1 << 21
-# A batch is reduced in row slices of about 1 MB of its largest array, which keeps the temporaries
-# of the reduction small and the freed memory in the allocator's hands.
-_PIECE_ELEMENTS = 1 << 17
-
-
-def _cores() -> int:
-    """The number of cores this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# A batch is drawn and reduced whole: about 1 MB, 1 << 17 8-byte words, of its largest array, at least one sample.
+_BATCH_ELEMENTS = 1 << 17
 
 
 def _in_batches(count: int, per_sample: int, draw, reduce) -> np.ndarray:
     """Entropies ``reduce(*draw(b))`` over batches covering ``count``.
 
     ``draw(b)`` makes the RNG calls of a batch and nothing else, and returns
-    arrays of b rows; ``reduce`` does all the arithmetic and maps each row to
-    its entropy alone, so a batch is reduced in row slices of about
-    _PIECE_ELEMENTS words.  Each kind of draw is sequential in its own
-    generator, so the entropies depend neither on the batch size nor on the
-    slices.  A batch holds at most _BATCH_ELEMENTS // _cores() words (at
-    least one sample), and it is reduced and freed before the next is drawn.
+    arrays of b rows, the largest of ``per_sample`` words a row; ``reduce``
+    does all the arithmetic and maps each row to its entropy.  A batch has
+    ceil(_BATCH_ELEMENTS / per_sample) rows, so about _BATCH_ELEMENTS words
+    and at least one sample, and it is reduced and freed before the next is
+    drawn.  Each kind of draw is sequential in its own generator, so the
+    entropies do not depend on the batch size.
     """
-    batch = max(1, _BATCH_ELEMENTS // _cores() // per_sample)
-    rows = -(-_PIECE_ELEMENTS // per_sample)  # rows of a slice
+    rows = -(-_BATCH_ELEMENTS // per_sample)
     out = np.empty(count)
-    for start in range(0, count, batch):
-        part = out[start : start + batch]
-        inputs = draw(len(part))
-        for lo in range(0, len(part), rows):
-            part[lo : lo + rows] = reduce(*(x[lo : lo + rows] for x in inputs))
-        del inputs  # freed before the next batch is drawn
+    for start in range(0, count, rows):
+        out[start : start + rows] = reduce(*draw(min(rows, count - start)))
     return out
 
 
@@ -343,7 +327,10 @@ def hamiltonian_eigenstate_entropies(
     (u1, u2) are the oriented mode planes of h, ascending in omega.  Up to a
     rotation within each plane they are the row pairs of the diagonalizer M of
     :func:`eigenstate_structure`, so [M^T D M]_A = pair_block(u1_A, u2_A, 1 - 2*occ).
+    N < 1 is refused before any draw.
     """
+    if N < 1:
+        raise InvalidArgument(f"need N >= 1, got {N}")
     idx = subsystem_indices(SystemSplit(N, N_A))
     h_gen, occ_gen = _kinds(gen, 2)
 

@@ -54,23 +54,11 @@ def _haar_q(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def haar_orthogonal(dim: int, rng: RngStream | np.random.Generator) -> np.ndarray:
-    """Sample from the Haar measure on the full orthogonal group O(dim)."""
-    return haar_orthogonal_batch(dim, 1, rng.generator() if isinstance(rng, RngStream) else rng)[0]
-
-
-def haar_orthogonal_batch(
-    dim: int, count: int, gen: np.random.Generator, cols: int | None = None
-) -> np.ndarray:
-    """Stacked Haar O(dim) samples, or only their leading ``cols`` columns.
-
-    Shape (count, dim, cols), ``cols`` defaulting to ``dim``; fewer columns
-    draw and factor only a dim x cols Ginibre stack.
-    """
-    cols = dim if cols is None else cols
-    if dim < 2 or dim % 2 != 0 or not 0 <= cols <= dim:
-        raise InvalidArgument(f"need even dim >= 2 and 0 <= cols <= dim, got dim={dim}, cols={cols}")
-    return _haar_q(gen.standard_normal((count, dim, cols)))
+def haar_orthogonal(dim: int, rng: RngStream) -> np.ndarray:
+    """Sample from the Haar measure on the full orthogonal group O(dim), for even dim >= 2."""
+    if dim < 2 or dim % 2 != 0:
+        raise InvalidArgument(f"need even dim >= 2, got dim={dim}")
+    return _haar_q(rng.generator().standard_normal((dim, dim)))
 
 
 # A plane is split anew where max|h u2_k - w_k u1_k| > PLANE_TOL |h|; a generic h stays below 1e-13 |h|.

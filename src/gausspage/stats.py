@@ -6,10 +6,10 @@ a given (seed, n), and nothing else changes it.  The blocks run on one pool
 of ``_cores()`` threads and are concatenated in block order; which thread
 runs a block and how many run at once do not change the result.  Memory is
 bounded by construction: at most ``_cores()`` blocks run at once, and each
-holds one batch of its sampler and one slice of that batch's reduction
-(:mod:`gausspage.ensembles`), besides the 8 bytes per sample of the drawn
-blocks.  ``mc_estimate`` takes the mean and the central moments of those
-samples in two passes.
+holds one batch of its sampler, of about 1 MB in its largest array, plus
+the temporaries of that batch's reduction (:mod:`gausspage.ensembles`),
+besides the 8 bytes per sample of the drawn blocks.  ``mc_estimate`` takes
+the mean and the central moments of those samples in two passes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from gausspage.ensembles import _cores
 from gausspage.linalg import InvalidArgument, RngStream
 
 # Entropy-producing procedure: maps (generator, count) to `count` samples.
@@ -50,6 +49,11 @@ class MCEstimate:
 
 
 _BLOCK = 1024  # samples of one seeded block
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @functools.cache

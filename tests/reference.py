@@ -5,6 +5,9 @@
   matrix C_A is diagonalised.  ``ensembles.number_conserving_entropies`` draws
   the beta-Jacobi (CS) model of its spectrum, and the tests hold the model's
   law to this one.
+* Stacks of Haar orthogonal matrices, for the laws that the tests check on
+  many draws at once; the runtime draws one at a time
+  (``linalg.haar_orthogonal``).
 * The exact number-conserving mean, at a fixed particle number and over the
   Binomial(N, 1/2) particle numbers of uniform occupations.
 """
@@ -19,6 +22,11 @@ import numpy as np
 from gausspage import ensembles
 from gausspage.gstates import SystemSplit, clip_unit, mode_entropy
 from gausspage.linalg import _haar_q
+
+
+def haar_orthogonal_stack(dim: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    """``count`` Haar O(dim) samples, stacked: the Q factors of a real dim x dim Ginibre stack."""
+    return _haar_q(gen.standard_normal((count, dim, dim)))
 
 
 def correlation_block(v: np.ndarray, occ: np.ndarray) -> np.ndarray:

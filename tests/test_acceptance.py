@@ -13,6 +13,7 @@ import pytest
 
 from gausspage.linalg import RngStream
 from gausspage import ensembles, formulas, rmt, stats
+from reference import haar_orthogonal_stack
 
 
 def _report(criterion, detail):
@@ -162,13 +163,12 @@ def test_criterion_9_kernel_property_suite():
         rho = rmt.level_density(ctx, ctx.quadrature.nodes)
         assert abs(float(np.dot(ctx.quadrature.weights, rho)) - 1.0) <= 1e-9
     # MC spectral histogram vs rho at N=8, N_A=2
-    from gausspage.linalg import haar_orthogonal_batch
     from gausspage.gstates import reference_structure
 
     n = 100_000
     gen = RngStream(1008, 0).generator()
     j0 = reference_structure(8)
-    m = haar_orthogonal_batch(16, n, gen)
+    m = haar_orthogonal_stack(16, n, gen)
     j = m @ j0 @ np.swapaxes(m, -2, -1)
     idx = [0, 1, 8, 9]
     block = j[:, idx][:, :, idx]

@@ -281,6 +281,23 @@ class TestSampleAndDist:
         counts = [int(row.split(",")[2]) for row in capsys.readouterr().out.splitlines()[2:]]
         assert counts == np.histogram(values, bins=7, range=(0.0, 2 * math.log(2.0)))[0].tolist()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_a", ["0", "6"])
+    @pytest.mark.parametrize("ensemble", ENSEMBLES)
+    def test_no_subsystem_prints_zero_entropies(self, ensemble, n_a, fmt, capsys):
+        # S_A = 0 at N_A in {0, N}: a sum of exact zeros prints 0, never -0
+        args = ["sample", "--ensemble", ensemble, "--N", "6", "--NA", n_a, "--samples", "3", "--format", fmt]
+        assert main(args) == EXIT_OK
+        out = capsys.readouterr().out
+        if fmt == "json":
+            entropies = [entropy for _, entropy in json.loads(out)["rows"]]
+        else:
+            entropies = [line.split(",")[1] for line in out.splitlines()[2:]]
+        if ensemble == "hamiltonian" and n_a == "6":  # [J]_A is all of J, whose singular values round near 1
+            assert len(entropies) == 3 and all(0.0 <= float(entropy) <= 1e-12 for entropy in entropies)
+        else:
+            assert entropies == ["0"] * 3
+
     @pytest.mark.parametrize("command", ["sample", "dist"])
     @pytest.mark.parametrize("N, n_a, code", [("16", "8", EXIT_RESOURCE), ("3", "5", EXIT_INVALID)])
     def test_no_sample_still_checks_the_arguments(self, command, N, n_a, code, capsys):

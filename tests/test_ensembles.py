@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -46,12 +47,6 @@ from reference import (
     number_conserving_mean,
     number_conserving_mixture_mean,
 )
-
-
-@pytest.fixture
-def two_cores(monkeypatch):
-    """Batches sized as on two cores, whatever this machine has: each takes at most half of _BATCH_ELEMENTS."""
-    monkeypatch.setattr(ensembles, "_cores", lambda: 2)
 
 
 def fock_annihilation_operators(N):
@@ -391,6 +386,16 @@ class TestRandomHamiltonian:
             j = eigenstate_structure(sample_random_hamiltonian(N, RngStream(seed)), occ)
             assert abs(entropy_from_spectrum(restrict(j, SystemSplit(N, N_A))) - s[0]) <= 1e-12
 
+    def test_no_mode_is_refused_before_any_draw(self):
+        # N = 0 would be 0 words a sample: the batched sampler refuses it as the single draw does, and draws nothing
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        with pytest.raises(InvalidArgument, match="need N >= 1"):
+            hamiltonian_eigenstate_entropies(0, 0, 3, gen)
+        assert gen.bit_generator.state == state
+        with pytest.raises(InvalidArgument, match="need N >= 1"):
+            sample_random_hamiltonian(0, RngStream(0))
+
     def test_omega_matches_singular_values(self):
         # canonical coefficients are the paired singular values of h
         stream = RngStream(3)
@@ -594,7 +599,7 @@ class TestHaarPure:
         se = s.std(ddof=1) / np.sqrt(s.size)
         assert abs(s.mean() - 1.0 / 3.0) <= 3 * se
 
-    def test_larger_side_uses_the_smaller_reduced_matrix(self, two_cores):
+    def test_larger_side_uses_the_smaller_reduced_matrix(self):
         # N_A = N is a 1 x 2^N state: its entropy needs no 2^N x 2^N matrix, in the model or in the dense path
         s = haar_pure_entropies(HAAR_PURE_MAX_N, HAAR_PURE_MAX_N, 3, RngStream(50).generator())
         assert np.all(np.abs(s) <= 1e-12)
@@ -700,6 +705,18 @@ class TestNumberConserving:
 BATCHED = [gaussian_entropies, hamiltonian_eigenstate_entropies, number_conserving_entropies, haar_pure_entropies]
 
 
+@pytest.fixture
+def as_on_cores(monkeypatch):
+    """``as_on_cores(k)``: the process may run on k cores, whatever this machine has."""
+
+    def use(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: k)
+        assert stats._cores() == k
+
+    return use
+
+
 class TestBatchInvariance:
     """Each kind of draw is sequential in its own generator, so no batch split changes a bit."""
 
@@ -714,13 +731,13 @@ class TestBatchInvariance:
             (haar_pure_entropies, 6, 2),  # 4^2 words
         ],
     )
-    def test_any_batch_split_draws_the_same_bits(self, sampler, N, N_A, elements, cores, monkeypatch):
-        # 300 samples in one batch, against batches of 1, or of 7 to 187 samples as _BATCH_ELEMENTS and the cores allow
+    def test_any_batch_split_draws_the_same_bits(self, sampler, N, N_A, elements, cores, monkeypatch, as_on_cores):
+        # 300 samples in one batch, against batches of 1, of 15 or 188, or of all 300 samples, as _BATCH_ELEMENTS allows
         with monkeypatch.context() as m:
             m.setattr(ensembles, "_BATCH_ELEMENTS", 1 << 30)
             expected = sampler(N, N_A, 300, np.random.default_rng(N))
         monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", elements)
-        monkeypatch.setattr(ensembles, "_cores", lambda: cores)
+        as_on_cores(cores)
         assert np.array_equal(sampler(N, N_A, 300, np.random.default_rng(N)), expected)
 
     @pytest.mark.parametrize("cores", [1, 2])
@@ -734,8 +751,11 @@ class TestBatchInvariance:
             (haar_pure_entropies, 6, 2, 16),  # m^2 words for m = 4
         ],
     )
-    def test_batches_take_a_cores_share_of_the_bound(self, sampler, N, N_A, words, batch, cores, monkeypatch):
-        # the largest bound that still gives batches of `batch` samples of `words` words on `cores` cores
+    def test_a_batch_is_the_fewest_rows_that_reach_the_bound(
+        self, sampler, N, N_A, words, batch, cores, monkeypatch, as_on_cores
+    ):
+        # batch * words is the largest bound that gives batches of `batch` samples of `words` words, and one word
+        # more gives batches of batch + 1; the same on one core and on two
         with monkeypatch.context() as m:
             m.setattr(ensembles, "_BATCH_ELEMENTS", 1 << 30)
             expected = sampler(N, N_A, 300, np.random.default_rng(N))
@@ -750,69 +770,69 @@ class TestBatchInvariance:
             return real(count, per_sample, draw_batch, reduce)
 
         monkeypatch.setattr(ensembles, "_in_batches", counted)
-        monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", (batch + 1) * cores * words - 1)
-        monkeypatch.setattr(ensembles, "_cores", lambda: cores)
-        assert np.array_equal(sampler(N, N_A, 300, np.random.default_rng(N)), expected)
-        assert sizes == [batch] * (300 // batch) + [300 % batch] * (300 % batch > 0)
+        as_on_cores(cores)
+        for bound, rows in ((batch * words, batch), (batch * words + 1, batch + 1)):
+            sizes.clear()
+            monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", bound)
+            assert np.array_equal(sampler(N, N_A, 300, np.random.default_rng(N)), expected)
+            assert sizes == [rows] * (300 // rows) + [300 % rows] * (300 % rows > 0)
 
 
 @pytest.fixture
 def reduced_rows(monkeypatch):
-    """The row count of each slice that a batched sampler reduces, in call order."""
+    """The row count of each batch that a batched sampler reduces, in call order."""
     rows, real = [], ensembles._in_batches
 
     def counted(count, per_sample, draw, reduce):
-        def reduce_slice(*inputs):
+        def reduce_batch(*inputs):
             rows.append(len(inputs[0]))
             return reduce(*inputs)
 
-        return real(count, per_sample, draw, reduce_slice)
+        return real(count, per_sample, draw, reduce_batch)
 
     monkeypatch.setattr(ensembles, "_in_batches", counted)
     return rows
 
 
-@pytest.mark.usefixtures("two_cores")
-class TestSlices:
-    """Each batch is drawn and then reduced in row slices on the calling thread; batches are sized as on two cores."""
+class TestBatches:
+    """Each batch is drawn and then reduced whole on the calling thread."""
 
     @pytest.mark.parametrize("rows", [1, 7, 64])
     @pytest.mark.parametrize("N, N_A, count", [(6, 0, 303), (6, 6, 303), (7, 5, 303), (5, 2, 2049)])
     @pytest.mark.parametrize("sampler", BATCHED)
-    def test_slices_match_one_whole_reduce(self, sampler, N, N_A, count, rows, reduced_rows, monkeypatch):
-        # N_A = 0, N_A = N, N_A > N/2, and 2049 samples, in one batch: slices of `rows` rows and a shorter last one
+    def test_batches_match_one_whole_batch(self, sampler, N, N_A, count, rows, reduced_rows, monkeypatch):
+        # N_A = 0, N_A = N, N_A > N/2, and 2049 samples: batches of `rows` rows and a shorter last one
         with monkeypatch.context() as m:
-            m.setattr(ensembles, "_PIECE_ELEMENTS", 1 << 40)
+            m.setattr(ensembles, "_BATCH_ELEMENTS", 1 << 40)
             whole = sampler(N, N_A, count, np.random.default_rng(N + count))
         assert reduced_rows == [count]
         counted = ensembles._in_batches
 
-        def in_slices_of_rows(count, per_sample, draw, reduce):
-            monkeypatch.setattr(ensembles, "_PIECE_ELEMENTS", rows * per_sample)
+        def in_batches_of_rows(count, per_sample, draw, reduce):
+            monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", rows * per_sample)
             return counted(count, per_sample, draw, reduce)
 
-        monkeypatch.setattr(ensembles, "_in_batches", in_slices_of_rows)
-        sliced = sampler(N, N_A, count, np.random.default_rng(N + count))
+        monkeypatch.setattr(ensembles, "_in_batches", in_batches_of_rows)
+        batched = sampler(N, N_A, count, np.random.default_rng(N + count))
         assert reduced_rows[1:] == [rows] * (count // rows) + [count % rows] * (count % rows > 0)
-        assert np.array_equal(sliced, whole)
+        assert np.array_equal(batched, whole)
 
     @pytest.mark.parametrize(
         "sampler, N, N_A, count, rows",
         [
-            (gaussian_entropies, 2000, 40, 700, [82] * 7 + [81, 45]),  # 40^2 words a sample: batches of 655 and 45
-            (hamiltonian_eigenstate_entropies, 16, 5, 1030, [64] * 16 + [6]),  # batches of 512, 512 and 6
-            # 30^2 words a sample: batches of 1165 and 335
-            (number_conserving_entropies, 64, 30, 1500, [146] * 7 + [143, 146, 146, 43]),
-            (haar_pure_entropies, 12, 6, 300, [32] * 9 + [12]),  # 64^2 words a sample: batches of 256 and 44
-            (gaussian_entropies, 8, 4, 1000, [1000]),  # 4^2 words a sample: a slice of 8192 rows holds the batch
+            (gaussian_entropies, 2000, 40, 700, [82] * 8 + [44]),  # 40^2 words a sample
+            (hamiltonian_eigenstate_entropies, 16, 5, 1030, [64] * 16 + [6]),  # 8 N^2 = 2048 words a sample
+            (number_conserving_entropies, 64, 30, 1500, [146] * 10 + [40]),  # 30^2 words a sample
+            (haar_pure_entropies, 12, 6, 300, [32] * 9 + [12]),  # 64^2 words a sample
+            (gaussian_entropies, 8, 4, 1000, [1000]),  # 4^2 words a sample: a batch of 8192 rows holds them all
         ],
     )
-    def test_default_slices(self, sampler, N, N_A, count, rows, reduced_rows, monkeypatch):
-        # slices of about _PIECE_ELEMENTS words, each batch at most half of _BATCH_ELEMENTS words
-        sliced = sampler(N, N_A, count, np.random.default_rng(count))
+    def test_default_batches(self, sampler, N, N_A, count, rows, reduced_rows, monkeypatch):
+        # batches of ceil(_BATCH_ELEMENTS / words) rows, about 1 MB of the largest array
+        batched = sampler(N, N_A, count, np.random.default_rng(count))
         assert reduced_rows == rows
-        monkeypatch.setattr(ensembles, "_PIECE_ELEMENTS", 1 << 40)
-        assert np.array_equal(sliced, sampler(N, N_A, count, np.random.default_rng(count)))
+        monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", 1 << 40)
+        assert np.array_equal(batched, sampler(N, N_A, count, np.random.default_rng(count)))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_makes_its_own_pool(self):
@@ -841,10 +861,22 @@ class TestSlices:
         assert out.stdout.strip() == "same"
 
     def test_each_batch_is_freed_before_the_next_draw(self, reduced_rows, monkeypatch):
-        # haar-pure (10, 3) counts 8^2 words a sample: batches of 4096 samples on two cores, reduced in slices
-        # of 64 rows, peak below their draw plus the previous batch's arrays
-        monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", 2 * 4096 * 8**2)
-        monkeypatch.setattr(ensembles, "_PIECE_ELEMENTS", 64 * 8**2)
+        # haar-pure (10, 3) counts 8^2 words a sample: batches of 1024 samples, each drawing 15 words a sample.
+        # No array of a batch is alive when the next is drawn, and four batches peak above one only by the
+        # output's 8 bytes a sample, well below half a drawn batch
+        monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", 1024 * 8**2)
+        drawn, real = [], ensembles._in_batches
+
+        def watched(count, per_sample, draw, reduce):
+            def draw_batch(b):
+                assert all(ref() is None for ref in drawn)
+                arrays = draw(b)
+                drawn.extend(weakref.ref(x) for x in arrays)
+                return arrays
+
+            return real(count, per_sample, draw_batch, reduce)
+
+        monkeypatch.setattr(ensembles, "_in_batches", watched)
 
         def peak(count):
             tracemalloc.start()
@@ -854,20 +886,21 @@ class TestSlices:
             finally:
                 tracemalloc.stop()
 
-        one_batch = peak(4096)
-        assert peak(2 * 4096) <= 1.3 * one_batch
-        assert reduced_rows == [64] * (64 * 3)
+        one_batch = peak(1024)
+        assert peak(4 * 1024) - one_batch <= 3 * 1024 * 8 + 1024 * 15 * 8 // 2
+        assert reduced_rows == [1024] * 5 and len(drawn) == 2 * 5
 
-    def test_error_in_one_slice_reaches_the_cli(self, monkeypatch, capsys):
+    def test_error_in_one_batch_reaches_the_cli(self, monkeypatch, capsys):
+        # hamiltonian (16, 5) draws batches of 64 samples: 1030 samples are 17 batches, and the second fails
         calls = itertools.count()
         real = ensembles.restrict_blocks
 
-        def fails_in_the_second_slice(blocks):
+        def fails_in_the_second_batch(blocks):
             if next(calls) == 1:
                 raise ConsistencyError("singular values of the antisymmetric block do not pair up")
             return real(blocks)
 
-        monkeypatch.setattr(ensembles, "restrict_blocks", fails_in_the_second_slice)
+        monkeypatch.setattr(ensembles, "restrict_blocks", fails_in_the_second_batch)
         argv = ["page-curve", "--mode", "mc", "--ensemble", "hamiltonian", "--N", "16", "--NA", "5", "--samples", "1030"]
         assert cli.main(argv) == cli.EXIT_NUMERICAL
         assert "do not pair up" in capsys.readouterr().err

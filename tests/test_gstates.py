@@ -26,6 +26,7 @@ from gausspage.ensembles import (
     sample_gaussian_state,
 )
 from gausspage.stats import ks_one_sample_critical, ks_statistic_one_sample
+from reference import haar_orthogonal_stack
 
 S_HALF = 0.5623351446188084  # s(1/2), frozen from high-precision evaluation
 
@@ -92,12 +93,10 @@ class TestRestrict:
 
     def test_single_mode_spectrum_is_uniform(self):
         # at N=2, N_A=1 the level density is exactly uniform on [0, 1]
-        from gausspage.linalg import haar_orthogonal_batch
-
         n = 100_000
         gen = RngStream(7).generator()
         j0 = reference_structure(2)
-        m = haar_orthogonal_batch(4, n, gen)
+        m = haar_orthogonal_stack(4, n, gen)
         j = m @ j0 @ np.swapaxes(m, -2, -1)
         block = j[:, [0, 2]][:, :, [0, 2]]
         ev = np.linalg.eigvalsh(np.swapaxes(block, -2, -1) @ block)

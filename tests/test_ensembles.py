@@ -11,7 +11,6 @@ import pytest
 
 from gausspage.linalg import InvalidArgument, RngStream, _haar_q, _mode_planes, haar_orthogonal
 from gausspage.gstates import (
-    ConsistencyError,
     SystemSplit,
     conjugate,
     entropy_from_spectrum,
@@ -40,9 +39,13 @@ from gausspage.ensembles import (
     sample_random_hamiltonian,
 )
 from gausspage import cli, ensembles, formulas, rmt, stats
-from gausspage.stats import ks_one_sample_critical, ks_statistic, ks_statistic_one_sample, ks_two_sample_critical
 from reference import (
     correlation_block,
+    hamiltonian_dense_entropies,
+    ks_one_sample_critical,
+    ks_statistic,
+    ks_statistic_one_sample,
+    ks_two_sample_critical,
     number_conserving_dense_entropies,
     number_conserving_mean,
     number_conserving_mixture_mean,
@@ -288,14 +291,14 @@ class TestRestrictionOnlyBlocks:
     def test_trivial_bipartitions(self, sampler):
         gen = RngStream(35).generator()
         assert np.array_equal(sampler(4, 0, 3, gen), np.zeros(3))
-        assert np.all(np.abs(sampler(4, 4, 3, gen)) <= 1e-12)
+        assert np.array_equal(sampler(4, 4, 3, gen), np.zeros(3))
         for n_a in (-1, 5):
             with pytest.raises(InvalidArgument):
                 sampler(4, n_a, 3, gen)
 
 
 class TestRealModePlanes:
-    """The batched Hamiltonian sampler's real route: oriented planes of h h^T, no 1/omega."""
+    """The dense Hamiltonian reference's real route: oriented planes of h h^T, no 1/omega."""
 
     N, N_A = 8, 3
 
@@ -349,7 +352,7 @@ class TestRealModePlanes:
         # the same draws through eigh(1j * h), as in test_hamiltonian_a_rows; h and the occupations
         # each come from their own child of the stream's generator
         for N_A in sorted({0, 1, N // 2, N}):
-            s = hamiltonian_eigenstate_entropies(N, N_A, 64, RngStream(56, N).generator())
+            s = hamiltonian_dense_entropies(N, N_A, 64, RngStream(56, N).generator())
             h_gen, occ_gen = ensembles._kinds(RngStream(56, N).generator(), 2)
             g = h_gen.standard_normal((64, 2 * N, 2 * N))
             occ = occ_gen.integers(0, 2, size=(64, N))
@@ -378,13 +381,20 @@ class TestRandomHamiltonian:
 
     @pytest.mark.parametrize("N, N_A", [(1, 1), (5, 2), (12, 6), (40, 17)])
     def test_single_draw_is_a_batch_of_one(self, N, N_A):
-        # the batch draws h from its first child generator and occupations, by ascending omega, from its second;
-        # the single draw takes h from the same first child, and orders modes by descending omega
+        # the dense reference draws h from its first child generator and occupations, by ascending omega, from
+        # its second; the single draw takes h from the same first child, and orders modes by descending omega
         for seed in (60, 61, 62):
-            s = hamiltonian_eigenstate_entropies(N, N_A, 1, RngStream(seed).generator())
+            s = hamiltonian_dense_entropies(N, N_A, 1, RngStream(seed).generator())
             occ = ensembles._kinds(RngStream(seed).generator(), 2)[1].integers(0, 2, size=(1, N))[0, ::-1]
             j = eigenstate_structure(sample_random_hamiltonian(N, RngStream(seed)), occ)
             assert abs(entropy_from_spectrum(restrict(j, SystemSplit(N, N_A))) - s[0]) <= 1e-12
+
+    @pytest.mark.parametrize("N, N_A", [(1, 1), (2, 1), (7, 3), (9, 6), (16, 11), (2000, 40)])
+    def test_sampler_is_the_gaussian_model(self, N, N_A):
+        # the eigenstates' law is the Haar Gaussian one, so the sampler draws the same bits as the Gaussian
+        # sampler on an equal generator; (9, 6) and (16, 11) have N_A > N/2
+        a = hamiltonian_eigenstate_entropies(N, N_A, 300, np.random.default_rng(N + N_A))
+        assert np.array_equal(a, gaussian_entropies(N, N_A, 300, np.random.default_rng(N + N_A)))
 
     def test_no_mode_is_refused_before_any_draw(self):
         # N = 0 would be 0 words a sample: the batched sampler refuses it as the single draw does, and draws nothing
@@ -450,11 +460,12 @@ class TestEigenstateStructure:
         assert abs(vals.mean() - 0.5) <= 3 * se
 
     def test_ensemble_equivalence_finite_size(self):
-        # entropy law of random eigenstates == Haar Gaussian law at (6, 3)
+        # entropy law of random eigenstates == Haar Gaussian law at (6, 3): the sampler, which draws the
+        # Gaussian CS model, against dense eigenstates of 2N x 2N random h
         gen_a = RngStream(8).generator()
         gen_b = RngStream(9).generator()
-        a = gaussian_entropies(6, 3, 10_000, gen_a)
-        b = hamiltonian_eigenstate_entropies(6, 3, 10_000, gen_b)
+        a = hamiltonian_eigenstate_entropies(6, 3, 10_000, gen_a)
+        b = hamiltonian_dense_entropies(6, 3, 10_000, gen_b)
         assert ks_statistic(a, b) < ks_two_sample_critical(a.size, b.size)
 
     def test_scale_invariance_of_entropy_law(self):
@@ -726,7 +737,7 @@ class TestBatchInvariance:
         "sampler, N, N_A",
         [
             (gaussian_entropies, 9, 5),  # 4^2 words, from four kinds
-            (hamiltonian_eigenstate_entropies, 5, 2),  # 200 words, and occupations
+            (hamiltonian_eigenstate_entropies, 5, 2),  # the Gaussian model: 2^2 words, from four kinds
             (number_conserving_entropies, 10, 6),  # 4^2 words, from five kinds
             (haar_pure_entropies, 6, 2),  # 4^2 words
         ],
@@ -746,7 +757,7 @@ class TestBatchInvariance:
         "sampler, N, N_A, words",
         [
             (gaussian_entropies, 9, 5, 16),  # m^2 words for m = 4
-            (hamiltonian_eigenstate_entropies, 5, 2, 200),
+            (hamiltonian_eigenstate_entropies, 5, 2, 4),  # the Gaussian model: m^2 words for m = 2
             (number_conserving_entropies, 10, 6, 16),  # m_max^2 words for m_max = 4
             (haar_pure_entropies, 6, 2, 16),  # m^2 words for m = 4
         ],
@@ -821,7 +832,7 @@ class TestBatches:
         "sampler, N, N_A, count, rows",
         [
             (gaussian_entropies, 2000, 40, 700, [82] * 8 + [44]),  # 40^2 words a sample
-            (hamiltonian_eigenstate_entropies, 16, 5, 1030, [64] * 16 + [6]),  # 8 N^2 = 2048 words a sample
+            (hamiltonian_eigenstate_entropies, 2000, 40, 700, [82] * 8 + [44]),  # the Gaussian model's 40^2 words
             (number_conserving_entropies, 64, 30, 1500, [146] * 10 + [40]),  # 30^2 words a sample
             (haar_pure_entropies, 12, 6, 300, [32] * 9 + [12]),  # 64^2 words a sample
             (gaussian_entropies, 8, 4, 1000, [1000]),  # 4^2 words a sample: a batch of 8192 rows holds them all
@@ -891,19 +902,22 @@ class TestBatches:
         assert reduced_rows == [1024] * 5 and len(drawn) == 2 * 5
 
     def test_error_in_one_batch_reaches_the_cli(self, monkeypatch, capsys):
-        # hamiltonian (16, 5) draws batches of 64 samples: 1030 samples are 17 batches, and the second fails
+        # hamiltonian (2000, 40) draws batches of 82 samples: 700 samples are 9 batches, and in the second the
+        # eigensolve returns a level above 1, which the CS model's range check refuses
         calls = itertools.count()
-        real = ensembles.restrict_blocks
+        real = ensembles._tridiagonal_eigvalsh
 
-        def fails_in_the_second_batch(blocks):
+        def fails_in_the_second_batch(diag, off):
+            levels = real(diag, off)
             if next(calls) == 1:
-                raise ConsistencyError("singular values of the antisymmetric block do not pair up")
-            return real(blocks)
+                levels[0, -1] = 1.0 + 1e-6
+            return levels
 
-        monkeypatch.setattr(ensembles, "restrict_blocks", fails_in_the_second_batch)
-        argv = ["page-curve", "--mode", "mc", "--ensemble", "hamiltonian", "--N", "16", "--NA", "5", "--samples", "1030"]
+        monkeypatch.setattr(ensembles, "_tridiagonal_eigvalsh", fails_in_the_second_batch)
+        argv = ["page-curve", "--mode", "mc", "--ensemble", "hamiltonian", "--N", "2000", "--NA", "40", "--samples", "700"]
         assert cli.main(argv) == cli.EXIT_NUMERICAL
-        assert "do not pair up" in capsys.readouterr().err
+        assert "CS model spectrum escapes [0,1]" in capsys.readouterr().err
+        assert next(calls) == 2  # no batch after the failing one was reduced
 
     @pytest.mark.parametrize("N, N_A", [(16, 8), (HAAR_PURE_MAX_N + 1, 1)])
     def test_haar_pure_size_guard_comes_before_any_draw(self, N, N_A, reduced_rows):

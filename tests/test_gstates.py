@@ -25,8 +25,7 @@ from gausspage.ensembles import (
     gaussian_entropies,
     sample_gaussian_state,
 )
-from gausspage.stats import ks_one_sample_critical, ks_statistic_one_sample
-from reference import haar_orthogonal_stack
+from reference import haar_orthogonal_stack, ks_one_sample_critical, ks_statistic_one_sample
 
 S_HALF = 0.5623351446188084  # s(1/2), frozen from high-precision evaluation
 

@@ -10,13 +10,13 @@ from gausspage.linalg import (
     antisym_canonical,
     haar_orthogonal,
 )
-from gausspage.stats import (
+from reference import (
+    haar_orthogonal_stack,
     ks_one_sample_critical,
     ks_statistic,
     ks_statistic_one_sample,
     ks_two_sample_critical,
 )
-from reference import haar_orthogonal_stack
 
 
 def random_antisymmetric(dim, gen):

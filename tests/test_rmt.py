@@ -19,8 +19,7 @@ from gausspage.rmt import (
 )
 from gausspage import special
 from gausspage.special import UNIT_INTERVAL_PANELS, QuadratureRule, gauss_legendre, panel_rule, unit_interval_rule
-from gausspage.stats import ks_one_sample_critical, ks_statistic_one_sample
-from reference import haar_orthogonal_stack
+from reference import haar_orthogonal_stack, ks_one_sample_critical, ks_statistic_one_sample
 
 
 def reference_c(j, delta):

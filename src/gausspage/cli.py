@@ -74,14 +74,19 @@ _OPTIONS = {
 }
 
 
-def _emit(config: argparse.Namespace, columns: list[str], rows: list[list]) -> None:
+def _emit(config: argparse.Namespace, columns: list[str], rows: list[list] | np.ndarray) -> None:
+    """Write ``rows`` (a list of rows, or a 2-D float array) as CSV or JSON, every float with 17 digits."""
     if config.fmt == "json":
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
         payload = {
             "version": HEADER.lstrip("# "),
             "columns": columns,
             "rows": [["%.17g" % v if isinstance(v, float) else v for v in row] for row in rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
+    elif isinstance(rows, np.ndarray):  # one template for every row, and no type tuple or list built for each
+        body = "\n".join([",".join(["%.17g"] * rows.shape[1])] * len(rows)) % tuple(rows.ravel().tolist())
+        text = "\n".join([HEADER, ",".join(columns), body]) + "\n"
     else:  # one % template per run of rows whose fields have the same types
         lines = [HEADER, ",".join(columns)]
         for types, run in itertools.groupby(rows, key=lambda row: tuple(map(type, row))):
@@ -158,7 +163,7 @@ def run_density(config: argparse.Namespace) -> None:
     ctx = rmt.build_kernel_ctx(n_a, delta)
     grid = np.linspace(0.0, 1.0, config.points)
     rho = np.atleast_1d(rmt.level_density(ctx, grid))
-    _emit(config, ["x", "rho"], np.column_stack([grid, rho]).tolist())
+    _emit(config, ["x", "rho"], np.column_stack([grid, rho]))
 
 
 def run_variance(config: argparse.Namespace) -> None:

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from gausspage import rmt
 from gausspage.linalg import InvalidArgument
-from gausspage.special import digamma, digamma_difference, trigamma, trigamma_difference
+from gausspage.special import digamma, digamma_difference, trigamma, trigamma_difference, trigamma_digamma_difference
 
 # Above this N, Psi(2^N + 1) is replaced by its (machine exact) asymptotics N log 2 + O(2^-N).
 _PAGE_ASYMPT_N = 50
@@ -118,67 +116,20 @@ def lrv_density(f: float) -> float:
     return (math.log(2.0) - 1.0) * f + (f - 1.0) * math.log1p(-f)
 
 
-def sbar_lk(l: int, k: int, f: float) -> float:
-    """Limit of the squared entropy matrix element s^2_{N_A-1-l, N_A+k}."""
-    if l < 0 or k < 0:
-        raise InvalidArgument("indices must be non-negative")
-    if not (0.0 < f < 1.0):
-        raise InvalidArgument(f"need 0 < f < 1, got {f}")
-    m = k + l + 1
-    ratio = 1.0 / f - 1.0
-    num = (2.0 * k + 2.0 * l + 3.0 - 4.0 * f * m) ** 2
-    den = 4.0 * m * m * (2.0 * k + 2.0 * l + 1.0) ** 2 * (2.0 * k + 2.0 * l + 3.0) ** 2
-    return ratio ** (-2.0 * m) * num / den
-
-
-def _lgamma(x: np.ndarray) -> np.ndarray:
-    """math.lgamma of each element, one call per element of x as given (not as broadcast)."""
-    return np.asarray(np.frompyfunc(math.lgamma, 1, 1)(x), dtype=float)
-
-
-def s2_closed_form(i, j, delta: int) -> float | np.ndarray:
-    """Closed form of the squared entropy matrix element s^2_ij, for i < j.
-
-    i and j are integers or broadcastable integer arrays, and the result has
-    their broadcast shape (a float for two scalars).  Evaluated as a sum of
-    log-gamma terms, each on its own index array, so an (i, j) grid costs
-    O(rows + columns) lgamma calls; the raw factorials reach order (4N)!
-    and would overflow immediately.
-    """
-    i, j = np.asarray(i), np.asarray(j)
-    if np.any(i >= j):
-        raise InvalidArgument(f"closed form requires i < j, got i={i}, j={j}")
-    if np.any(i < 0) or delta < 0:
-        raise InvalidArgument("indices must be non-negative")
-    d = float(delta)
-    i, j = i.astype(float), j.astype(float)
-    k = j - i  # |2i - 2j + 1| = 2k - 1
-    poly = (1.0 + d - 2.0 * d * d) * i - 2.0 * (d - 1.0) * i * i + (d + 1.0) * (2.0 * j + 1.0) * (d + j)
-    log_num = (
-        _lgamma(2.0 * j + 1.0) + np.log(2.0 * d + 4.0 * i + 1.0) + np.log(d + j + 1.0) + np.log(2.0 * d + 2.0 * j + 1.0)
-        + np.log(2.0 * d + 4.0 * j + 1.0) + _lgamma(2.0 * (d + i) + 1.0) + 2.0 * np.log(np.abs(poly))
-    )
-    log_den = (
-        math.log(2.0) + _lgamma(2.0 * i + 1.0) + 2.0 * np.log(2.0 * k - 1.0) + 2.0 * np.log(k)
-        + 2.0 * np.log(2.0 * k + 1.0) + _lgamma(2.0 * (d + j + 1.0) + 1.0) + 2.0 * np.log(d + i + j)
-        + 2.0 * np.log(d + i + j + 1.0) + 2.0 * np.log(2.0 * d + 2.0 * i + 2.0 * j + 1.0)
-    )
-    s2 = np.exp(log_num - log_den)
-    return float(s2) if s2.ndim == 0 else s2
-
-
 def variance_finite_N(N: int, N_A: int) -> float:
     """Finite-N entropy variance of the Gaussian ensemble, at O(1) cost; with k = min(N_A, N - N_A) it is
 
     -(N - 1/2) Psi_1(2N) + (N - k - 1/2) Psi_1(2N - 2k) + (k/2 - 1/8 + k(k - 1/2)/(2N - 1)) Psi_1(N)
       + Psi_1(N - k)/8 - [Psi(2N) - Psi(2N - 2k)]/2, 0 at k = 0: found by fitting and verified, not derived
-    (the tests hold it to the series sum_{i<N_A<=j} s^2_ij of ``s2_closed_form``, the Gram variance and mpmath).
-    Summed from ``special``'s differences, with Psi_1(N)/2 - Psi_1(2N) = [Psi_1(N) - Psi_1(N + 1/2)]/4; its
-    first and last terms, both near k/(2N), leave an error of a few ulps of k/(2N) on a result near k^2/(4N^2).
+    (the tests hold it to the series sum_{i<N_A<=j} s^2_ij of the reference ``s2_closed_form`` in
+    ``tests/reference.py``, to the Gram variance and to mpmath).  Summed from ``special``'s differences, with
+    Psi_1(N)/2 - Psi_1(2N) = [Psi_1(N) - Psi_1(N + 1/2)]/4.  Its differences (N - k - 1/2) [Psi_1(2N - 2k) -
+    Psi_1(2N)] and [Psi(2N) - Psi(2N - 2k)]/2, both near k/(2N) on a result near k^2/(4N^2), are summed as one
+    ``trigamma_digamma_difference``, whose leading parts cancel analytically: full relative precision at N_A << N.
     """
     k = smaller_side(N, N_A)
     return (
-        (N - k - 0.5) * trigamma_difference(2 * (N - k), 2 * k) - 0.5 * digamma_difference(2 * (N - k), 2 * k)
+        0.5 * trigamma_digamma_difference(2 * (N - k), 2 * k)
         + 0.125 * trigamma_difference(N - k, k) + 0.25 * k * trigamma_difference(N, 0.5)
         + k * (k - 0.5) / (2 * N - 1) * trigamma(N)
     )

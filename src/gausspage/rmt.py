@@ -34,8 +34,11 @@ there only because the polynomial varies ever more slowly toward x = 1.  So
 every such integral rests on the check of n against 2n (``_converged``, on
 the largest entry), not on exactness; the panels held at 8 nodes, which that
 check does not refine, carry only the logarithmic factor of s (tested at 16).
-``ctx.quadrature`` is one panel on [0, 1] at that order: it only meets
-polynomial integrands (G(1), K(x, x), K(z, x) K(z, y)), exactly.
+The mean evaluates both orders of a check in one pass of the recurrence, over
+the two rules' nodes at once: it is elementwise, so each order keeps its bits.
+``ctx.quadrature`` is one panel on [0, 1] at that order (cached in ``special``
+by order): it only meets polynomial integrands (G(1), K(x, x), K(z, x) K(z, y)),
+exactly.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import numpy as np
 
 from gausspage.linalg import InvalidArgument
 from gausspage.gstates import ConsistencyError, mode_entropy
-from gausspage.special import QuadratureRule, gauss_legendre, jacobi_orthonormal, panel_rule, unit_interval_rule
+from gausspage.special import QuadratureRule, gauss_legendre, jacobi_orthonormal, unit_interval_rule, unit_panel_rule
 
 ORTHONORMALITY_TOL = 1e-10
 QUADRATURE_TOL = 1e-10  # |integral(2n) - integral(n)| that ends the order doubling
@@ -91,7 +94,7 @@ def build_kernel_ctx(n_a: int, delta: int) -> JacobiKernelCtx:
     """Precompute the quadrature; verifies orthonormality."""
     if n_a < 1 or delta < 0:
         raise InvalidArgument(f"need N_A >= 1 and Delta >= 0, got ({n_a}, {delta})")
-    ctx = JacobiKernelCtx(n_a=n_a, delta=delta, quadrature=panel_rule(_panel_order(n_a, delta), [(0.0, 1.0)]))
+    ctx = JacobiKernelCtx(n_a=n_a, delta=delta, quadrature=unit_panel_rule(_panel_order(n_a, delta)))
     err = np.max(np.abs(_gram_on(ctx, ctx.quadrature, np.ones_like, n_a) - np.eye(n_a)))
     if not err <= ORTHONORMALITY_TOL:  # a NaN fails it
         raise ConsistencyError(f"wavefunction orthonormality violated: {err:.3e}")
@@ -111,7 +114,12 @@ def kernel(ctx: JacobiKernelCtx, x, y) -> float | np.ndarray:
 def level_density(ctx: JacobiKernelCtx, x) -> float | np.ndarray:
     """Level density rho(x) = K(x, x)/N_A, normalized to unit integral."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    val = sum(row * row for row in _rows(ctx.delta, x, ctx.n_a)) / ctx.n_a  # K(x, x), summed row by row
+    rows = _rows(ctx.delta, x, ctx.n_a)
+    row = next(rows)
+    val = row * row  # K(x, x), summed in place row by row
+    for row in rows:
+        val += row * row
+    val /= ctx.n_a
     return float(val[0]) if val.size == 1 else val
 
 
@@ -165,10 +173,20 @@ def gram(ctx: JacobiKernelCtx, g, jmax: int | None = None) -> np.ndarray:
 
 
 def average_entropy_quadrature(ctx: JacobiKernelCtx) -> float:
-    """Ensemble-average entropy tr G(s) = N_A * integral of s(x) rho(x) dx, from the streamed K(x, x)."""
+    """Ensemble-average entropy tr G(s) = N_A * integral of s(x) rho(x) dx, from the streamed K(x, x).
+
+    Order n is evaluated in one pass with 2n, its check, over both rules' nodes; the doubling loop then takes
+    the 2n half as it stands.  s(x) K(x, x) is elementwise, so each half has the bits of a pass of its own.
+    """
+    doubled = {}  # the 2n half of the last pass, by its order
 
     def trace(order: int) -> float:
-        rule = unit_interval_rule(order)
-        return ctx.n_a * rule.integrate(mode_entropy(rule.nodes) * level_density(ctx, rule.nodes))
+        if order in doubled:
+            return doubled.pop(order)
+        rule, double = unit_interval_rule(order), unit_interval_rule(2 * order)
+        nodes = np.concatenate([rule.nodes, double.nodes])
+        values = mode_entropy(nodes) * level_density(ctx, nodes)
+        doubled[2 * order] = ctx.n_a * double.integrate(values[rule.nodes.size :])
+        return ctx.n_a * rule.integrate(values[: rule.nodes.size])
 
     return _converged(trace, _panel_order(ctx.n_a, ctx.delta), "entropy")

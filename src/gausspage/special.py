@@ -4,7 +4,9 @@ Digamma and trigamma shift up to argument >= 10, then sum the Bernoulli
 asymptotic series (through B14 and B16); digamma is accurate to ~1e-12 on
 (0, 1e6].  Their differences Psi(a + n) - Psi(a) and Psi_1(a) - Psi_1(a + n)
 are summed term by term, each asymptotic term c x^-p as c a^-p (1 - (a /
-(a + n))^p) = -c a^-p expm1(-p log1p(n / a)), so nothing cancels where n << a.
+(a + n))^p) = -c a^-p expm1(-p log1p(n / a)), so nothing cancels where n << a;
+so is (a - 1) [Psi_1(a) - Psi_1(a + n)] - [Psi(a + n) - Psi(a)], whose two
+leading parts cancel where n << a and are summed as one series.
 Orthonormal Jacobi polynomials for any weight (a, b) come from their
 recurrence a row at a time, with no degree x points table (``rmt`` uses
 (Delta, -1/2) in t = 2x^2 - 1); factorial-ratio closed forms are unstable.
@@ -76,12 +78,39 @@ def trigamma_difference(a: float, n: float) -> float:
     return acc - sum(c * a**-p * math.expm1(-p * u) for p, c in _TRIGAMMA_TERMS)
 
 
+def trigamma_digamma_difference(a: float, n: float) -> float:
+    """(a - 1) [Psi_1(a) - Psi_1(a + n)] - [Psi(a + n) - Psi(a)] for a > 0 and n >= 0, to a few ulps of itself.
+
+    Both differences are near n/a where n << a, while their combination is of order (n/a)^2.  The shift goes
+    to a >= 20, not 10, as the combination amplifies the truncation of the asymptotic series by up to 20 at
+    a = 10; the weight stays a - 1 of the a given.  The two leading parts, a (1/a - 1/(a + n)) = w and
+    log(1 + n/a) = -log1p(-w) with w = n/(a + n), are then summed as one, sum_(j >= 2) w^j / j (as a series
+    below w = 1/8, to j = 21), and each other asymptotic term as c a^-p (1 - (1 - w)^p).
+    """
+    a0 = a = _positive("trigamma_digamma_difference", a)
+    acc = 0.0
+    while a < 20.0:  # (a0 - 1) [1/a^2 - 1/(a + n)^2] - [1/a - 1/(a + n)]
+        acc += (a0 - 1.0) * n * (2.0 * a + n) / (a * (a + n)) ** 2 - n / (a * (a + n))
+        a += 1.0
+    w, u = n / (a + n), math.log1p(n / a)  # u = -log1p(-w), without the rounding of 1 - w where n >> a
+    lead = math.fsum(w**j / j for j in range(2, 22)) if w < 0.125 else u - w
+
+    def tail(terms, shift: int) -> float:  # sum of c a^(shift - p) (1 - (1 - w)^p)
+        return sum(c * a ** (shift - p) * -math.expm1(-p * u) for p, c in terms)
+
+    # a0 - 1 = a - (1 + a - a0): the trigamma difference at the shifted a, weighted by a, less the rest
+    return (acc - lead + tail(_TRIGAMMA_TERMS[1:], 1) - (1.0 + a - a0) * tail(_TRIGAMMA_TERMS, 0)
+            + tail(_DIGAMMA_TERMS, 0))
+
+
 def jacobi_orthonormal(count: int, a: float, b: float, t: np.ndarray, row0: np.ndarray) -> Iterator[np.ndarray]:
-    """Rows f p_0, ..., f p_{count-1} at t, each a new array, from row0 = f p_0 for any factor f.
+    """Rows f p_0, ..., f p_{count-1} at t, each a new array, from row0 = f p_0 (of t's shape) for any factor f.
 
     p_n are the orthonormal Jacobi polynomials for the weight (1 - t)^a (1 + t)^b on [-1, 1], with positive
     leading coefficients: p_0 = 1 / sqrt(integral of the weight), and
     t p_n = sqrt(beta_{n+1}) p_{n+1} + alpha_n p_n + sqrt(beta_n) p_{n-1}.
+    Each row is built in place on the one array it is yielded as, by the same operations in the same order as
+    ((t - alpha_n) p_n - sqrt(beta_n) p_{n-1}) / sqrt(beta_{n+1}), so with the same bits.
     """
     t = np.asarray(t, dtype=float)
     prev, row, sqrt_beta = 0.0, np.asarray(row0, dtype=float), 0.0
@@ -95,9 +124,12 @@ def jacobi_orthonormal(count: int, a: float, b: float, t: np.ndarray, row0: np.n
         else:
             alpha = (b * b - a * a) / (s * (s + 2.0))
             beta = 4.0 * m * (m + a) * (m + b) * (m + a + b) / ((s + 2.0) ** 2 * (s + 3.0) * (s + 1.0))
-        nxt = (t - alpha) * row - sqrt_beta * prev
+        nxt = t - alpha
+        nxt *= row
+        nxt -= sqrt_beta * prev
         sqrt_beta = math.sqrt(beta)
-        prev, row = row, nxt / sqrt_beta
+        nxt /= sqrt_beta
+        prev, row = row, nxt
 
 
 @dataclass(frozen=True)
@@ -167,6 +199,12 @@ def unit_interval_rule(n: int) -> QuadratureRule:
     Cached and read-only.
     """
     return _unit_interval_rule(n)
+
+
+@functools.lru_cache(maxsize=16)
+def unit_panel_rule(n: int) -> QuadratureRule:
+    """n Gauss-Legendre nodes on [0, 1] as one panel, exact for polynomials of degree 2n - 1 (cached, read-only)."""
+    return panel_rule(n, [(0.0, 1.0)])
 
 
 @functools.lru_cache(maxsize=16)

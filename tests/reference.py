@@ -16,6 +16,9 @@
   Binomial(N, 1/2) particle numbers of uniform occupations.
 * Kolmogorov-Smirnov statistics and their critical values at level
   ``KS_ALPHA``, for the tests' checks of laws.
+* The squared entropy matrix elements s^2_ij in closed form, whose series
+  sum_{i<N_A<=j} s^2_ij the tests hold ``formulas.variance_finite_N`` to, and
+  their large-N limits ``sbar_lk``.
 """
 
 from __future__ import annotations
@@ -157,3 +160,52 @@ def ks_two_sample_critical(n: int, m: int) -> float:
 def ks_one_sample_critical(n: int) -> float:
     """Critical value of the one-sample KS statistic at level KS_ALPHA."""
     return float(_KS_C / np.sqrt(n))
+
+
+def sbar_lk(l: int, k: int, f: float) -> float:
+    """Limit of the squared entropy matrix element s^2_{N_A-1-l, N_A+k}."""
+    if l < 0 or k < 0:
+        raise InvalidArgument("indices must be non-negative")
+    if not (0.0 < f < 1.0):
+        raise InvalidArgument(f"need 0 < f < 1, got {f}")
+    m = k + l + 1
+    ratio = 1.0 / f - 1.0
+    num = (2.0 * k + 2.0 * l + 3.0 - 4.0 * f * m) ** 2
+    den = 4.0 * m * m * (2.0 * k + 2.0 * l + 1.0) ** 2 * (2.0 * k + 2.0 * l + 3.0) ** 2
+    return ratio ** (-2.0 * m) * num / den
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """math.lgamma of each element, one call per element of x as given (not as broadcast)."""
+    return np.asarray(np.frompyfunc(math.lgamma, 1, 1)(x), dtype=float)
+
+
+def s2_closed_form(i, j, delta: int) -> float | np.ndarray:
+    """Closed form of the squared entropy matrix element s^2_ij, for i < j.
+
+    i and j are integers or broadcastable integer arrays, and the result has
+    their broadcast shape (a float for two scalars).  Evaluated as a sum of
+    log-gamma terms, each on its own index array, so an (i, j) grid costs
+    O(rows + columns) lgamma calls; the raw factorials reach order (4N)!
+    and would overflow immediately.
+    """
+    i, j = np.asarray(i), np.asarray(j)
+    if np.any(i >= j):
+        raise InvalidArgument(f"closed form requires i < j, got i={i}, j={j}")
+    if np.any(i < 0) or delta < 0:
+        raise InvalidArgument("indices must be non-negative")
+    d = float(delta)
+    i, j = i.astype(float), j.astype(float)
+    k = j - i  # |2i - 2j + 1| = 2k - 1
+    poly = (1.0 + d - 2.0 * d * d) * i - 2.0 * (d - 1.0) * i * i + (d + 1.0) * (2.0 * j + 1.0) * (d + j)
+    log_num = (
+        _lgamma(2.0 * j + 1.0) + np.log(2.0 * d + 4.0 * i + 1.0) + np.log(d + j + 1.0) + np.log(2.0 * d + 2.0 * j + 1.0)
+        + np.log(2.0 * d + 4.0 * j + 1.0) + _lgamma(2.0 * (d + i) + 1.0) + 2.0 * np.log(np.abs(poly))
+    )
+    log_den = (
+        math.log(2.0) + _lgamma(2.0 * i + 1.0) + 2.0 * np.log(2.0 * k - 1.0) + 2.0 * np.log(k)
+        + 2.0 * np.log(2.0 * k + 1.0) + _lgamma(2.0 * (d + j + 1.0) + 1.0) + 2.0 * np.log(d + i + j)
+        + 2.0 * np.log(d + i + j + 1.0) + 2.0 * np.log(2.0 * d + 2.0 * i + 2.0 * j + 1.0)
+    )
+    s2 = np.exp(log_num - log_den)
+    return float(s2) if s2.ndim == 0 else s2

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -123,6 +124,22 @@ class TestDensity:
         header, rows = read_rows(path)
         assert len(rows) == 11
         assert all(abs(float(r[1]) - 1.0) <= 1e-12 for r in rows)
+
+
+class TestEmit:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("table", [[[0.5, -0.0]], [[0.0, math.nan], [math.inf, -math.inf], [-0.0, 1e-300],
+                                                       [0.1, 2.0 / 3.0]]], ids=["one-row", "special-values"])
+    def test_a_float_array_writes_the_bytes_of_its_rows_as_lists(self, table, fmt, capsys):
+        # a 2-D float array takes one %.17g template for the whole table, with no type tuple for each row
+        config = argparse.Namespace(fmt=fmt, out=None)
+        cli._emit(config, ["x", "rho"], table)
+        as_lists = capsys.readouterr().out
+        cli._emit(config, ["x", "rho"], np.array(table))
+        assert capsys.readouterr().out == as_lists
+        if fmt == "csv" and len(table) > 1:
+            assert as_lists.splitlines()[2:] == ["0,nan", "inf,-inf", "-0,1e-300",
+                                                 "0.10000000000000001,0.66666666666666663"]
 
 
 class TestVariance:

@@ -8,6 +8,7 @@ import pytest
 
 from gausspage.linalg import InvalidArgument
 from gausspage import cli, formulas as F
+from reference import s2_closed_form, sbar_lk
 
 # N_A in {1, 2, 3, 7, 64, N/8, N/4, N/2}, for N from 2 to 10^8
 MPMATH_GRID = [(n, n_a) for n in (2, 3, 5, 8, 13, 40, 64, 100, 256, 1000, 10**4, 10**5, 10**6, 10**7, 10**8)
@@ -149,79 +150,79 @@ class TestGaussianStdLimit:
 
     def test_squared_equals_double_sum(self):
         f = 0.3
-        total = sum(F.sbar_lk(l, k, f) for l in range(40) for k in range(40))
+        total = sum(sbar_lk(l, k, f) for l in range(40) for k in range(40))
         assert abs(F.gaussian_variance_limit(f) - total) <= 1e-8
 
 
 class TestSbar:
     def test_leading_summand(self):
-        assert abs(F.sbar_lk(0, 0, 0.5) - 1.0 / 36.0) <= 1e-15
+        assert abs(sbar_lk(0, 0, 0.5) - 1.0 / 36.0) <= 1e-15
 
     def test_fig3_leading_coefficient(self):
         # |sbar_00| = (3 - 4f) f / (6 (1 - f))
         for f in (0.1, 0.25, 0.4, 0.5):
             expected = ((3.0 - 4.0 * f) * f / (6.0 * (1.0 - f))) ** 2
-            assert abs(F.sbar_lk(0, 0, f) - expected) <= 1e-14
+            assert abs(sbar_lk(0, 0, f) - expected) <= 1e-14
 
     def test_geometric_decay_ratio(self):
         f = 0.25
         target = (1.0 / f - 1.0) ** -2
         # the prefactor decays like a power of k, so the ratio converges slowly
-        ratios = [F.sbar_lk(0, k + 1, f) / F.sbar_lk(0, k, f) for k in range(150, 154)]
+        ratios = [sbar_lk(0, k + 1, f) / sbar_lk(0, k, f) for k in range(150, 154)]
         for r in ratios:
             assert abs(r - target) < 0.05 * target
 
     def test_double_sum_closed_form(self):
         f = 0.3
-        total = sum(F.sbar_lk(l, k, f) for l in range(60) for k in range(60))
+        total = sum(sbar_lk(l, k, f) for l in range(60) for k in range(60))
         assert abs(total - 0.5 * (f + f * f + math.log(1.0 - f))) <= 1e-8
 
 
 class TestS2ClosedForm:
     def test_rejects_upper_triangle_violation(self):
         with pytest.raises(InvalidArgument):
-            F.s2_closed_form(3, 3, 0)
+            s2_closed_form(3, 3, 0)
 
     def test_monotone_tail(self):
         for i in range(4):
-            vals = [F.s2_closed_form(i, j, 0) for j in range(i + 2, i + 12)]
+            vals = [s2_closed_form(i, j, 0) for j in range(i + 2, i + 12)]
             assert np.all(np.diff(vals) < 0)
 
     def test_limit_consistency(self):
         # s2(N_A-1, N_A) -> sbar(0,0,f) at f = 1/4, N = 400
         n_a = 100
-        val = F.s2_closed_form(n_a - 1, n_a, 400 - 2 * n_a)
-        assert abs(val - F.sbar_lk(0, 0, 0.25)) <= 0.02 * F.sbar_lk(0, 0, 0.25)
+        val = s2_closed_form(n_a - 1, n_a, 400 - 2 * n_a)
+        assert abs(val - sbar_lk(0, 0, 0.25)) <= 0.02 * sbar_lk(0, 0, 0.25)
 
     def test_array_call_matches_scalar_calls(self):
         # one log-gamma per index of each array, broadcast to the (i, j) grid
         i, j = np.arange(5)[:, None], 5 + np.arange(7)
         for delta in (0, 3, 17):
-            grid = F.s2_closed_form(i, j, delta)
+            grid = s2_closed_form(i, j, delta)
             assert grid.shape == (5, 7)
             for a in range(5):
                 for b in range(7):
-                    assert grid[a, b] == F.s2_closed_form(a, 5 + b, delta)
-        assert isinstance(F.s2_closed_form(0, 1, 0), float)
+                    assert grid[a, b] == s2_closed_form(a, 5 + b, delta)
+        assert isinstance(s2_closed_form(0, 1, 0), float)
 
     def test_array_call_rejects_any_upper_triangle_violation(self):
         with pytest.raises(InvalidArgument):
-            F.s2_closed_form(np.array([0, 5]), 5, 0)
+            s2_closed_form(np.array([0, 5]), 5, 0)
         with pytest.raises(InvalidArgument):
-            F.s2_closed_form(np.arange(3)[:, None], np.arange(1, 4), 0)
+            s2_closed_form(np.arange(3)[:, None], np.arange(1, 4), 0)
 
 
 def fsum_variance(N, N_A, columns):
     """math.fsum of s^2_ij over i < N_A and the first `columns` j >= N_A, 16 array rows at a time."""
     n_a = min(N_A, N - N_A)
     j = n_a + np.arange(columns)
-    blocks = [F.s2_closed_form(np.arange(r, min(r + 16, n_a))[:, None], j, N - 2 * n_a) for r in range(0, n_a, 16)]
+    blocks = [s2_closed_form(np.arange(r, min(r + 16, n_a))[:, None], j, N - 2 * n_a) for r in range(0, n_a, 16)]
     return math.fsum(np.concatenate([b.ravel() for b in blocks])) if blocks else 0.0
 
 
-def mp_variance(N, N_A):
-    """The closed form of ``variance_finite_N`` in 40-digit mpmath, from the digamma and trigamma values themselves."""
-    with mpmath.workdps(40):
+def mp_variance(N, N_A, dps=40):
+    """The closed form of ``variance_finite_N`` in dps-digit mpmath, from the digamma and trigamma values themselves."""
+    with mpmath.workdps(dps):
         n, k = mpmath.mpf(N), mpmath.mpf(min(N_A, N - N_A))
         psi, psi1 = (lambda x: mpmath.psi(0, x)), (lambda x: mpmath.psi(1, x))
         return (-(n - 0.5) * psi1(2 * n) + (n - k - 0.5) * psi1(2 * n - 2 * k)
@@ -286,6 +287,14 @@ class TestVariance:
             assert abs(value - float(exact)) <= 1e-15, (n, n_a, value)
             if n <= 10**6:
                 assert float(abs(value - exact) / exact) <= 1e-8, (n, n_a, value)
+
+    @pytest.mark.parametrize("N", [int(n) for n in np.geomspace(10, 10**12, 12).round()])
+    def test_full_relative_precision_where_N_A_is_small(self, N):
+        # the two differences near N_A/(2N) are summed as one, so no relative error grows like N/N_A: 1e-13
+        # of 60-digit mpmath (the terms cancel by up to 24 digits at N = 10^12) at log-spaced N_A up to N/2
+        for n_a in sorted({int(k) for k in np.geomspace(1, N // 2, 10).round()}):
+            value, exact = F.variance_finite_N(N, n_a), mp_variance(N, n_a, dps=60)
+            assert float(abs(value - exact) / exact) <= 1e-13, (N, n_a, value)
 
     def test_cost_does_not_grow_with_N_A(self):
         # a handful of digamma and trigamma differences, at any N and N_A: well under 1 ms a call

@@ -18,8 +18,15 @@ from gausspage.rmt import (
     wavefunctions,
 )
 from gausspage import special
-from gausspage.special import UNIT_INTERVAL_PANELS, QuadratureRule, gauss_legendre, panel_rule, unit_interval_rule
-from reference import haar_orthogonal_stack, ks_one_sample_critical, ks_statistic_one_sample
+from gausspage.special import (
+    UNIT_INTERVAL_PANELS,
+    QuadratureRule,
+    gauss_legendre,
+    panel_rule,
+    unit_interval_rule,
+    unit_panel_rule,
+)
+from reference import haar_orthogonal_stack, ks_one_sample_critical, ks_statistic_one_sample, s2_closed_form
 
 
 def reference_c(j, delta):
@@ -43,6 +50,11 @@ class TestKernelCtx:
 
     def test_normalizations_delta1(self):
         assert abs(reference_c(0, 1) - 2.0 / 3.0) <= 1e-12
+
+    def test_contexts_of_one_order_share_the_cached_rule(self):
+        # 2 * 4 + 8 + 16 = 2 * 2 + 12 + 16 = 32, and 2 * 1 + 0 + 16 rounds up to it
+        assert build_kernel_ctx(4, 8).quadrature is build_kernel_ctx(2, 12).quadrature is unit_panel_rule(32)
+        assert build_kernel_ctx(1, 0).quadrature is unit_panel_rule(32)
 
     def test_positive(self):
         # c_j > 0, and psi_j has the sign of P_{2j}: positive beyond its largest zero
@@ -106,6 +118,18 @@ class TestLevelDensity:
             rho = level_density(ctx, ctx.quadrature.nodes)
             assert abs(float(np.dot(ctx.quadrature.weights, rho)) - 1.0) <= 1e-9
             assert np.all(rho >= -1e-12)
+
+    @pytest.mark.parametrize("n_a,delta", [(1, 0), (4, 8), (96, 0), (5, 98)])
+    def test_concatenated_nodes_equal_separate_calls(self, n_a, delta):
+        # K(x, x) is elementwise in x: one call over two rules' nodes has the bits of one call for each
+        ctx = build_kernel_ctx(n_a, delta)
+        a, b = unit_interval_rule(64).nodes, unit_interval_rule(128).nodes
+        both = level_density(ctx, np.concatenate([a, b]))
+        assert np.array_equal(both, np.concatenate([level_density(ctx, a), level_density(ctx, b)]))
+
+    def test_in_place_sum_is_the_sum_of_squared_rows(self):
+        ctx, x = build_kernel_ctx(40, 13), np.linspace(0.0, 1.0, 2001)
+        assert np.array_equal(level_density(ctx, x), sum(row * row for row in wavefunctions(ctx, x)) / 40)
 
     def test_uniform_case(self):
         ctx = build_kernel_ctx(1, 0)
@@ -204,6 +228,22 @@ class TestAverageEntropy:
     def test_matches_closed_form(self):
         ctx = build_kernel_ctx(3, 4)  # N=10, N_A=3
         assert abs(average_entropy_quadrature(ctx) - formulas.gaussian_average_exact(10, 3)) <= 1e-8
+
+    @pytest.mark.parametrize("n,n_a", [(16, 4), (40, 10), (108, 5), (192, 96)])
+    def test_one_pass_equals_a_pass_for_each_order(self, n, n_a):
+        # the check of n against 2n evaluates both orders' nodes in one pass; each half keeps the bits of its own
+        ctx = build_kernel_ctx(n_a, n - 2 * n_a)
+
+        def trace(order):
+            rule = unit_interval_rule(order)
+            return n_a * rule.integrate(mode_entropy(rule.nodes) * level_density(ctx, rule.nodes))
+
+        order = rmt._panel_order(n_a, n - 2 * n_a)
+        value, refined = trace(order), trace(2 * order)
+        while not abs(refined - value) < rmt.QUADRATURE_TOL:
+            order *= 2
+            value, refined = refined, trace(2 * order)
+        assert average_entropy_quadrature(ctx) == refined
 
     def test_entropy_bound_guard(self):
         ctx = build_kernel_ctx(1, 40)
@@ -309,14 +349,14 @@ class TestMatrixElements:
 
     def test_against_closed_form(self):
         s01 = gram(build_kernel_ctx(1, 0), mode_entropy, 2)[0, 1]
-        assert abs(s01**2 - formulas.s2_closed_form(0, 1, 0)) <= 1e-8
+        assert abs(s01**2 - s2_closed_form(0, 1, 0)) <= 1e-8
 
     def test_closed_form_grid(self):
         for delta in range(0, 7, 2):
             s = gram(build_kernel_ctx(1, delta), mode_entropy, 7)
             for i in range(0, 3):
                 for j in range(i + 1, 7):
-                    assert abs(s[i, j] ** 2 - formulas.s2_closed_form(i, j, delta)) <= 1e-8
+                    assert abs(s[i, j] ** 2 - s2_closed_form(i, j, delta)) <= 1e-8
 
     def test_large_n_limit(self):
         # s_{N_A-1, N_A}^2 at f = 1/2, N = 200 approaches 1/36 within 2%

@@ -16,7 +16,9 @@ from gausspage.special import (
     panel_rule,
     trigamma,
     trigamma_difference,
+    trigamma_digamma_difference,
     unit_interval_rule,
+    unit_panel_rule,
 )
 
 EULER_GAMMA = 0.5772156649015328606  # -digamma(1)
@@ -68,7 +70,8 @@ class TestTrigamma:
             assert relative_error(trigamma(z), mpmath.psi(1, z)) <= 1e-14
 
     def test_rejects_nonpositive(self):
-        for f in (trigamma, lambda z: digamma_difference(z, 1.0), lambda z: trigamma_difference(z, 1.0)):
+        for f in (trigamma, lambda z: digamma_difference(z, 1.0), lambda z: trigamma_difference(z, 1.0),
+                  lambda z: trigamma_digamma_difference(z, 1.0)):
             for z in (0.0, -1.5, math.nan):
                 with pytest.raises(InvalidArgument):
                     f(z)
@@ -85,9 +88,21 @@ class TestDifferences:
                 assert relative_error(digamma_difference(a, n), digamma_exact) <= 1e-14, (a, n)
                 assert relative_error(trigamma_difference(a, n), trigamma_exact) <= 1e-14, (a, n)
 
+    @pytest.mark.parametrize("a", ARGUMENTS + (1e12,))
+    def test_trigamma_digamma_combination_against_mpmath(self, a):
+        # (a - 1) [Psi_1(a) - Psi_1(a + n)] - [Psi(a + n) - Psi(a)], to 1e-14 of itself: near (n/a)^2 where n << a,
+        # as both differences are near n/a
+        with mpmath.workdps(60):
+            for n in STEPS + (1e12,):
+                a_mp = mpmath.mpf(a)
+                exact = ((a_mp - 1) * (mpmath.psi(1, a_mp) - mpmath.psi(1, a_mp + n))
+                         - (mpmath.psi(0, a_mp + n) - mpmath.psi(0, a_mp)))
+                assert relative_error(trigamma_digamma_difference(a, n), exact) <= 1e-14, (a, n)
+
     def test_zero_step(self):
         for a in ARGUMENTS:
             assert digamma_difference(a, 0.0) == trigamma_difference(a, 0.0) == 0.0
+            assert trigamma_digamma_difference(a, 0.0) == 0.0
 
 
 def jacobi_norm(n, a, b):
@@ -244,8 +259,14 @@ class TestCachedRules:
     def test_repeat_calls_share_one_rule(self):
         assert gauss_legendre(40) is gauss_legendre(40)
         assert unit_interval_rule(32) is unit_interval_rule(32)
+        assert unit_panel_rule(32) is unit_panel_rule(32)
 
-    @pytest.mark.parametrize("make", [lambda: gauss_legendre(7), lambda: unit_interval_rule(32)])
+    def test_unit_panel_rule_is_one_legendre_panel(self):
+        assert np.array_equal(unit_panel_rule(24).nodes, panel_rule(24, [(0.0, 1.0)]).nodes)
+        assert np.array_equal(unit_panel_rule(24).weights, panel_rule(24, [(0.0, 1.0)]).weights)
+
+    @pytest.mark.parametrize("make", [lambda: gauss_legendre(7), lambda: unit_interval_rule(32),
+                                      lambda: unit_panel_rule(9)])
     def test_rules_are_read_only(self, make):
         rule = make()
         with pytest.raises(ValueError):

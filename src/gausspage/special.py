@@ -5,8 +5,8 @@ asymptotic series (through B14 and B16); digamma is accurate to ~1e-12 on
 (0, 1e6].  Their differences Psi(a + n) - Psi(a) and Psi_1(a) - Psi_1(a + n)
 are summed term by term, each asymptotic term c x^-p as c a^-p (1 - (a /
 (a + n))^p) = -c a^-p expm1(-p log1p(n / a)), so nothing cancels where n << a;
-so is (a - 1) [Psi_1(a) - Psi_1(a + n)] - [Psi(a + n) - Psi(a)], whose two
-leading parts cancel where n << a and are summed as one series.
+so is (a - 1) [Psi_1(a) - Psi_1(a + n)] - [Psi(a + n) - Psi(a)], shifted to
+a >= 20, whose two leading parts cancel where n << a and are summed as one.
 Orthonormal Jacobi polynomials for any weight (a, b) come from their
 recurrence a row at a time, with no degree x points table (``rmt`` uses
 (Delta, -1/2) in t = 2x^2 - 1); factorial-ratio closed forms are unstable.
@@ -98,7 +98,7 @@ def trigamma_digamma_difference(a: float, n: float) -> float:
     def tail(terms, shift: int) -> float:  # sum of c a^(shift - p) (1 - (1 - w)^p)
         return sum(c * a ** (shift - p) * -math.expm1(-p * u) for p, c in terms)
 
-    # a0 - 1 = a - (1 + a - a0): the trigamma difference at the shifted a, weighted by a, less the rest
+    # weight a0 - 1 = a - (1 + a - a0): a times the trigamma difference (its first term w is in lead), less the rest
     return (acc - lead + tail(_TRIGAMMA_TERMS[1:], 1) - (1.0 + a - a0) * tail(_TRIGAMMA_TERMS, 0)
             + tail(_DIGAMMA_TERMS, 0))
 
@@ -202,13 +202,13 @@ def unit_interval_rule(n: int) -> QuadratureRule:
 
 
 @functools.lru_cache(maxsize=16)
-def unit_panel_rule(n: int) -> QuadratureRule:
-    """n Gauss-Legendre nodes on [0, 1] as one panel, exact for polynomials of degree 2n - 1 (cached, read-only)."""
-    return panel_rule(n, [(0.0, 1.0)])
-
-
-@functools.lru_cache(maxsize=16)
 def _unit_interval_rule(n: int) -> QuadratureRule:
     orders = [n, n] + [max(_FLOOR_NODES, n >> (k // 2)) for k in range(2, len(UNIT_INTERVAL_PANELS))]
     parts = [panel_rule(order, [panel]) for order, panel in zip(orders, UNIT_INTERVAL_PANELS)]
     return QuadratureRule(np.concatenate([p.nodes for p in parts]), np.concatenate([p.weights for p in parts]))
+
+
+@functools.lru_cache(maxsize=16)
+def unit_panel_rule(n: int) -> QuadratureRule:
+    """n Gauss-Legendre nodes on [0, 1] as one panel, exact for polynomials of degree 2n - 1 (cached, read-only)."""
+    return panel_rule(n, [(0.0, 1.0)])

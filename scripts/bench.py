@@ -53,10 +53,9 @@ SEEDS = (1, 2, 3)
 RUN_SECONDS = 25
 # (N, N_A) and samples per timing of each batched sampler; a timing takes about 0.1-1 s.  gaussian and
 # number-conserving (2000, 40) and haar-pure (40, 4) lie beyond the range of the dense samplers that the matrix
-# models replaced
+# models replaced.  The hamiltonian ensemble draws gaussian_entropies, so it has no rows of its own
 SAMPLERS = {
     "gaussian": ("gaussian_entropies", [(8, 4, 8192), (16, 8, 2048), (64, 32, 128), (2000, 40, 2048)]),
-    "hamiltonian": ("hamiltonian_eigenstate_entropies", [(8, 4, 8192), (16, 8, 2048), (64, 32, 128)]),
     "number-conserving": (
         "number_conserving_entropies", [(8, 4, 8192), (16, 8, 2048), (64, 32, 128), (2000, 40, 2048)]
     ),
@@ -64,7 +63,7 @@ SAMPLERS = {
 }
 # (N, N_A) of each Monte Carlo estimate timed through stats.mc_estimate, with ESTIMATE_SAMPLES samples (four
 # blocks); haar-pure stays at (12, 6), where it has been timed since its sampler held 2^N amplitudes
-ESTIMATES = {"gaussian": (16, 8), "hamiltonian": (16, 8), "number-conserving": (16, 8), "haar-pure": (12, 6)}
+ESTIMATES = {"gaussian": (16, 8), "number-conserving": (16, 8), "haar-pure": (12, 6)}
 ESTIMATE_SAMPLES = 4096
 # single-state chains of the state-algebra workload: seeds 1..CHAIN_SEEDS per timing, N_A = N/2
 CHAINS = [(kind, n) for kind in ("particle", "hamiltonian", "gaussian") for n in (64, 128)]

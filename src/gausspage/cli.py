@@ -56,7 +56,7 @@ EXIT_NUMERICAL = 4
 _SAMPLERS = {
     "gaussian": "gaussian_entropies",  # the beta-Jacobi (CS) model: min(N_A, N - N_A)^2 words a sample, at any N
     "haar-pure": "haar_pure_entropies",  # refuses min(N_A, N - N_A) > HAAR_PURE_MAX_SIDE and N > HAAR_PURE_MAX_N
-    "hamiltonian": "hamiltonian_eigenstate_entropies",
+    "hamiltonian": "gaussian_entropies",  # the eigenstates of an O(2N)-invariant h have the Haar Gaussian law
     "number-conserving": "number_conserving_entropies",  # the same CS model at a Binomial(N, 1/2) particle number
 }
 ENSEMBLES = tuple(_SAMPLERS)
@@ -75,25 +75,24 @@ _OPTIONS = {
 
 
 def _emit(config: argparse.Namespace, columns: list[str], rows: list[list] | np.ndarray) -> None:
-    """Write ``rows`` (a list of rows, or a 2-D float array) as CSV or JSON, every float with 17 digits."""
+    """Write ``rows`` (a list of rows, or a 2-D float array) as CSV or JSON, every float with 17 digits.
+
+    Each column holds one Python type, so the first row gives one ``%.17g`` (float) or ``%s`` format a column,
+    and the CSV is one template for the whole table; JSON writes the floats with those formats, as strings.
+    """
+    flat = rows.ravel().tolist() if isinstance(rows, np.ndarray) else list(itertools.chain.from_iterable(rows))
+    formats = ["%.17g" if isinstance(v, float) else "%s" for v in flat[: len(columns)]]
     if config.fmt == "json":
-        rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        fields = [f % v if f == "%.17g" else v for f, v in zip(itertools.cycle(formats), flat)]
         payload = {
             "version": HEADER.lstrip("# "),
             "columns": columns,
-            "rows": [["%.17g" % v if isinstance(v, float) else v for v in row] for row in rows],
+            "rows": [fields[i : i + len(columns)] for i in range(0, len(fields), len(columns))],
         }
         text = json.dumps(payload, indent=2) + "\n"
-    elif isinstance(rows, np.ndarray):  # one template for every row, and no type tuple or list built for each
-        body = "\n".join([",".join(["%.17g"] * rows.shape[1])] * len(rows)) % tuple(rows.ravel().tolist())
-        text = "\n".join([HEADER, ",".join(columns), body]) + "\n"
-    else:  # one % template per run of rows whose fields have the same types
-        lines = [HEADER, ",".join(columns)]
-        for types, run in itertools.groupby(rows, key=lambda row: tuple(map(type, row))):
-            run = list(run)
-            template = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
-            lines.append("\n".join([template] * len(run)) % tuple(itertools.chain.from_iterable(run)))
-        text = "\n".join(lines) + "\n"
+    else:
+        lines = [HEADER, ",".join(columns)] + [",".join(formats)] * (len(flat) // len(columns))
+        text = "\n".join(lines) % tuple(flat) + "\n"
     if config.out:
         try:
             fh = open(config.out, "w")

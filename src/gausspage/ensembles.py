@@ -4,8 +4,12 @@
   orthogonal matrix, and the batched sampler draws the beta-Jacobi (CS)
   matrix model of the restricted spectrum (Edelman and Sutton, Found.
   Comput. Math. 8, 2008), whose cost depends on min(N_A, N - N_A) only,
-* eigenstates of random quadratic Hamiltonians: their law is the Haar
-  Gaussian one, so the batched sampler is the Gaussian one,
+* eigenstates of random quadratic Hamiltonians: h has the law of O h O^T
+  for every orthogonal O, and the eigenstate structure obeys
+  J(O h O^T, occ) = O J(h, occ) O^T, so the law of J is O(2N)-invariant;
+  the pure Gaussian states are one O(2N) orbit, so that law is the Haar
+  one, whatever the occupations, and the batched sampler of this ensemble
+  is :func:`gaussian_entropies` (the CLI's ``hamiltonian`` ensemble draws it),
 * eigenstates of number-conserving random Hamiltonians, with uniform
   occupations: the batched sampler (there is no single-state one) draws the
   particle number and then the beta-Jacobi (CS) model of the spectrum of
@@ -309,22 +313,6 @@ def gaussian_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -
         return mode_entropy(np.sqrt(_cs_levels(u, v, up, vp))).sum(axis=1)
 
     return _in_batches(count, max(m, 1) ** 2, draw, reduce)
-
-
-def hamiltonian_eigenstate_entropies(
-    N: int, N_A: int, count: int, gen: np.random.Generator
-) -> np.ndarray:
-    """Entropies of random-Hamiltonian eigenstates with uniform occupations: :func:`gaussian_entropies`.
-
-    h has the law of O h O^T for every orthogonal O, and the eigenstate
-    structure J(h, occ) = M^T D M obeys J(O h O^T, occ) = O J(h, occ) O^T, so
-    the law of J is O(2N)-invariant.  The pure Gaussian states are one O(2N)
-    orbit, so that law is the Haar one, whatever the occupations.  N < 1 is
-    refused before any draw.
-    """
-    if N < 1:
-        raise InvalidArgument(f"need N >= 1, got {N}")
-    return gaussian_entropies(N, N_A, count, gen)
 
 
 def haar_pure_entropies(N: int, N_A: int, count: int, gen: np.random.Generator) -> np.ndarray:

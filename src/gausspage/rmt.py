@@ -34,8 +34,10 @@ there only because the polynomial varies ever more slowly toward x = 1.  So
 every such integral rests on the check of n against 2n (``_converged``, on
 the largest entry), not on exactness; the panels held at 8 nodes, which that
 check does not refine, carry only the logarithmic factor of s (tested at 16).
-The mean evaluates both orders of a check in one pass of the recurrence, over
-the two rules' nodes at once: it is elementwise, so each order keeps its bits.
+Every check takes its two orders at once: ``_converged`` hands it the rules
+of n and 2n, and it returns both integrals.  The mean evaluates them in one
+pass of the recurrence over the two rules' nodes: it is elementwise, so each
+order keeps its bits.
 ``ctx.quadrature`` is one panel on [0, 1] at that order (cached in ``special``
 by order): it only meets polynomial integrands (G(1), K(x, x), K(z, x) K(z, y)),
 exactly.
@@ -143,15 +145,16 @@ def density_cdf(ctx: JacobiKernelCtx, grid: np.ndarray) -> np.ndarray:
     return np.cumsum(pieces)
 
 
-def _converged(integral, order: int, what: str):
-    """integral(2n) once its largest entry is within QUADRATURE_TOL of integral(n)'s, doubling n from order."""
-    value = integral(order)
+def _converged(check, order: int, what: str):
+    """I(2n) once its largest entry is within QUADRATURE_TOL of I(n)'s, doubling n from order.
+
+    ``check(unit_interval_rule(n), unit_interval_rule(2 * n))`` returns (I(n), I(2n)).
+    """
     for _ in range(_MAX_DOUBLINGS):
-        order *= 2
-        refined = integral(order)
+        value, refined = check(unit_interval_rule(order), unit_interval_rule(2 * order))
         if np.max(np.abs(refined - value)) < QUADRATURE_TOL:
             return refined
-        value = refined
+        order *= 2
     raise ConsistencyError(f"{what} quadrature did not converge")
 
 
@@ -169,24 +172,21 @@ def gram(ctx: JacobiKernelCtx, g, jmax: int | None = None) -> np.ndarray:
     jmax = ctx.n_a if jmax is None else jmax
     if jmax < 1:
         raise InvalidArgument(f"need jmax >= 1, got {jmax}")
-    return _converged(lambda n: _gram_on(ctx, unit_interval_rule(n), g, jmax), _panel_order(jmax, ctx.delta), "Gram")
+    return _converged(lambda rule, double: (_gram_on(ctx, rule, g, jmax), _gram_on(ctx, double, g, jmax)),
+                      _panel_order(jmax, ctx.delta), "Gram")
 
 
 def average_entropy_quadrature(ctx: JacobiKernelCtx) -> float:
     """Ensemble-average entropy tr G(s) = N_A * integral of s(x) rho(x) dx, from the streamed K(x, x).
 
-    Order n is evaluated in one pass with 2n, its check, over both rules' nodes; the doubling loop then takes
-    the 2n half as it stands.  s(x) K(x, x) is elementwise, so each half has the bits of a pass of its own.
+    Each check's two orders are evaluated in one pass over both rules' nodes.  s(x) K(x, x) is elementwise,
+    so each half has the bits of a pass of its own.
     """
-    doubled = {}  # the 2n half of the last pass, by its order
 
-    def trace(order: int) -> float:
-        if order in doubled:
-            return doubled.pop(order)
-        rule, double = unit_interval_rule(order), unit_interval_rule(2 * order)
+    def trace(rule: QuadratureRule, double: QuadratureRule) -> tuple[float, float]:
         nodes = np.concatenate([rule.nodes, double.nodes])
         values = mode_entropy(nodes) * level_density(ctx, nodes)
-        doubled[2 * order] = ctx.n_a * double.integrate(values[rule.nodes.size :])
-        return ctx.n_a * rule.integrate(values[: rule.nodes.size])
+        cut = rule.nodes.size
+        return ctx.n_a * rule.integrate(values[:cut]), ctx.n_a * double.integrate(values[cut:])
 
     return _converged(trace, _panel_order(ctx.n_a, ctx.delta), "entropy")

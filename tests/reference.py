@@ -10,8 +10,8 @@
   (``linalg.haar_orthogonal``).
 * The dense random-Hamiltonian eigenstate sampler: a 2N x 2N h a sample, its
   oriented mode planes and the checked restriction of the eigenstate.
-  ``ensembles.hamiltonian_eigenstate_entropies`` draws the Gaussian CS model,
-  and the tests hold the model's law to this one.
+  The CLI's ``hamiltonian`` ensemble draws ``ensembles.gaussian_entropies``,
+  the Gaussian CS model, and the tests hold the model's law to this one.
 * The exact number-conserving mean, at a fixed particle number and over the
   Binomial(N, 1/2) particle numbers of uniform occupations.
 * Kolmogorov-Smirnov statistics and their critical values at level

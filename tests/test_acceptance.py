@@ -74,15 +74,15 @@ def test_criterion_4_hamiltonian_eigenstate_equivalence():
     t0 = time.perf_counter()
     n_samples = 100_000
     est = stats.mc_estimate(
-        lambda gen, count: ensembles.hamiltonian_eigenstate_entropies(8, 4, count, gen),
+        lambda gen, count: ensembles.gaussian_entropies(8, 4, count, gen),
         n_samples,
         seed=1002,
     )
     exact = formulas.gaussian_average_exact(8, 4)
     assert abs(est.mean - exact) <= 3 * est.std_error
-    # the sampler draws the Gaussian CS model; its law against dense eigenstates of 2N x 2N random h
+    # the hamiltonian ensemble draws the Gaussian CS model; its law against dense eigenstates of 2N x 2N random h
     a = hamiltonian_dense_entropies(8, 4, n_samples, RngStream(1003, 0).generator())
-    b = ensembles.hamiltonian_eigenstate_entropies(8, 4, n_samples, RngStream(1004, 0).generator())
+    b = ensembles.gaussian_entropies(8, 4, n_samples, RngStream(1004, 0).generator())
     ks = ks_statistic(a, b)
     crit = ks_two_sample_critical(n_samples, n_samples)
     assert ks < crit

@@ -126,12 +126,47 @@ class TestDensity:
         assert all(abs(float(r[1]) - 1.0) <= 1e-12 for r in rows)
 
 
+# a page-curve sweep in every served (mode, ensemble) cell, from its k = 0 row, and every other command's table
+_TABLES = [
+    ["page-curve", "--mode", mode, "--ensemble", ensemble, "--N", "6", "--samples", "2"]
+    for mode, ensemble in sorted(set(formulas.ROUTES) | {("mc", ensemble) for ensemble in ENSEMBLES})
+] + [
+    ["variance", "--N", "6", "--NA", "3", "--samples", "0"],
+    ["variance", "--N", "6", "--NA", "3", "--samples", "50"],
+    ["variance", "--N", "6", "--NA", "0", "--samples", "50"],
+    ["sample", "--N", "6", "--NA", "3", "--samples", "0"],
+    ["sample", "--N", "6", "--NA", "3", "--samples", "7"],
+    ["dist", "--N", "6", "--NA", "3", "--samples", "50"],
+    ["density", "--N", "6", "--NA", "3"],
+]
+
+
 class TestEmit:
+    @pytest.mark.parametrize("argv", _TABLES, ids=" ".join)
+    def test_every_table_holds_one_type_per_column(self, argv, monkeypatch):
+        # _emit takes one format a column from the first row, so every row must have the first row's types
+        tables = []
+        monkeypatch.setattr(cli, "_emit", lambda config, columns, rows: tables.append((columns, rows)))
+        assert main(argv) == EXIT_OK
+        [(columns, rows)] = tables
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        assert all(len(row) == len(columns) for row in rows)
+        assert all(list(map(type, row)) == list(map(type, rows[0])) for row in rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_an_empty_table_writes_its_columns_only(self, fmt, capsys):
+        assert main(["sample", "--N", "6", "--NA", "3", "--samples", "0", "--format", fmt]) == EXIT_OK
+        out = capsys.readouterr().out
+        if fmt == "csv":
+            assert out == "# gaussian-page v1\nindex,entropy\n"
+        else:
+            assert json.loads(out) == {"version": "gaussian-page v1", "columns": ["index", "entropy"], "rows": []}
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("table", [[[0.5, -0.0]], [[0.0, math.nan], [math.inf, -math.inf], [-0.0, 1e-300],
                                                        [0.1, 2.0 / 3.0]]], ids=["one-row", "special-values"])
     def test_a_float_array_writes_the_bytes_of_its_rows_as_lists(self, table, fmt, capsys):
-        # a 2-D float array takes one %.17g template for the whole table, with no type tuple for each row
+        # a 2-D float array and the same rows as lists are flattened to the same fields and formats
         config = argparse.Namespace(fmt=fmt, out=None)
         cli._emit(config, ["x", "rho"], table)
         as_lists = capsys.readouterr().out

@@ -29,7 +29,6 @@ from gausspage.ensembles import (
     entanglement_entropy_pure,
     from_particle_basis,
     gaussian_entropies,
-    hamiltonian_eigenstate_entropies,
     haar_pure_entropies,
     many_body_spectrum,
     number_conserving_entropies,
@@ -285,9 +284,7 @@ class TestRestrictionOnlyBlocks:
         per_sample = (ua * occ) @ ua.conj().T
         assert np.max(np.abs(correlation_block(ua.conj().T, occ) - per_sample)) <= 1e-12
 
-    @pytest.mark.parametrize(
-        "sampler", [gaussian_entropies, hamiltonian_eigenstate_entropies, number_conserving_entropies]
-    )
+    @pytest.mark.parametrize("sampler", [gaussian_entropies, number_conserving_entropies])
     def test_trivial_bipartitions(self, sampler):
         gen = RngStream(35).generator()
         assert np.array_equal(sampler(4, 0, 3, gen), np.zeros(3))
@@ -391,18 +388,17 @@ class TestRandomHamiltonian:
 
     @pytest.mark.parametrize("N, N_A", [(1, 1), (2, 1), (7, 3), (9, 6), (16, 11), (2000, 40)])
     def test_sampler_is_the_gaussian_model(self, N, N_A):
-        # the eigenstates' law is the Haar Gaussian one, so the sampler draws the same bits as the Gaussian
-        # sampler on an equal generator; (9, 6) and (16, 11) have N_A > N/2
-        a = hamiltonian_eigenstate_entropies(N, N_A, 300, np.random.default_rng(N + N_A))
+        # the eigenstates' law is the Haar Gaussian one, so the CLI's hamiltonian ensemble draws the same bits as
+        # the Gaussian sampler on an equal generator; (9, 6) and (16, 11) have N_A > N/2
+        a = getattr(ensembles, cli._SAMPLERS["hamiltonian"])(N, N_A, 300, np.random.default_rng(N + N_A))
         assert np.array_equal(a, gaussian_entropies(N, N_A, 300, np.random.default_rng(N + N_A)))
 
-    def test_no_mode_is_refused_before_any_draw(self):
-        # N = 0 would be 0 words a sample: the batched sampler refuses it as the single draw does, and draws nothing
-        gen = np.random.default_rng(0)
-        state = gen.bit_generator.state
-        with pytest.raises(InvalidArgument, match="need N >= 1"):
-            hamiltonian_eigenstate_entropies(0, 0, 3, gen)
-        assert gen.bit_generator.state == state
+    def test_no_mode_is_refused_before_any_draw(self, monkeypatch, capsys):
+        # N = 0: the CLI refuses it before its hamiltonian ensemble's sampler runs, as the single draw refuses it
+        monkeypatch.setattr(ensembles, cli._SAMPLERS["hamiltonian"], lambda *args: pytest.fail("a sample was drawn"))
+        argv = ["page-curve", "--ensemble", "hamiltonian", "--mode", "mc", "--N", "0", "--NA", "0", "--samples", "3"]
+        assert cli.main(argv) == cli.EXIT_INVALID
+        assert "need N >= 1" in capsys.readouterr().err
         with pytest.raises(InvalidArgument, match="need N >= 1"):
             sample_random_hamiltonian(0, RngStream(0))
 
@@ -464,7 +460,7 @@ class TestEigenstateStructure:
         # Gaussian CS model, against dense eigenstates of 2N x 2N random h
         gen_a = RngStream(8).generator()
         gen_b = RngStream(9).generator()
-        a = hamiltonian_eigenstate_entropies(6, 3, 10_000, gen_a)
+        a = gaussian_entropies(6, 3, 10_000, gen_a)
         b = hamiltonian_dense_entropies(6, 3, 10_000, gen_b)
         assert ks_statistic(a, b) < ks_two_sample_critical(a.size, b.size)
 
@@ -713,7 +709,7 @@ class TestNumberConserving:
         assert abs(vals.mean() - 0.19315) <= 0.005
 
 
-BATCHED = [gaussian_entropies, hamiltonian_eigenstate_entropies, number_conserving_entropies, haar_pure_entropies]
+BATCHED = [gaussian_entropies, number_conserving_entropies, haar_pure_entropies]
 
 
 @pytest.fixture
@@ -737,7 +733,7 @@ class TestBatchInvariance:
         "sampler, N, N_A",
         [
             (gaussian_entropies, 9, 5),  # 4^2 words, from four kinds
-            (hamiltonian_eigenstate_entropies, 5, 2),  # the Gaussian model: 2^2 words, from four kinds
+            (gaussian_entropies, 5, 2),  # 2^2 words, from four kinds
             (number_conserving_entropies, 10, 6),  # 4^2 words, from five kinds
             (haar_pure_entropies, 6, 2),  # 4^2 words
         ],
@@ -757,7 +753,7 @@ class TestBatchInvariance:
         "sampler, N, N_A, words",
         [
             (gaussian_entropies, 9, 5, 16),  # m^2 words for m = 4
-            (hamiltonian_eigenstate_entropies, 5, 2, 4),  # the Gaussian model: m^2 words for m = 2
+            (gaussian_entropies, 5, 2, 4),  # m^2 words for m = 2
             (number_conserving_entropies, 10, 6, 16),  # m_max^2 words for m_max = 4
             (haar_pure_entropies, 6, 2, 16),  # m^2 words for m = 4
         ],
@@ -832,7 +828,6 @@ class TestBatches:
         "sampler, N, N_A, count, rows",
         [
             (gaussian_entropies, 2000, 40, 700, [82] * 8 + [44]),  # 40^2 words a sample
-            (hamiltonian_eigenstate_entropies, 2000, 40, 700, [82] * 8 + [44]),  # the Gaussian model's 40^2 words
             (number_conserving_entropies, 64, 30, 1500, [146] * 10 + [40]),  # 30^2 words a sample
             (haar_pure_entropies, 12, 6, 300, [32] * 9 + [12]),  # 64^2 words a sample
             (gaussian_entropies, 8, 4, 1000, [1000]),  # 4^2 words a sample: a batch of 8192 rows holds them all

@@ -277,7 +277,9 @@ class TestAverageEntropy:
         monkeypatch.setattr(rmt, "unit_interval_rule", never_settles)
         with pytest.raises(ConsistencyError, match="did not converge"):
             integral(build_kernel_ctx(2, 0))
-        assert len(orders) > 2 and all(b == 2 * a for a, b in zip(orders, orders[1:]))
+        # each check takes the rules of n and 2n, doubling n from the first order: n, 2n, 2n, 4n, ..., 32n, 64n
+        n = rmt._panel_order(2, 0)
+        assert orders == [n * 2 ** ((i + 1) // 2) for i in range(2 * rmt._MAX_DOUBLINGS)]
 
     @pytest.mark.parametrize("n_a,delta", [(96, 0), (40, 112), (200, 0)])
     def test_gram_matrix_on_the_graded_rule(self, n_a, delta):

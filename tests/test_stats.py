@@ -113,10 +113,10 @@ class TestDrawStreams:
             draw_streams(uniform_sampler, -1, 0)
 
 
-# (sampler, N, N_A) of each batched sampler
+# (sampler, N, N_A) of each batched sampler, the gaussian one at two sizes
 BATCHED = [
     (ensembles.gaussian_entropies, 6, 3),
-    (ensembles.hamiltonian_eigenstate_entropies, 5, 2),
+    (ensembles.gaussian_entropies, 5, 2),
     (ensembles.number_conserving_entropies, 6, 4),
     (ensembles.haar_pure_entropies, 6, 2),
 ]
@@ -207,7 +207,7 @@ class TestConcurrentBlocks:
         # 41 blocks of a batched sampler on eight threads of a two-core machine, with threads switched often
         cores(8)
         monkeypatch.setattr(stats, "_BLOCK", 100)
-        run = bind(ensembles.hamiltonian_eigenstate_entropies, 5, 2)
+        run = bind(ensembles.gaussian_entropies, 5, 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
